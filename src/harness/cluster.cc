@@ -308,7 +308,7 @@ Status DFasterCluster::AddWorker(WorkerId* new_id) {
   DFasterWorkerConfig config;
   config.id = id;
   config.num_workers = options_.num_workers;
-  config.start_empty = true;  // partitions arrive via TransferPartition
+  config.start_empty = true;  // partitions arrive via MigratePartition
   config.mode = options_.mode;
   config.faster.index_buckets = options_.index_buckets;
   config.faster.log_device =
@@ -530,32 +530,6 @@ TrackingPlaneStats DRedisCluster::tracking_stats() {
     t.cut_advances = f.cut_advances;
   }
   return t;
-}
-
-Status DRedisCluster::AddWorker(WorkerId* /*new_id*/) {
-  return Status::NotSupported("D-Redis deployments are fixed-size");
-}
-
-Status DRedisCluster::ActivateWorker(WorkerId /*id*/) {
-  return Status::NotSupported("D-Redis deployments are fixed-size");
-}
-
-Status DRedisCluster::DecommissionWorker(WorkerId /*id*/) {
-  return Status::NotSupported("D-Redis deployments are fixed-size");
-}
-
-std::map<WorkerId, MemberState> DRedisCluster::MemberStates() const {
-  return {};
-}
-
-Status DRedisCluster::MigratePartition(uint32_t /*partition*/,
-                                       WorkerId /*to*/) {
-  return Status::NotSupported(
-      "D-Redis proxies own no hash ranges; nothing to migrate");
-}
-
-WorkerId DRedisCluster::OwnerOf(uint32_t /*partition*/) const {
-  return kInvalidWorker;
 }
 
 Status DRedisCluster::InjectFailure(

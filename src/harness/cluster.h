@@ -26,43 +26,6 @@ namespace dpr {
 
 enum class TransportKind { kInMemory, kTcp };
 
-/// Uniform control surface over every harness deployment: the same
-/// membership, migration, and fault entry points whether the cluster under
-/// test is D-FASTER or D-Redis. Tests, benches, and the chaos harness drive
-/// elasticity through this interface; deployments that cannot support an
-/// operation return NotSupported rather than offering a different API.
-class ClusterControl {
- public:
-  virtual ~ClusterControl() = default;
-
-  virtual Status Start() = 0;
-  virtual void Stop() = 0;
-
-  // --- membership (state machine in cluster/membership.h) ---
-  /// Joins a new, empty worker (kJoining). Returns its id via `new_id`.
-  virtual Status AddWorker(WorkerId* new_id) = 0;
-  /// Promotes a joined worker to full membership (kJoining -> kActive).
-  virtual Status ActivateWorker(WorkerId id) = 0;
-  /// Drains a member (kDraining): live-migrates every partition it owns to
-  /// the least-loaded active member, removes it from the DPR table, and
-  /// tombstones it (kRemoved).
-  virtual Status DecommissionWorker(WorkerId id) = 0;
-  /// Durable membership rows, tombstones included.
-  virtual std::map<WorkerId, MemberState> MemberStates() const = 0;
-
-  // --- live migration (cluster/migration.h) ---
-  /// Moves a virtual partition to worker `to` with the phased protocol:
-  /// seal, dual-ownership forwarding, drain, DPR commit barrier, world-line
-  /// fence, ownership flip. Writes keep flowing throughout.
-  virtual Status MigratePartition(uint32_t partition, WorkerId to) = 0;
-  /// Current owner per the durable ownership table.
-  virtual WorkerId OwnerOf(uint32_t partition) const = 0;
-
-  // --- faults ---
-  /// Crashes `failed` workers and runs the DPR recovery protocol.
-  virtual Status InjectFailure(const std::vector<WorkerId>& failed) = 0;
-};
-
 struct ClusterOptions {
   uint32_t num_workers = 2;
   RecoverabilityMode mode = RecoverabilityMode::kDpr;
@@ -95,16 +58,16 @@ struct ClusterOptions {
 /// Brings up a whole D-FASTER deployment in-process: metadata store, DPR
 /// finder + coordinator, cluster manager, N workers with RPC endpoints.
 /// The single-box equivalent of the paper's 8-VM Azure cluster.
-class DFasterCluster : public ClusterControl {
+class DFasterCluster {
  public:
   explicit DFasterCluster(ClusterOptions options);
-  ~DFasterCluster() override;
+  ~DFasterCluster();
 
   DFasterCluster(const DFasterCluster&) = delete;
   DFasterCluster& operator=(const DFasterCluster&) = delete;
 
-  Status Start() override;
-  void Stop() override;
+  Status Start();
+  void Stop();
 
   /// Client with remote connections to every worker (dedicated-client mode).
   std::unique_ptr<DFasterClient> NewClient(uint32_t batch_size,
@@ -117,38 +80,33 @@ class DFasterCluster : public ClusterControl {
                                                     uint32_t window);
 
   /// Injects a failure of `failed` workers and runs the recovery protocol.
-  Status InjectFailure(const std::vector<WorkerId>& failed) override;
+  Status InjectFailure(const std::vector<WorkerId>& failed);
 
   /// Live migration (DESIGN.md §4i): seal -> dual-ownership forwarding ->
   /// drain -> DPR commit barrier -> world-line fence -> flip. The source
   /// stays authoritative until the flip, so writes keep flowing for the
   /// whole move; clients chase the flip via kNotOwner re-routes.
-  Status MigratePartition(uint32_t partition, WorkerId to) override;
-
-  /// Backward-compatible alias for MigratePartition (the pre-elastic name).
-  Status TransferPartition(uint32_t partition, WorkerId to) {
-    return MigratePartition(partition, to);
-  }
+  Status MigratePartition(uint32_t partition, WorkerId to);
 
   /// Current owner of a partition per the durable ownership table.
-  WorkerId OwnerOf(uint32_t partition) const override;
+  WorkerId OwnerOf(uint32_t partition) const;
 
   /// Elasticity (§5.3): adds a new, empty worker to the running cluster — a
   /// new DPR-table row plus a durable kJoining membership row. Move
   /// partitions to it with MigratePartition, then ActivateWorker. Existing
   /// clients created by NewClient reach it automatically (they resolve the
   /// endpoint lazily on first route).
-  Status AddWorker(WorkerId* new_id) override;
+  Status AddWorker(WorkerId* new_id);
 
   /// kJoining -> kActive once the join's migrations are done.
-  Status ActivateWorker(WorkerId id) override;
+  Status ActivateWorker(WorkerId id);
 
   /// Full decommission: kDraining, live-migrate every owned partition to
   /// the least-loaded active member, drop the DPR row, tombstone.
-  Status DecommissionWorker(WorkerId id) override;
+  Status DecommissionWorker(WorkerId id);
 
   /// Durable membership rows.
-  std::map<WorkerId, MemberState> MemberStates() const override;
+  std::map<WorkerId, MemberState> MemberStates() const;
 
   /// Removes an *empty* worker (drops its DPR-table row and best-effort
   /// advances its membership row to kRemoved). Fails if the worker still
@@ -215,31 +173,20 @@ struct RedisClusterOptions {
   uint32_t server_threads = 2;
 };
 
-class DRedisCluster : public ClusterControl {
+class DRedisCluster {
  public:
   explicit DRedisCluster(RedisClusterOptions options);
-  ~DRedisCluster() override;
+  ~DRedisCluster();
 
-  Status Start() override;
-  void Stop() override;
+  Status Start();
+  void Stop();
 
   std::unique_ptr<DRedisClient> NewClient(uint32_t batch_size,
                                           uint32_t window);
 
   /// Crashes the given shards' stores and runs the DPR recovery protocol
   /// across all proxies (kDpr deployment only).
-  Status InjectFailure(const std::vector<WorkerId>& failed_shards) override;
-
-  // The D-Redis deployment is fixed-size: proxies sit one-to-one in front
-  // of their stores and own no hash ranges, so elastic membership and live
-  // migration do not apply. The entry points exist (ClusterControl) and
-  // report NotSupported, keeping harness call sites uniform.
-  Status AddWorker(WorkerId* new_id) override;
-  Status ActivateWorker(WorkerId id) override;
-  Status DecommissionWorker(WorkerId id) override;
-  std::map<WorkerId, MemberState> MemberStates() const override;
-  Status MigratePartition(uint32_t partition, WorkerId to) override;
-  WorkerId OwnerOf(uint32_t partition) const override;
+  Status InjectFailure(const std::vector<WorkerId>& failed_shards);
 
   RespStore* store(uint32_t i) { return stores_[i].get(); }
   DRedisProxy* proxy(uint32_t i) { return dpr_proxies_[i].get(); }

@@ -1,10 +1,9 @@
 #ifndef DPR_NET_FRAME_H_
 #define DPR_NET_FRAME_H_
 
-// Wire-format and flush-path machinery shared by both TCP transport
-// backends (the epoll event loop in tcp_net.cc and the io_uring loop in
-// uring_net.cc). Everything here encodes a contract both backends must
-// keep identically:
+// Wire-format and flush-path machinery under the TCP transport's one
+// connection state machine (tcp_net.cc) and its two backends (epoll:
+// event_loop.cc, io_uring: uring_net.cc). The contracts it encodes:
 //   * frames are [u32 payload-length][u64 request-id][payload];
 //   * a flush batch covers at most kMaxIov/2 frames (header + payload
 //     iovec each), pointed at in place — payloads are never copied into a
@@ -66,7 +65,7 @@ struct TcpCounters {
   Counter* eagain_waits;
   Counter* poisoned;
   Counter* writev_calls;     // coalescing flush syscalls (sendmsg, epoll)
-  Counter* writev_frames;    // frames completed by coalesced flushes
+  Counter* writev_frames;    // frames completed by coalesced sends
   Counter* recv_calls;       // recv(2) syscalls (epoll read path)
   Counter* accepted;         // server sockets accepted
   Gauge* output_queue_bytes;  // bytes queued awaiting flush, all server conns

@@ -1,9 +1,17 @@
+// The TCP transport's one connection state machine, run by both backends
+// through the completion interface in io_loop.h (epoll: event_loop.cc,
+// io_uring: uring_net.cc). A Conn owns the outbound OutFrame queue and its
+// single in-flight vectored send, ReadGate backpressure, the carry buffer
+// for frames split across reads, torn-frame poisoning, and close
+// accounting. ServerConn feeds decoded requests to the server's executor;
+// ClientConn matches responses to pending calls. Every connection, client
+// or server, lives on a loop thread: servers own io_threads loops, and all
+// clients of a backend share one process-wide loop.
+
 #include "net/tcp_net.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -14,248 +22,285 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "common/sync.h"
-#include "net/event_loop.h"
 #include "net/executor.h"
 #include "net/frame.h"
-#include "net/uring_net.h"
+#include "net/io_loop.h"
 #include "obs/metrics.h"
 
 namespace dpr {
 
 namespace {
 
-using internal::BuildIovecs;
-using internal::ConfigureSocket;
-using internal::ConsumeWritten;
-using internal::kFrameHeader;
-using internal::kMaxIov;
-using internal::kReadChunk;
-using internal::MakeFrame;
-using internal::MapSocketError;
+using internal::IoLoop;
 using internal::OutFrame;
-using internal::ReadGate;
-using internal::SocketKind;
 using internal::Stats;
 
-// Blocks until `fd` is ready for `events` (POLLIN/POLLOUT). POLLERR/POLLHUP
-// fall through as success so the next recv/send reports the real errno.
-Status AwaitReady(int fd, short events) {
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = events;
-  for (;;) {
-    const int rc = poll(&pfd, 1, /*timeout_ms=*/-1);
-    if (rc > 0) return Status::OK();
-    if (rc < 0 && errno != EINTR) return MapSocketError("poll", errno);
-  }
-}
+class Conn : public IoLoop::Handler {
+ public:
+  // `server` connections publish their queue depth to
+  // net.tcp.output_queue_bytes; a torn send poisons only client ones.
+  Conn(IoLoop* loop, int fd, size_t out_budget, bool server)
+      : loop_(loop), fd_(fd), out_budget_(out_budget), server_(server) {}
 
-Status ReadFully(int fd, void* buf, size_t n, size_t* transferred = nullptr) {
-  char* p = static_cast<char*>(buf);
-  size_t done = 0;
-  Status result;
-  while (done < n) {
-    Stats().recv_calls->Add();
-    const ssize_t got = recv(fd, p + done, n - done, 0);
-    if (got > 0) {
-      done += static_cast<size_t>(got);
-      continue;
-    }
-    if (got == 0) {
-      result = Status::Transient("connection closed");
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Non-blocking fd with an empty receive buffer mid-message: wait for
-      // readability instead of surfacing a desynchronizing error.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLIN);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = MapSocketError("recv", errno);
-    break;
+  ~Conn() override {
+    if (fd_ >= 0) close(fd_);  // never handed to the loop
   }
-  if (transferred != nullptr) *transferred = done;
-  return result;
-}
 
-Status WriteFully(int fd, const void* buf, size_t n,
-                  size_t* transferred = nullptr) {
-  const char* p = static_cast<const char*>(buf);
-  size_t done = 0;
-  Status result;
-  while (done < n) {
-    // dprlint: allowed(net-raw-write) single-buffer slow path under the
-    // flush layer; short writes are counted right below.
-    const ssize_t sent = send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      if (static_cast<size_t>(sent) < n - done) Stats().short_writes->Add();
-      done += static_cast<size_t>(sent);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // A full send buffer (small SO_SNDBUF, slow reader) is not an error:
-      // aborting here would tear the frame and desync the length-prefixed
-      // stream for every later frame on this connection.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLOUT);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = MapSocketError("send", errno);
-    break;
+  IoLoop* loop() const { return loop_; }
+
+  // Loop thread: hand the socket to the loop and start reading.
+  void StartOnLoop() {
+    ch_ = loop_->Attach(fd_, this);
+    fd_ = -1;
+    loop_->SetRecv(ch_, true);
   }
-  if (transferred != nullptr) *transferred = done;
-  return result;
-}
 
-// Blocking vectored write: retries until every iovec byte is on the wire or
-// a hard error occurs. `iov` is consumed destructively. Uses sendmsg rather
-// than writev for MSG_NOSIGNAL (a raw writev to a dead peer raises SIGPIPE).
-Status WritevFully(int fd, struct iovec* iov, int iovcnt,
-                   size_t* transferred = nullptr) {
-  size_t total = 0;
-  for (int i = 0; i < iovcnt; ++i) total += iov[i].iov_len;
-  size_t done = 0;
-  int idx = 0;
-  Status result;
-  while (done < total) {
-    msghdr msg{};
-    msg.msg_iov = iov + idx;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt - idx);
-    // dprlint: allowed(net-raw-write) sanctioned vectored-flush helper; the
-    // framing layer above carries partial-write offsets.
-    const ssize_t sent = sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      Stats().writev_calls->Add();
-      if (static_cast<size_t>(sent) < total - done) Stats().short_writes->Add();
-      done += static_cast<size_t>(sent);
-      size_t left = static_cast<size_t>(sent);
-      while (idx < iovcnt && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
+  // Loop thread (posted by whoever queued a frame): start a send unless
+  // one is in flight, whose completion picks the new frames up.
+  void StartSendIfNeeded() {
+    if (closed_ || send_inflight_) return;
+    StartSend();
+  }
+
+  // Loop thread. Drops queued output (an in-flight send keeps its frames
+  // until it completes, so the completion can still see a torn frame),
+  // shuts the socket down, and tells the owner.
+  void CloseOnLoop(const Status& reason) {
+    if (closed_) return;
+    closed_ = true;
+    {
+      MutexLock guard(out_mu_);
+      writable_ = false;
+    }
+    if (!send_inflight_) DropOutputQueue();
+    loop_->Close(ch_);
+    OnClosing(reason);
+  }
+
+  void OnRecv(const char* data, size_t len) override {
+    if (closed_) return;
+    if (!IngestBytes(data, len)) {
+      CloseOnLoop(Status::IOError("bad frame stream"));
+    }
+  }
+
+  void OnRecvError(int err) override {
+    CloseOnLoop(err == 0 ? Status::Transient("connection closed")
+                         : internal::MapSocketError("recv", err));
+  }
+
+  void OnSendDone(ssize_t res) override {
+    send_inflight_ = false;
+    bool torn;
+    bool more;
+    size_t queued;
+    {
+      MutexLock guard(out_mu_);
+      if (res > 0) {
+        if (static_cast<size_t>(res) < send_bytes_) Stats().short_writes->Add();
+        const size_t completed =
+            internal::ConsumeWritten(&out_, static_cast<size_t>(res));
+        out_bytes_ -= static_cast<size_t>(res);
+        if (server_) Stats().output_queue_bytes->Sub(res);
+        Stats().frames_sent->Add(completed);
+        Stats().writev_frames->Add(completed);
       }
-      if (left > 0) {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
-      }
-      continue;
+      torn = !out_.empty() && out_.front().offset > 0;
+      more = !out_.empty();
+      if (!more) flush_scheduled_ = false;
+      queued = out_bytes_;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Same contract as WriteFully: a full send buffer must not tear the
-      // frame mid-batch, so wait for writability and resume the iovecs.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLOUT);
-      if (!result.ok()) break;
-      continue;
+    if (res < 0 || closed_) {
+      // The stream ends here. With bytes of the front frame already on the
+      // wire the peer would read our next header out of the middle of its
+      // payload, so a client connection counts as poisoned; either way it
+      // closes and every pending call fails instead of desynchronizing.
+      if (torn && !server_) Stats().poisoned->Add();
+      DropOutputQueue();
+      CloseOnLoop(res < 0 ? internal::MapSocketError("sendmsg", -res)
+                          : Status::Transient("connection closed"));
+      return;
     }
-    result = MapSocketError("sendmsg", errno);
-    break;
+    if (more) StartSend();
+    // Backpressure hysteresis (internal::ReadGate): pause reads above the
+    // output budget, resume below half of it.
+    if (out_budget_ > 0 && read_gate_.Update(queued, out_budget_)) {
+      loop_->SetRecv(ch_, !read_gate_.paused);
+    }
   }
-  if (transferred != nullptr) *transferred = done;
-  return result;
-}
 
-Status ReadFrame(int fd, uint64_t* id, std::string* payload) {
-  char header[kFrameHeader];
-  DPR_RETURN_NOT_OK(ReadFully(fd, header, kFrameHeader));
-  const uint32_t len = DecodeFixed32(header);
-  *id = DecodeFixed64(header + 4);
-  payload->resize(len);
-  if (len > 0) DPR_RETURN_NOT_OK(ReadFully(fd, payload->data(), len));
-  Stats().frames_received->Add();
-  return Status::OK();
-}
+ protected:
+  // One decoded inbound frame; `payload` is valid only for the call.
+  virtual void OnFrame(uint64_t id, const char* payload, size_t len) = 0;
+  // The connection began closing; queued output is gone.
+  virtual void OnClosing(const Status& /*reason*/) {}
+
+  // Any thread: queues the frame (twice when `duplicate`). Returns false
+  // when the connection no longer takes output; *nudge asks the caller to
+  // post StartSendIfNeeded.
+  bool Enqueue(uint64_t id, std::string payload, bool duplicate,
+               bool* nudge) {
+    MutexLock guard(out_mu_);
+    if (!writable_) return false;
+    if (duplicate) PushFrame(internal::MakeFrame(id, payload));
+    PushFrame(internal::MakeFrame(id, std::move(payload)));
+    *nudge = !flush_scheduled_;
+    flush_scheduled_ = true;
+    return true;
+  }
+
+  // Any thread: later Enqueue calls fail.
+  void StopOutput() {
+    MutexLock guard(out_mu_);
+    writable_ = false;
+  }
+
+  IoLoop* const loop_;
+
+ private:
+  void PushFrame(OutFrame f) REQUIRES(out_mu_) {
+    out_bytes_ += f.size();
+    if (server_) {
+      Stats().output_queue_bytes->Add(static_cast<int64_t>(f.size()));
+    }
+    out_.push_back(std::move(f));
+  }
+
+  // Points the iovecs at the queued frames and submits one send. The
+  // iovecs reference deque elements; std::deque never invalidates
+  // references on push_back/pop_front, and only this loop thread pops, so
+  // they stay valid until OnSendDone.
+  void StartSend() {
+    {
+      MutexLock guard(out_mu_);
+      if (out_.empty()) {
+        flush_scheduled_ = false;
+        return;
+      }
+      int iovcnt = 0;
+      internal::BuildIovecs(out_, iov_, &iovcnt, &send_bytes_);
+      memset(&msg_, 0, sizeof(msg_));
+      msg_.msg_iov = iov_;
+      msg_.msg_iovlen = static_cast<size_t>(iovcnt);
+    }
+    send_inflight_ = true;
+    loop_->Send(ch_, &msg_);
+  }
+
+  void DropOutputQueue() {
+    size_t dropped;
+    {
+      MutexLock guard(out_mu_);
+      dropped = out_bytes_;
+      out_.clear();
+      out_bytes_ = 0;
+      flush_scheduled_ = false;
+    }
+    if (server_ && dropped > 0) {
+      Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
+    }
+  }
+
+  // Decodes whole frames in place; a trailing partial frame (or one that
+  // spans reads) rides carry_. Returns false on a garbage length prefix.
+  bool IngestBytes(const char* data, size_t len) {
+    bool garbage = false;
+    auto on_frame = [this](uint64_t id, const char* p, size_t n) {
+      OnFrame(id, p, n);
+    };
+    if (!carry_.empty()) {
+      carry_.append(data, len);
+      const size_t pos = internal::ParseFrameStream(
+          carry_.data(), carry_.size(), &garbage, on_frame);
+      carry_.erase(0, pos);
+      return !garbage;
+    }
+    const size_t pos =
+        internal::ParseFrameStream(data, len, &garbage, on_frame);
+    if (pos < len) carry_.assign(data + pos, len - pos);
+    return !garbage;
+  }
+
+  int fd_;
+  const size_t out_budget_;
+  const bool server_;
+
+  // Loop-thread-only state.
+  IoLoop::Channel* ch_ = nullptr;
+  bool closed_ = false;
+  bool send_inflight_ = false;
+  internal::ReadGate read_gate_;
+  std::string carry_;
+  struct iovec iov_[internal::kMaxIov];
+  msghdr msg_{};
+  size_t send_bytes_ = 0;
+
+  Mutex out_mu_{LockRank::kTransport, "net.tcp.conn_out"};
+  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
+  size_t out_bytes_ GUARDED_BY(out_mu_) = 0;
+  // True while a flush is guaranteed to run (nudge posted or send in
+  // flight); collapses redundant Post() wakeups under pipelining.
+  bool flush_scheduled_ GUARDED_BY(out_mu_) = false;
+  // Cleared on close: late responses and calls are refused instead of
+  // queueing on a dead connection.
+  bool writable_ GUARDED_BY(out_mu_) = true;
+};
 
 // ------------------------------------------------------------------- server
 
 class TcpServer;
 
-// One accepted socket, pinned to one event loop. Frame parsing runs on the
-// loop thread; handler execution on the server's shared executor; responses
-// queue here and a loop-thread flush coalesces everything queued into one
-// sendmsg. Lifetime: the server's registry plus in-flight executor tasks
-// hold shared_ptr refs, so a task finishing after the socket closed just
-// drops its response.
-class ServerConn : public EventLoop::Handler,
-                   public std::enable_shared_from_this<ServerConn> {
+// One accepted socket, pinned to one loop. Handlers run on the server's
+// shared executor; responses come back through SendResponse. The server's
+// registry plus in-flight executor tasks hold shared_ptr refs, so a task
+// finishing after the socket closed just drops its response.
+class ServerConn final : public Conn,
+                         public std::enable_shared_from_this<ServerConn> {
  public:
-  ServerConn(TcpServer* server, EventLoop* loop, int fd, size_t out_budget)
-      : server_(server), loop_(loop), fd_(fd), out_budget_(out_budget) {}
+  ServerConn(TcpServer* server, IoLoop* loop, int fd, size_t out_budget)
+      : Conn(loop, fd, out_budget, /*server=*/true), server_(server) {}
 
-  ~ServerConn() override {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  // Loop thread only.
-  void OnReady(uint32_t events) override;
-
-  // Any thread (executor workers). Queues the response and nudges the loop.
-  void SendResponse(uint64_t id, std::string payload);
-
-  // Server Stop() path: loops are already joined, so teardown is
-  // single-threaded from here.
-  void ShutdownFd();
-
- private:
-  void HandleReadable();
-  void ParseFrames();
-  void FlushOnLoop();
-  void UpdateInterest();
-  void CloseOnLoop();
-
-  TcpServer* const server_;
-  EventLoop* const loop_;
-  int fd_;
-  const size_t out_budget_;
-
-  // Loop-thread-only state; no lock by construction (single writer thread).
-  std::vector<char> input_;
-  size_t input_used_ = 0;
-  bool want_write_ = false;  // EPOLLOUT armed (flush hit EAGAIN)
-  ReadGate read_gate_;       // output over budget; EPOLLIN dropped
-  bool closed_ = false;
-
-  Mutex out_mu_{LockRank::kTransport, "net.tcp.server_out"};
-  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
-  size_t out_bytes_ GUARDED_BY(out_mu_) = 0;
-  // True while a flush is guaranteed to run (posted nudge in flight or
-  // EPOLLOUT armed); collapses redundant Post() wakeups under pipelining.
-  bool flush_scheduled_ GUARDED_BY(out_mu_) = false;
-  // Cleared when the fd dies: late executor responses are dropped instead
-  // of queueing on a closed connection forever.
-  bool writable_ GUARDED_BY(out_mu_) = true;
-};
-
-class TcpServer : public RpcServer, public EventLoop::Handler {
- public:
-  TcpServer(uint16_t port, const TcpServerOptions& options)
-      : requested_port_(port), options_(options) {
-    if (options_.io_threads == 0) options_.io_threads = 1;
-    if (options_.executor_threads == 0) options_.executor_threads = 1;
-    if (options_.executor_queue_capacity == 0) {
-      options_.executor_queue_capacity = 1;
+  // Any thread (executor workers).
+  void SendResponse(uint64_t id, std::string payload) {
+    bool nudge = false;
+    if (!Enqueue(id, std::move(payload), /*duplicate=*/false, &nudge)) return;
+    // Post rejection means the loop already stopped (server Stop): the
+    // queued response dies with the connection.
+    if (nudge) {
+      (void)loop_->Post([self = shared_from_this()] {
+        self->StartSendIfNeeded();
+      });
     }
   }
+
+ private:
+  void OnFrame(uint64_t id, const char* payload, size_t len) override;
+  void OnClosed() override;
+
+  TcpServer* const server_;
+};
+
+class TcpServer final : public RpcServer {
+ public:
+  TcpServer(uint16_t port, const TcpServerOptions& options,
+            std::vector<std::unique_ptr<IoLoop>> loops)
+      : requested_port_(port), options_(options), loops_(std::move(loops)) {}
 
   ~TcpServer() override { Stop(); }
 
   Status Start(RpcHandler handler) override {
     handler_ = std::move(handler);
     stop_.store(false, std::memory_order_release);
+    for (auto& loop : loops_) {
+      if (loop == nullptr) return Status::IOError("event loop setup failed");
+    }
     listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) return Status::IOError("socket failed");
-    ConfigureSocket(listen_fd_, SocketKind::kListener);
+    internal::ConfigureSocket(listen_fd_, internal::SocketKind::kListener);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -271,75 +316,55 @@ class TcpServer : public RpcServer, public EventLoop::Handler {
       return Status::IOError(std::string("listen: ") + strerror(errno));
     }
     executor_ = std::make_unique<Executor>(ExecutorOptions{
-        options_.executor_threads, options_.executor_queue_capacity,
+        std::max(options_.executor_threads, 1u),
+        std::max<size_t>(options_.executor_queue_capacity, 1),
         "net.tcp.executor"});
     executor_->Start();
-    loops_.reserve(options_.io_threads);
-    for (uint32_t i = 0; i < options_.io_threads; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>());
-      DPR_RETURN_NOT_OK(loops_.back()->Start());
-    }
     // The listener lives on loop 0; accepted sockets spread round-robin.
-    return loops_[0]->Add(listen_fd_, EPOLLIN, this);
+    DPR_RETURN_NOT_OK(
+        loops_[0]->Listen(listen_fd_, [this](int fd) { AdoptSocket(fd); }));
+    for (auto& loop : loops_) {
+      IoLoop* raw = loop.get();
+      raw->set_on_stop([this, raw] { CloseLoopConns(raw); });
+      raw->StartThread();
+    }
+    LoopThreads()->Add(static_cast<int64_t>(loops_.size()));
+    return Status::OK();
   }
 
   void Stop() override {
     if (stop_.exchange(true)) return;
-    // Join the loops first: once no I/O thread is alive, nothing touches
-    // the sockets concurrently and teardown is single-threaded. (Late
-    // executor responses find Post() rejected and are dropped.)
-    for (auto& loop : loops_) loop->Stop();
+    // Stop the loops first: each closes its connections and drains their
+    // ops before the thread joins, so teardown below is single-threaded.
+    for (auto& loop : loops_) {
+      if (loop != nullptr) loop->Stop();
+    }
+    // A non-null executor means Start got far enough to start the loops.
+    if (executor_ != nullptr) {
+      LoopThreads()->Sub(static_cast<int64_t>(loops_.size()));
+    }
     if (listen_fd_ >= 0) {
       close(listen_fd_);
       listen_fd_ = -1;
     }
     // Drain the executor: every accepted request task still runs (tasks
-    // observe stop_ and skip the handler; their would-be responses die with
-    // the connections below).
+    // observe stop_ and skip the handler; their responses are refused).
     if (executor_) executor_->Shutdown();
+    // Connections adopted by a loop that was already stopping never
+    // closed; drop whatever remains.
     std::map<ServerConn*, std::shared_ptr<ServerConn>> conns;
     {
       MutexLock guard(conns_mu_);
       conns.swap(conns_);
     }
-    for (auto& [ptr, conn] : conns) {
-      (void)ptr;
-      conn->ShutdownFd();
-      Stats().server_conns->Sub(1);
-    }
+    Stats().server_conns->Sub(static_cast<int64_t>(conns.size()));
   }
 
   std::string address() const override {
     return "127.0.0.1:" + std::to_string(bound_port_);
   }
 
-  // Listener readiness (loop 0 thread): accept until EAGAIN.
-  void OnReady(uint32_t /*events*/) override {
-    for (;;) {
-      const int fd =
-          accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN, or a transient accept error; epoll re-arms
-      }
-      Stats().accepted->Add();
-      ConfigureSocket(fd, SocketKind::kData);
-      EventLoop* loop = loops_[next_loop_++ % loops_.size()].get();
-      auto conn = std::make_shared<ServerConn>(
-          this, loop, fd, options_.max_output_queue_bytes);
-      {
-        MutexLock guard(conns_mu_);
-        conns_[conn.get()] = conn;
-      }
-      Stats().server_conns->Add(1);
-      if (!loop->Add(fd, EPOLLIN, conn.get()).ok()) {
-        ForgetConn(conn.get());
-        conn->ShutdownFd();
-      }
-    }
-  }
-
-  // Drops the registry ref for a connection that closed itself. The object
+  // Drops the registry ref for a connection that fully closed. The object
   // survives while executor tasks still hold it.
   void ForgetConn(ServerConn* conn) {
     std::shared_ptr<ServerConn> ref;
@@ -369,6 +394,46 @@ class TcpServer : public RpcServer, public EventLoop::Handler {
   }
 
  private:
+  // Live server loop threads across every server.
+  static Gauge* LoopThreads() {
+    static Gauge* const threads =
+        MetricsRegistry::Default().gauge("net.loop.threads");
+    return threads;
+  }
+
+  // Loop 0 thread: register the socket and start it on its loop.
+  void AdoptSocket(int fd) {
+    Stats().accepted->Add();
+    internal::ConfigureSocket(fd, internal::SocketKind::kData);
+    IoLoop* loop = loops_[next_loop_++ % loops_.size()].get();
+    auto conn = std::make_shared<ServerConn>(this, loop, fd,
+                                             options_.max_output_queue_bytes);
+    {
+      MutexLock guard(conns_mu_);
+      conns_[conn.get()] = conn;
+    }
+    Stats().server_conns->Add(1);
+    if (loop == loops_[0].get()) {
+      conn->StartOnLoop();
+    } else if (!loop->Post([conn] { conn->StartOnLoop(); })) {
+      ForgetConn(conn.get());
+    }
+  }
+
+  // on_stop hook (that loop's thread): close every connection pinned there.
+  void CloseLoopConns(IoLoop* loop) {
+    std::vector<std::shared_ptr<ServerConn>> mine;
+    {
+      MutexLock guard(conns_mu_);
+      for (auto& [ptr, conn] : conns_) {
+        if (ptr->loop() == loop) mine.push_back(conn);
+      }
+    }
+    for (auto& conn : mine) {
+      conn->CloseOnLoop(Status::Unavailable("server stopping"));
+    }
+  }
+
   uint16_t requested_port_;
   TcpServerOptions options_;
   uint16_t bound_port_ = 0;
@@ -377,225 +442,48 @@ class TcpServer : public RpcServer, public EventLoop::Handler {
   // acquire/release: executor tasks read it to skip handlers during Stop.
   std::atomic<bool> stop_{true};
   std::unique_ptr<Executor> executor_;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
+  std::vector<std::unique_ptr<IoLoop>> loops_;
   size_t next_loop_ = 0;  // loop-0 thread only (accept path)
   Mutex conns_mu_{LockRank::kTransportLoop, "net.tcp.conns"};
   std::map<ServerConn*, std::shared_ptr<ServerConn>> conns_
       GUARDED_BY(conns_mu_);
 };
 
-void ServerConn::OnReady(uint32_t events) {
-  // Keep a ref for the duration: CloseOnLoop drops the registry ref, which
-  // may be the last one outside this frame.
-  auto self = shared_from_this();
-  if (closed_) return;
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    CloseOnLoop();
-    return;
-  }
-  if (events & EPOLLOUT) {
-    FlushOnLoop();
-    if (closed_) return;
-  }
-  if (events & EPOLLIN) HandleReadable();
+void ServerConn::OnFrame(uint64_t id, const char* payload, size_t len) {
+  server_->Dispatch(shared_from_this(), id, std::string(payload, len));
 }
 
-void ServerConn::HandleReadable() {
-  bool peer_closed = false;
-  bool fatal = false;
-  if (input_.size() < input_used_ + kReadChunk) {
-    input_.resize(input_used_ + kReadChunk);
-  }
-  for (;;) {
-    Stats().recv_calls->Add();
-    const ssize_t got = recv(fd_, input_.data() + input_used_, kReadChunk, 0);
-    if (got > 0) {
-      input_used_ += static_cast<size_t>(got);
-      break;  // one chunk per pass; level-triggered epoll re-reports
-    }
-    if (got == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    fatal = true;
-    break;
-  }
-  ParseFrames();
-  if (peer_closed || fatal) CloseOnLoop();
-}
-
-void ServerConn::ParseFrames() {
-  bool garbage = false;
-  const size_t pos = internal::ParseFrameStream(
-      input_.data(), input_used_, &garbage,
-      [&](uint64_t id, const char* payload, size_t len) {
-        server_->Dispatch(shared_from_this(), id, std::string(payload, len));
-      });
-  if (garbage) {
-    // Not a frame boundary we can trust; the stream is garbage.
-    CloseOnLoop();
-    return;
-  }
-  if (pos > 0) {
-    memmove(input_.data(), input_.data() + pos, input_used_ - pos);
-    input_used_ -= pos;
-  }
-}
-
-void ServerConn::SendResponse(uint64_t id, std::string payload) {
-  bool nudge = false;
-  {
-    MutexLock guard(out_mu_);
-    if (!writable_) return;  // fd gone; the response dies with the conn
-    OutFrame f = MakeFrame(id, std::move(payload));
-    out_bytes_ += f.size();
-    Stats().output_queue_bytes->Add(static_cast<int64_t>(f.size()));
-    out_.push_back(std::move(f));
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      nudge = true;
-    }
-  }
-  if (nudge) {
-    auto self = shared_from_this();
-    // Post rejection means the loop already stopped (server Stop): the
-    // queued response is dropped along with the connection.
-    (void)loop_->Post([self] { self->FlushOnLoop(); });
-  }
-}
-
-void ServerConn::FlushOnLoop() {
-  if (closed_) return;
-  Status fail;
-  bool blocked = false;
-  {
-    MutexLock guard(out_mu_);
-    while (!out_.empty()) {
-      struct iovec iov[kMaxIov];
-      int iovcnt = 0;
-      size_t batch_bytes = 0;
-      BuildIovecs(out_, iov, &iovcnt, &batch_bytes);
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(iovcnt);
-      // dprlint: allowed(net-raw-write) sanctioned loop-thread coalescing
-      // flush; partial writes carry offsets via ConsumeWritten.
-      const ssize_t sent = sendmsg(fd_, &msg, MSG_NOSIGNAL);
-      if (sent < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // Kernel buffer full: arm EPOLLOUT and resume from the partial
-          // offsets when the socket drains. flush_scheduled_ stays true.
-          Stats().eagain_waits->Add();
-          blocked = true;
-          break;
-        }
-        fail = MapSocketError("sendmsg", errno);
-        break;
-      }
-      Stats().writev_calls->Add();
-      if (static_cast<size_t>(sent) < batch_bytes) Stats().short_writes->Add();
-      const size_t completed =
-          ConsumeWritten(&out_, static_cast<size_t>(sent));
-      out_bytes_ -= static_cast<size_t>(sent);
-      Stats().output_queue_bytes->Sub(sent);
-      Stats().frames_sent->Add(completed);
-      Stats().writev_frames->Add(completed);
-    }
-    if (out_.empty()) flush_scheduled_ = false;
-  }
-  if (!fail.ok()) {
-    CloseOnLoop();
-    return;
-  }
-  want_write_ = blocked;
-  UpdateInterest();
-}
-
-void ServerConn::UpdateInterest() {
-  size_t queued;
-  {
-    MutexLock guard(out_mu_);
-    queued = out_bytes_;
-  }
-  // Backpressure hysteresis shared with the uring backend (see
-  // internal::ReadGate): pause reads above the byte budget, resume below
-  // half of it, so a slow client draining responses doesn't flap.
-  read_gate_.Update(queued, out_budget_);
-  uint32_t events = 0;
-  if (!read_gate_.paused) events |= EPOLLIN;
-  if (want_write_) events |= EPOLLOUT;
-  // A failed epoll_ctl here means the fd is already gone; drop the conn.
-  if (!loop_->Modify(fd_, events, this).ok()) CloseOnLoop();
-}
-
-void ServerConn::CloseOnLoop() {
-  if (closed_) return;
-  closed_ = true;
-  loop_->Remove(fd_);
-  size_t dropped;
-  {
-    MutexLock guard(out_mu_);
-    writable_ = false;
-    dropped = out_bytes_;
-    out_.clear();
-    out_bytes_ = 0;
-  }
-  if (dropped > 0) {
-    Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
-  }
-  close(fd_);
-  fd_ = -1;
-  server_->ForgetConn(this);
-}
-
-void ServerConn::ShutdownFd() {
-  size_t dropped;
-  {
-    MutexLock guard(out_mu_);
-    writable_ = false;
-    dropped = out_bytes_;
-    out_.clear();
-    out_bytes_ = 0;
-  }
-  if (dropped > 0) {
-    Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
-  }
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
-  closed_ = true;  // loops are joined; no loop thread can race this
-}
+void ServerConn::OnClosed() { server_->ForgetConn(this); }
 
 // ------------------------------------------------------------------- client
 
-// Client side mirrors the server's write path: CallAsync only enqueues a
-// frame; a single flusher thread drains the queue with vectored writes, so
-// pipelined requests issued back-to-back coalesce into one syscall. The
-// flusher is the only thread that dequeues, so there is exactly one
-// in-flight flush per connection by construction (the uring client keeps
-// the same invariant with a single in-flight SENDMSG SQE).
-class TcpConnection : public RpcConnection {
+// CallAsync queues the frame and nudges the loop; response callbacks run
+// on the loop thread, with a Slice valid only during the callback.
+class ClientConn final : public Conn, public RpcConnection {
  public:
-  TcpConnection(int fd, std::string peer)
-      : fd_(fd), peer_scope_(HashBytes(peer.data(), peer.size())) {
-    reader_ = std::thread([this] { ReadLoop(); });
-    flusher_ = std::thread([this] { FlushLoop(); });
-  }
+  ClientConn(IoLoop* loop, int fd, const std::string& peer)
+      : Conn(loop, fd, /*out_budget=*/0, /*server=*/false),
+        peer_scope_(HashBytes(peer.data(), peer.size())) {}
 
-  ~TcpConnection() override {
-    {
-      MutexLock guard(out_mu_);
-      closing_ = true;
+  ~ClientConn() override {
+    StopOutput();
+    // Hand the close to the loop thread and wait until no kernel op (or
+    // loop-thread frame) references this object. The wait needs BOTH
+    // conditions: the loop may have fully closed the connection (peer
+    // reset, server stop) before this destructor ran, while the closure
+    // below, capturing `this`, is still queued.
+    const bool posted = loop_->Post([this] {
+      CloseOnLoop(Status::Unavailable("connection destroyed"));
+      MutexLock guard(close_mu_);
+      close_task_ran_ = true;
+      closed_cv_.NotifyAll();
+    });
+    if (posted) {
+      MutexLock guard(close_mu_);
+      closed_cv_.Wait(close_mu_, [this]() REQUIRES(close_mu_) {
+        return fully_closed_ && close_task_ran_;
+      });
     }
-    out_cv_.NotifyAll();
-    shutdown(fd_, SHUT_RDWR);  // unblocks both the flusher and the reader
-    if (flusher_.joinable()) flusher_.join();
-    if (reader_.joinable()) reader_.join();
-    close(fd_);
     FailPending(Status::Unavailable("connection destroyed"));
   }
 
@@ -609,17 +497,9 @@ class TcpConnection : public RpcConnection {
       MutexLock guard(pending_mu_);
       pending_[id] = std::move(callback);
     }
-    bool accepted;
-    {
-      MutexLock guard(out_mu_);
-      accepted = !closing_ && !poisoned_;
-      if (accepted) {
-        if (duplicate) out_.push_back(MakeFrame(id, request));
-        out_.push_back(MakeFrame(id, std::move(request)));
-      }
-    }
-    if (accepted) {
-      out_cv_.NotifyOne();
+    bool nudge = false;
+    if (Enqueue(id, std::move(request), duplicate, &nudge) &&
+        (!nudge || loop_->Post([this] { StartSendIfNeeded(); }))) {
       return;
     }
     ResponseCallback cb = TakePending(id);
@@ -627,76 +507,17 @@ class TcpConnection : public RpcConnection {
   }
 
  private:
-  void Poison() {
-    Stats().poisoned->Add();
-    {
-      MutexLock guard(out_mu_);
-      poisoned_ = true;
-    }
-    shutdown(fd_, SHUT_RDWR);
+  void OnFrame(uint64_t id, const char* payload, size_t len) override {
+    ResponseCallback cb = TakePending(id);
+    if (cb) cb(Status::OK(), Slice(payload, len));
   }
 
-  void FlushLoop() {
-    for (;;) {
-      std::deque<OutFrame> batch;
-      {
-        MutexLock guard(out_mu_);
-        out_cv_.Wait(out_mu_, [this]() REQUIRES(out_mu_) {
-          return closing_ || !out_.empty();
-        });
-        if (out_.empty()) return;  // closing, nothing left to send
-        // Take everything queued: every request pipelined since the last
-        // flush coalesces into the same vectored writes.
-        batch.swap(out_);
-      }
-      SendBatch(&batch);
-    }
-  }
+  void OnClosing(const Status& reason) override { FailPending(reason); }
 
-  void SendBatch(std::deque<OutFrame>* batch) {
-    while (!batch->empty()) {
-      struct iovec iov[kMaxIov];
-      int iovcnt = 0;
-      size_t batch_bytes = 0;
-      BuildIovecs(*batch, iov, &iovcnt, &batch_bytes);
-      size_t written = 0;
-      Status s = WritevFully(fd_, iov, iovcnt, &written);
-      const size_t completed = ConsumeWritten(batch, written);
-      Stats().frames_sent->Add(completed);
-      Stats().writev_frames->Add(completed);
-      if (!s.ok()) {
-        HandleWriteFailure(batch, s);
-        return;
-      }
-    }
-  }
-
-  // A write error with bytes of the front frame already on the wire leaves
-  // the server reading our next header out of the middle of this payload;
-  // nothing sent afterwards would parse. Kill the socket so ReadLoop fails
-  // every pending call instead of silently desynchronizing. A clean
-  // frame-boundary failure only fails the frames this batch still owned.
-  void HandleWriteFailure(std::deque<OutFrame>* batch, const Status& s) {
-    if (!batch->empty() && batch->front().offset > 0) Poison();
-    for (OutFrame& f : *batch) {
-      ResponseCallback cb = TakePending(f.id);
-      if (cb) cb(s, Slice());
-    }
-    batch->clear();
-  }
-
-  void ReadLoop() {
-    std::string payload;
-    uint64_t id = 0;
-    for (;;) {
-      Status s = ReadFrame(fd_, &id, &payload);
-      if (!s.ok()) {
-        FailPending(s);
-        return;
-      }
-      ResponseCallback cb = TakePending(id);
-      if (cb) cb(Status::OK(), Slice(payload));
-    }
+  void OnClosed() override {
+    MutexLock guard(close_mu_);
+    fully_closed_ = true;
+    closed_cv_.NotifyAll();
   }
 
   ResponseCallback TakePending(uint64_t id) {
@@ -720,46 +541,105 @@ class TcpConnection : public RpcConnection {
     }
   }
 
-  int fd_;
   const uint64_t peer_scope_;
-  std::thread reader_;
-  std::thread flusher_;
-  // relaxed: request-id allocator; uniqueness is all that matters, the
-  // id is published to the reader via pending_mu_.
+  // relaxed: request-id allocator; uniqueness is all that matters, the id
+  // is published through pending_mu_.
   std::atomic<uint64_t> next_id_{1};
-  Mutex out_mu_{LockRank::kTransport, "net.tcp.client_out"};
-  CondVar out_cv_;  // wakes the flusher on enqueue or shutdown
-  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
-  bool closing_ GUARDED_BY(out_mu_) = false;
-  bool poisoned_ GUARDED_BY(out_mu_) = false;
   Mutex pending_mu_{LockRank::kTransport, "net.tcp.pending"};
   std::map<uint64_t, ResponseCallback> pending_ GUARDED_BY(pending_mu_);
+  Mutex close_mu_{LockRank::kTransport, "net.tcp.close"};
+  CondVar closed_cv_;
+  bool fully_closed_ GUARDED_BY(close_mu_) = false;
+  bool close_task_ran_ GUARDED_BY(close_mu_) = false;
 };
 
-// Opens and connects the socket half of ConnectTcp; shared by both
-// backends (connection establishment stays synchronous either way).
+// Counts epoll serving a request that wanted io_uring: an explicit
+// kIoUring, or kAuto on a kernel that supports the ring but could not set
+// one up right now (fd limits, memlock).
+void NoteEpollFallback(NetBackend requested) {
+  if (requested == NetBackend::kIoUring ||
+      (requested == NetBackend::kAuto && NetUringSupported())) {
+    Stats().uring_fallbacks->Add();
+  }
+}
+
+// Every client of a backend shares one loop thread. Leaked deliberately:
+// client connections may outlive any scope, and the loop thread must
+// survive until process exit (same pattern as DefaultIoEngine in the
+// storage plane).
+IoLoop* ClientLoop(bool uring) {
+  auto start = [](std::unique_ptr<IoLoop> loop) {
+    if (loop != nullptr) loop->StartThread();
+    return loop.release();
+  };
+  if (uring) {
+    static IoLoop* const ring_loop = start(internal::MakeUringLoop());
+    return ring_loop;
+  }
+  static IoLoop* const epoll_loop = start(internal::MakeEpollLoop());
+  return epoll_loop;
+}
+
+// Wraps a connected socket as a client on the requested backend's shared
+// loop, falling back to epoll (counted) when the ring is unavailable.
+std::unique_ptr<RpcConnection> WrapClientFd(int fd, const std::string& peer,
+                                            NetBackend backend) {
+  IoLoop* loop = nullptr;
+  if (ResolveNetBackend(backend) == NetBackend::kIoUring) {
+    loop = ClientLoop(/*uring=*/true);
+  }
+  if (loop == nullptr) {
+    NoteEpollFallback(backend);
+    loop = ClientLoop(/*uring=*/false);
+  }
+  if (loop == nullptr) {
+    close(fd);
+    return nullptr;
+  }
+  auto conn = std::make_unique<ClientConn>(loop, fd, peer);
+  ClientConn* raw = conn.get();
+  if (!loop->Post([raw] { raw->StartOnLoop(); })) return nullptr;
+  return conn;
+}
+
+// Parses the port of "host:port": all digits, 1..65535.
+bool ParsePort(const std::string& text, uint16_t* port) {
+  if (text.empty() || text.size() > 5 ||
+      !std::all_of(text.begin(), text.end(),
+                   [](char c) { return c >= '0' && c <= '9'; })) {
+    return false;
+  }
+  const int value = std::stoi(text);
+  if (value < 1 || value > 65535) return false;
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
+// Opens and connects the client socket; connection establishment stays
+// synchronous on either backend.
 Status OpenClientSocket(const std::string& address, int* out_fd) {
   const size_t colon = address.rfind(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("address must be host:port");
+  uint16_t port = 0;
+  if (colon == std::string::npos ||
+      !ParsePort(address.substr(colon + 1), &port)) {
+    return Status::InvalidArgument("address must be host:port with port "
+                                   "1-65535: " + address);
   }
   const std::string host = address.substr(0, colon);
-  const int port = atoi(address.c_str() + colon + 1);
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket failed");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_port = htons(port);
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
     return Status::InvalidArgument("bad host: " + host);
   }
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Status::IOError("socket failed");
   if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int err = errno;
     close(fd);
-    return MapSocketError("connect", err);
+    return internal::MapSocketError("connect", err);
   }
-  ConfigureSocket(fd, SocketKind::kData);
+  internal::ConfigureSocket(fd, internal::SocketKind::kData);
   *out_fd = fd;
   return Status::OK();
 }
@@ -767,15 +647,8 @@ Status OpenClientSocket(const std::string& address, int* out_fd) {
 }  // namespace
 
 NetBackend ResolveNetBackend(NetBackend requested) {
-  switch (requested) {
-    case NetBackend::kEpoll:
-      return NetBackend::kEpoll;
-    case NetBackend::kIoUring:
-      return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
-    case NetBackend::kAuto:
-      return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
-  }
-  return NetBackend::kEpoll;
+  if (requested == NetBackend::kEpoll) return NetBackend::kEpoll;
+  return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
 }
 
 std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port) {
@@ -784,18 +657,22 @@ std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port) {
 
 std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port,
                                          const TcpServerOptions& options) {
+  const uint32_t n = std::max(options.io_threads, 1u);
+  std::vector<std::unique_ptr<IoLoop>> loops;
   if (ResolveNetBackend(options.backend) == NetBackend::kIoUring) {
-    auto server = internal::TryMakeUringTcpServer(port, options);
-    if (server != nullptr) return server;
-    // Supported-looking kernel but ring setup failed right now (fd limits,
-    // memlock); serve epoll instead of failing the caller.
-    if (options.backend != NetBackend::kEpoll) {
-      Stats().uring_fallbacks->Add();
+    while (loops.size() < n) {
+      loops.push_back(internal::MakeUringLoop());
+      if (loops.back() == nullptr) {  // serve epoll instead of failing
+        loops.clear();
+        break;
+      }
     }
-  } else if (options.backend == NetBackend::kIoUring) {
-    Stats().uring_fallbacks->Add();
   }
-  return std::make_unique<TcpServer>(port, options);
+  if (loops.empty()) {
+    NoteEpollFallback(options.backend);
+    while (loops.size() < n) loops.push_back(internal::MakeEpollLoop());
+  }
+  return std::make_unique<TcpServer>(port, options, std::move(loops));
 }
 
 Status ConnectTcp(const std::string& address,
@@ -807,44 +684,16 @@ Status ConnectTcp(const std::string& address, const TcpClientOptions& options,
                   std::unique_ptr<RpcConnection>* out) {
   int fd = -1;
   DPR_RETURN_NOT_OK(OpenClientSocket(address, &fd));
-  if (ResolveNetBackend(options.backend) == NetBackend::kIoUring) {
-    auto conn = internal::TryWrapUringClientFd(fd, address);
-    if (conn != nullptr) {
-      *out = std::move(conn);
-      return Status::OK();
-    }
-    if (options.backend != NetBackend::kEpoll) {
-      Stats().uring_fallbacks->Add();
-    }
-  } else if (options.backend == NetBackend::kIoUring) {
-    Stats().uring_fallbacks->Add();
-  }
-  *out = std::make_unique<TcpConnection>(fd, address);
-  return Status::OK();
+  *out = WrapClientFd(fd, address, options.backend);
+  return *out != nullptr ? Status::OK()
+                         : Status::IOError("client event loop unavailable");
 }
 
 namespace internal {
 
-Status TcpReadFully(int fd, void* buf, size_t n, size_t* transferred) {
-  return ReadFully(fd, buf, n, transferred);
-}
-
-Status TcpWriteFully(int fd, const void* buf, size_t n, size_t* transferred) {
-  return WriteFully(fd, buf, n, transferred);
-}
-
-Status TcpWritevFully(int fd, struct iovec* iov, int iovcnt,
-                      size_t* transferred) {
-  return WritevFully(fd, iov, iovcnt, transferred);
-}
-
 std::unique_ptr<RpcConnection> WrapClientFdForTest(int fd,
                                                    NetBackend backend) {
-  if (ResolveNetBackend(backend) == NetBackend::kIoUring &&
-      backend != NetBackend::kEpoll) {
-    return TryWrapUringClientFd(fd, "test-wrapped-fd");
-  }
-  return std::make_unique<TcpConnection>(fd, "test-wrapped-fd");
+  return WrapClientFd(fd, "test-wrapped-fd", backend);
 }
 
 }  // namespace internal

@@ -8,8 +8,6 @@
 
 #include "net/rpc.h"
 
-struct iovec;  // <sys/uio.h>
-
 namespace dpr {
 
 /// Transport backend selector, runtime-resolved like the storage plane's
@@ -29,17 +27,20 @@ enum class NetBackend {
 /// [u32 payload-length][u64 request-id][payload]; requests pipeline freely
 /// and responses are matched by id.
 ///
-/// Server architecture (both backends): a fixed set of I/O threads own the
-/// sockets (connections pinned round-robin), decode frames, and hand
-/// execution to a shared bounded Executor, so server thread count is
-/// O(io_threads + executor_threads) regardless of connection count and a
-/// slow handler never stalls unrelated connections. Responses queue per
-/// connection and are flushed vectored — every frame ready at flush time
-/// coalesces into one sendmsg syscall (epoll) or one SENDMSG SQE (uring),
-/// header + payload iovecs pointed at the queued frames in place. A
-/// connection whose output queue exceeds its byte budget stops being read
-/// until the queue drains below half the budget (backpressure hysteresis;
-/// see internal::ReadGate).
+/// Both backends run one connection state machine (tcp_net.cc) over a small
+/// completion interface (io_loop.h) that each backend's loop implements.
+/// Servers own a fixed set of I/O loop threads (connections pinned
+/// round-robin) that decode frames and hand execution to a shared bounded
+/// Executor, so server thread count is O(io_threads + executor_threads)
+/// regardless of connection count and a slow handler never stalls
+/// unrelated connections. Every client connection of a backend rides one
+/// process-wide loop thread, so client thread count is O(1) too. Output
+/// queues per connection and is flushed vectored — every frame ready at
+/// flush time coalesces into one sendmsg syscall (epoll) or one SENDMSG SQE
+/// (uring), header + payload iovecs pointed at the queued frames in place.
+/// A server connection whose output queue exceeds its byte budget stops
+/// being read until the queue drains below half the budget (backpressure
+/// hysteresis; see internal::ReadGate).
 struct TcpServerOptions {
   /// Event-loop threads owning sockets (epoll loops or uring rings). The
   /// listener lives on loop 0.
@@ -57,8 +58,7 @@ struct TcpServerOptions {
 
 struct TcpClientOptions {
   /// Transport backend for the connection's I/O; kAuto resolves at connect
-  /// time. io_uring clients share one process-wide ring loop thread
-  /// (vs two dedicated threads per epoll connection).
+  /// time. All clients of a backend share one process-wide loop thread.
   NetBackend backend = NetBackend::kAuto;
 };
 
@@ -68,10 +68,12 @@ std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port = 0);
 std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port,
                                          const TcpServerOptions& options);
 
-/// Connects to "host:port" as produced by RpcServer::address(). The client
-/// mirrors the server's write path: CallAsync enqueues frames and a single
-/// per-connection flush (thread or SQE) coalesces everything queued into
-/// one vectored write.
+/// Connects to "host:port" as produced by RpcServer::address(); the port
+/// must be all digits in 1..65535 (kInvalidArgument otherwise). The client
+/// mirrors the server's write path: CallAsync enqueues frames and the
+/// connection's single in-flight send coalesces everything queued into one
+/// vectored write. Response callbacks run on the shared client loop thread
+/// and must not block on another call.
 Status ConnectTcp(const std::string& address,
                   std::unique_ptr<RpcConnection>* out);
 Status ConnectTcp(const std::string& address, const TcpClientOptions& options,
@@ -89,28 +91,11 @@ bool NetUringSupported();
 
 namespace internal {
 
-/// Loop primitives under the framing layer, exposed for regression tests
-/// (tests/tcp_partial_write_test.cc drives them over a socketpair with a
-/// tiny SO_SNDBUF). All retry EINTR, and block on poll() when a
-/// non-blocking fd reports EAGAIN/EWOULDBLOCK, so a short transfer never
-/// surfaces as an error. `transferred` (optional) reports bytes moved
-/// before any failure — the framing layer uses it to detect a torn frame,
-/// which must poison the connection (a length-prefixed stream cannot
-/// resynchronize mid-frame).
-Status TcpReadFully(int fd, void* buf, size_t n,
-                    size_t* transferred = nullptr);
-Status TcpWriteFully(int fd, const void* buf, size_t n,
-                     size_t* transferred = nullptr);
-/// Vectored variant used by the frame-coalescing flush paths. `iov` is
-/// consumed destructively (bases/lengths advance past written bytes).
-Status TcpWritevFully(int fd, struct iovec* iov, int iovcnt,
-                      size_t* transferred = nullptr);
-
 /// Wraps an already-connected stream socket as a client RpcConnection on
 /// the requested backend (tests use a socketpair end to drive torn-frame
 /// scenarios that a real loopback connect cannot reach deterministically).
-/// Returns null when `backend` resolves to kIoUring but the client ring
-/// cannot start — callers decide whether to skip or fall back.
+/// Falls back to epoll like ConnectTcp; null only when no client loop can
+/// run.
 std::unique_ptr<RpcConnection> WrapClientFdForTest(
     int fd, NetBackend backend = NetBackend::kEpoll);
 

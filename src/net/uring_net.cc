@@ -1,56 +1,40 @@
-// io_uring transport backend: the uring loop replaces epoll_wait + recv +
-// sendmsg with batched SQE submission on a per-loop ring (common/uring.h,
-// the same core the storage engine sits on).
+// io_uring backend of the completion interface (io_loop.h): the loop
+// replaces epoll_wait + recv + sendmsg with batched SQE submission on a
+// per-loop ring (common/uring.h, the same core the storage engine sits on).
 //
-//  - Accept: one multishot IORING_OP_ACCEPT on loop 0 keeps the listener
-//    armed across completions; accepted sockets spread round-robin.
-//  - Reads: one multishot IORING_OP_RECV per connection with
+//  - Accept: one multishot IORING_OP_ACCEPT keeps the listener armed across
+//    completions.
+//  - Reads: one multishot IORING_OP_RECV per channel with
 //    IOSQE_BUFFER_SELECT against a per-loop provided buffer ring
-//    (IORING_REGISTER_PBUF_RING). Completions carry a buffer id; the frame
-//    decoder parses straight out of the provided buffer (no intermediate
-//    staging copy — only a trailing partial frame is carried to a spill
-//    buffer), then the buffer goes back on the ring.
-//  - Writes: at most one in-flight IORING_OP_SENDMSG per connection whose
-//    iovecs point at the queued OutFrame headers+payloads in place (same
-//    ≤ kMaxIov/2 frames-per-batch contract as the epoll flush). Partial
-//    sends advance the per-frame offset (ConsumeWritten) and resubmit.
-//  - Backpressure: the shared ReadGate hysteresis; pausing cancels the
-//    multishot recv (IORING_OP_ASYNC_CANCEL), resuming re-arms it.
+//    (IORING_REGISTER_PBUF_RING). Completions carry a buffer id; OnRecv
+//    hands the connection the provided buffer itself (it parses in place),
+//    then the buffer goes back on the ring.
+//  - Writes: each Send is one IORING_OP_SENDMSG; the connection keeps at
+//    most one in flight.
+//  - Pause and close cancel the multishot recv (IORING_OP_ASYNC_CANCEL).
 //  - Shutdown: cancel every armed op, then drain CQEs until the loop's
 //    outstanding-op count hits zero — only then is it safe to unmap the
-//    ring (the kernel holds pointers into conn memory while ops are live).
+//    ring (the kernel holds pointers into channel memory while ops live).
 //
 // Op accounting rule: every pushed SQE eventually yields exactly one CQE
 // without IORING_CQE_F_MORE (multishot CQEs with F_MORE mean the op is
-// still armed). Both the loop-global outstanding count and the per-conn
-// pending count decrement on that uniform rule.
+// still armed). Both the loop-global outstanding count and the per-channel
+// op count decrement on that uniform rule.
 
-#include "net/uring_net.h"
+#include "net/tcp_net.h"
 
 #if DPR_HAVE_IOURING
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <thread>
-#include <vector>
 
-#include "common/hash.h"
-#include "common/logging.h"
-#include "common/sync.h"
 #include "common/uring.h"
-#include "net/executor.h"
 #include "net/frame.h"
+#include "net/io_loop.h"
 #include "obs/metrics.h"
 
 // The backend needs the 6.0-era UAPI (multishot recv/accept, provided
@@ -70,20 +54,8 @@
 #if DPR_HAVE_IOURING && DPR_URING_NET_COMPILED
 
 namespace dpr {
-
+namespace internal {
 namespace {
-
-using internal::BuildIovecs;
-using internal::ConfigureSocket;
-using internal::ConsumeWritten;
-using internal::kMaxIov;
-using internal::kReadChunk;
-using internal::MakeFrame;
-using internal::MapSocketError;
-using internal::OutFrame;
-using internal::ReadGate;
-using internal::SocketKind;
-using internal::Stats;
 
 // Provided-buffer ring geometry per loop: 64 buffers of kReadChunk (64 KiB)
 // — 4 MiB of receive window shared by every connection on the loop.
@@ -92,49 +64,39 @@ using internal::Stats;
 constexpr uint32_t kBufEntries = 64;
 constexpr uint16_t kBufGroup = 0;
 
-// Small-integer user_data values for loop-owned ops; anything >= kUdFirstPtr
-// is a tagged Target pointer.
+// Small-integer user_data values for loop-owned ops; anything else is a
+// channel pointer tagged in its low bit (heap objects are 8+ aligned).
 constexpr uint64_t kUdWake = 1;
-constexpr uint64_t kUdWakeCancel = 2;
-constexpr uint64_t kUdFirstPtr = 4096;
+constexpr uint64_t kUdCancel = 2;  // every cancel op's own completion
+constexpr uint64_t kUdAccept = 3;
+constexpr uint64_t kTagRecv = 0;
+constexpr uint64_t kTagSend = 1;
 
-// Low-2-bit tags on Target pointers (heap objects are 8+ aligned).
-constexpr uint8_t kTagRecv = 0;
-constexpr uint8_t kTagSend = 1;
-constexpr uint8_t kTagAccept = 2;
-constexpr uint8_t kTagCancel = 3;  // a cancel op's own completion
+struct UringChannel : IoLoop::Channel {
+  bool want_recv = false;
+  bool recv_armed = false;
+  bool ever_armed = false;
+  bool in_send_done = false;
+  bool closing = false;
+  bool finished = false;
+  uint32_t ops = 0;  // SQEs still referencing this channel
+};
 
-// One ring-owning I/O thread. Owns the wake eventfd, the posted-closure
-// queue, and the provided buffer ring. Single-threaded by construction:
-// every op completion and every posted closure runs on the loop thread.
-class UringLoop {
+class UringLoop final : public IoLoop {
  public:
-  // CQE sink for ops whose user_data carries this object.
-  class Target {
-   public:
-    virtual ~Target() = default;
-    virtual void OnCqe(UringLoop* loop, uint8_t tag, int32_t res,
-                       uint32_t flags) = 0;
-  };
-
-  UringLoop() = default;
-
-  ~UringLoop() {
+  ~UringLoop() override {
     Stop();
     if (buf_ring_ != nullptr) {
       ring_.UnregisterBufRing(kBufGroup);
       munmap(buf_ring_, buf_ring_sz_);
     }
     if (bufs_ != nullptr) munmap(bufs_, bufs_sz_);
-    if (wake_fd_ >= 0) close(wake_fd_);
   }
 
-  // Ring + buffer-ring + eventfd setup, separated from StartThread so the
-  // factory can fail over to epoll before any thread exists.
+  // Ring + buffer-ring + eventfd setup, before any thread exists, so the
+  // factory can fall back to epoll.
   bool Init(uint32_t entries) {
-    if (!ring_.Init(entries)) return false;
-    wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_fd_ < 0) return false;
+    if (!ring_.Init(entries) || !InitWake()) return false;
     buf_ring_sz_ = kBufEntries * sizeof(io_uring_buf);
     buf_ring_ = mmap(nullptr, buf_ring_sz_, PROT_READ | PROT_WRITE,
                      MAP_ANONYMOUS | MAP_PRIVATE, -1, 0);
@@ -158,56 +120,58 @@ class UringLoop {
     return true;
   }
 
-  void StartThread() {
-    {
-      MutexLock guard(post_mu_);
-      accepting_posts_ = true;
+  Channel* Attach(int fd, Handler* handler) override {
+    return new UringChannel{{handler, fd}};
+  }
+
+  void SetRecv(Channel* ch, bool on) override {
+    auto* c = static_cast<UringChannel*>(ch);
+    c->want_recv = on;
+    if (on) {
+      MaybeArmRecv(c);
+    } else if (c->recv_armed) {
+      CancelOp(Ud(c, kTagRecv));
     }
-    thread_ = std::thread([this] { Run(); });
   }
 
-  // Posts the shutdown closure and joins. `on_stop` hooks (set by the
-  // server) cancel their own ops from the loop thread. Idempotent.
-  void Stop() {
-    if (!thread_.joinable()) return;
-    {
-      MutexLock guard(post_mu_);
-      if (!stop_requested_) {
-        stop_requested_ = true;
-        posted_.push_back([this] { BeginShutdownOnLoop(); });
-      }
-      accepting_posts_ = false;
-    }
-    Wake();
-    thread_.join();
+  void Send(Channel* ch, msghdr* msg) override {
+    auto* c = static_cast<UringChannel*>(ch);
+    // Resubmitting from a send completion: a partial write, or frames that
+    // queued while the last SENDMSG was in flight.
+    if (c->in_send_done) Stats().uring_resubmits->Add();
+    io_uring_sqe sqe;
+    memset(&sqe, 0, sizeof(sqe));
+    sqe.opcode = IORING_OP_SENDMSG;
+    sqe.fd = c->fd;
+    sqe.addr = reinterpret_cast<uint64_t>(msg);
+    sqe.len = 1;
+    sqe.msg_flags = MSG_NOSIGNAL;
+    sqe.user_data = Ud(c, kTagSend);
+    PushOp(sqe);
+    ++c->ops;
   }
 
-  /// Queues `fn` onto the loop thread. Returns false (fn dropped) once Stop
-  /// has begun.
-  bool Post(std::function<void()> fn) {
-    {
-      MutexLock guard(post_mu_);
-      if (!accepting_posts_) return false;
-      posted_.push_back(std::move(fn));
-    }
-    Wake();
-    return true;
+  void Close(Channel* ch) override {
+    auto* c = static_cast<UringChannel*>(ch);
+    if (c->closing) return;
+    c->closing = true;
+    c->want_recv = false;
+    // Wakes an in-flight send and ends the recv promptly.
+    shutdown(c->fd, SHUT_RDWR);
+    if (c->recv_armed) CancelOp(Ud(c, kTagRecv));
+    MaybeFinish(c);
   }
 
-  bool InLoopThread() const {
-    return std::this_thread::get_id() == thread_.get_id();
+  Status Listen(int fd, std::function<void(int)> on_accept) override {
+    listen_fd_ = fd;
+    on_accept_ = std::move(on_accept);
+    ArmAccept();
+    return Status::OK();
   }
 
-  /// Hook run on the loop thread when shutdown begins; the owner cancels
-  /// its accept op and closes its connections here. Set before StartThread.
-  void set_on_stop(std::function<void()> fn) { on_stop_ = std::move(fn); }
-
-  bool stopping() const { return stopping_; }
-
-  // ---- loop-thread-only op helpers ----
-
-  static uint64_t Ud(Target* t, uint8_t tag) {
-    return reinterpret_cast<uint64_t>(t) | tag;
+ private:
+  static uint64_t Ud(UringChannel* c, uint64_t tag) {
+    return reinterpret_cast<uint64_t>(c) | tag;
   }
 
   void PushOp(const io_uring_sqe& sqe) {
@@ -215,60 +179,154 @@ class UringLoop {
     ++outstanding_ops_;
   }
 
-  void ArmRecv(Target* t, int fd) {
+  void MaybeArmRecv(UringChannel* c) {
+    if (!c->want_recv || c->recv_armed || c->closing) return;
+    if (c->ever_armed) Stats().uring_resubmits->Add();
+    c->ever_armed = true;
+    c->recv_armed = true;
+    ++c->ops;
     io_uring_sqe sqe;
     memset(&sqe, 0, sizeof(sqe));
     sqe.opcode = IORING_OP_RECV;
-    sqe.fd = fd;
+    sqe.fd = c->fd;
     sqe.ioprio = IORING_RECV_MULTISHOT;
     sqe.flags = IOSQE_BUFFER_SELECT;
     sqe.buf_group = kBufGroup;
-    sqe.user_data = Ud(t, kTagRecv);
+    sqe.user_data = Ud(c, kTagRecv);
     PushOp(sqe);
   }
 
-  void ArmAccept(Target* t, int listen_fd) {
+  void ArmAccept() {
     io_uring_sqe sqe;
     memset(&sqe, 0, sizeof(sqe));
     sqe.opcode = IORING_OP_ACCEPT;
-    sqe.fd = listen_fd;
+    sqe.fd = listen_fd_;
     sqe.ioprio = IORING_ACCEPT_MULTISHOT;
     sqe.accept_flags = SOCK_NONBLOCK | SOCK_CLOEXEC;
-    sqe.user_data = Ud(t, kTagAccept);
+    sqe.user_data = kUdAccept;
     PushOp(sqe);
+    accept_armed_ = true;
   }
 
-  void SubmitSendmsg(Target* t, int fd, msghdr* msg) {
+  void ArmWakeRead() {
     io_uring_sqe sqe;
     memset(&sqe, 0, sizeof(sqe));
-    sqe.opcode = IORING_OP_SENDMSG;
-    sqe.fd = fd;
-    sqe.addr = reinterpret_cast<uint64_t>(msg);
-    sqe.len = 1;
-    sqe.msg_flags = MSG_NOSIGNAL;
-    sqe.user_data = Ud(t, kTagSend);
+    sqe.opcode = IORING_OP_READ;
+    sqe.fd = wake_fd_;
+    sqe.addr = reinterpret_cast<uint64_t>(&wake_buf_);
+    sqe.len = sizeof(wake_buf_);
+    sqe.user_data = kUdWake;
     PushOp(sqe);
+    wake_armed_ = true;
   }
 
-  // Cancels the op whose user_data is `target_ud`. The canceled op
-  // completes with -ECANCELED (or runs to completion if it raced); the
-  // cancel op itself completes too (kTagCancel / kUdWakeCancel).
-  void CancelOp(uint64_t target_ud, uint64_t cancel_ud) {
+  // The canceled op completes with -ECANCELED (or runs to completion if it
+  // raced); the cancel op's own completion needs no action.
+  void CancelOp(uint64_t target_ud) {
     io_uring_sqe sqe;
     memset(&sqe, 0, sizeof(sqe));
     sqe.opcode = IORING_OP_ASYNC_CANCEL;
     sqe.addr = target_ud;
-    sqe.user_data = cancel_ud;
+    sqe.user_data = kUdCancel;
     PushOp(sqe);
   }
 
-  // Loop thread: run `task` after the current CQE drain / posted-task batch
-  // finishes, when no connection's handler frame is on the stack. This is
-  // the only safe point to release a connection's last owner reference: a
-  // CQE handler returns into OnCqe/MaybeFinishClose, which still touch the
-  // object after the handler body ran.
-  void Defer(std::function<void()> task) {
-    deferred_.push_back(std::move(task));
+  void OnStopping() override {
+    if (accept_armed_) CancelOp(kUdAccept);
+    if (wake_armed_) CancelOp(kUdWake);
+  }
+
+  void Run() override {
+    ArmWakeRead();
+    for (;;) {
+      DrainPosted();
+      RunDeferred();
+      if (ring_.pending() > 0) {
+        Stats().uring_sqe_batches->Add(ring_.SubmitPending());
+      }
+      if (stopping_ && outstanding_ops_ == 0) break;
+      if (!ring_.CqReady()) {
+        // Combined submit-and-wait: one io_uring_enter parks until a CQE
+        // (data, send completion, or the wake eventfd read) is available.
+        Stats().uring_sqe_batches->Add(ring_.SubmitAndWait(1));
+      }
+      const unsigned reaped =
+          ring_.DrainCqes([this](const io_uring_cqe& cqe) { HandleCqe(cqe); });
+      if (reaped > 0) Stats().uring_cqe_reaped->Add(reaped);
+      RunDeferred();
+    }
+    RunDeferred();
+  }
+
+  void HandleCqe(const io_uring_cqe& cqe) {
+    const bool terminal = (cqe.flags & IORING_CQE_F_MORE) == 0;
+    if (terminal) --outstanding_ops_;
+    switch (cqe.user_data) {
+      case kUdWake:
+        wake_armed_ = false;
+        wake_pending_.store(false, std::memory_order_relaxed);
+        if (!stopping_) ArmWakeRead();
+        return;
+      case kUdCancel:
+        return;
+      case kUdAccept:
+        if (terminal) accept_armed_ = false;
+        if (cqe.res >= 0) on_accept_(cqe.res);
+        // Re-arm when the multishot terminated for any reason other than
+        // stop (ENFILE bursts, the kernel dropping the arm).
+        if (terminal && !stopping_) {
+          Stats().uring_resubmits->Add();
+          ArmAccept();
+        }
+        return;
+    }
+    auto* c = reinterpret_cast<UringChannel*>(cqe.user_data & ~uint64_t{1});
+    if ((cqe.user_data & 1) == kTagSend) {
+      --c->ops;
+      c->in_send_done = true;
+      c->handler->OnSendDone(cqe.res);
+      c->in_send_done = false;
+    } else {
+      OnRecvCqe(c, cqe.res, cqe.flags, terminal);
+    }
+    MaybeFinish(c);
+  }
+
+  void OnRecvCqe(UringChannel* c, int32_t res, uint32_t flags, bool terminal) {
+    if (terminal) {
+      c->recv_armed = false;
+      --c->ops;
+    }
+    if (res > 0 && (flags & IORING_CQE_F_BUFFER) != 0) {
+      const uint16_t bid = static_cast<uint16_t>(flags >>
+                                                 IORING_CQE_BUFFER_SHIFT);
+      if (!c->closing) {
+        c->handler->OnRecv(BufferFor(bid), static_cast<size_t>(res));
+      }
+      RecycleBuffer(bid);
+    } else if (res == -ENOBUFS) {
+      Stats().uring_buffer_ring_exhausted->Add();
+    } else if (res != -ECANCELED) {
+      // End of stream, an error, or data without a provided buffer (a
+      // broken BUFFER_SELECT contract: the stream is garbage).
+      c->want_recv = false;
+      if (!c->closing) c->handler->OnRecvError(res > 0 ? EIO : -res);
+    }
+    // A terminated multishot (ran out, ENOBUFS, a pause racing a resume)
+    // re-arms while reads are still wanted.
+    if (terminal) MaybeArmRecv(c);
+  }
+
+  // Once a closing channel has no op left, close the fd and hand the
+  // channel back through the deferred OnClosed.
+  void MaybeFinish(UringChannel* c) {
+    if (!c->closing || c->ops != 0 || c->finished) return;
+    c->finished = true;
+    close(c->fd);
+    Defer([c] {
+      c->handler->OnClosed();
+      delete c;
+    });
   }
 
   char* BufferFor(uint16_t bid) { return bufs_ + size_t{bid} * kReadChunk; }
@@ -300,851 +358,31 @@ class UringLoop {
         static_cast<uint16_t>(buf_tail_), std::memory_order_release);
   }
 
- private:
-  void Run() {
-    ArmWakeRead();
-    for (;;) {
-      DrainPosted();
-      RunDeferred();
-      if (ring_.pending() > 0) {
-        Stats().uring_sqe_batches->Add(ring_.SubmitPending());
-      }
-      if (stopping_ && outstanding_ops_ == 0) break;
-      if (!ring_.CqReady()) {
-        // Combined submit-and-wait: one io_uring_enter parks until a CQE
-        // (data, send completion, or the wake eventfd read) is available.
-        Stats().uring_sqe_batches->Add(ring_.SubmitAndWait(1));
-      }
-      const unsigned reaped =
-          ring_.DrainCqes([this](const io_uring_cqe& cqe) { HandleCqe(cqe); });
-      if (reaped > 0) Stats().uring_cqe_reaped->Add(reaped);
-      RunDeferred();
-    }
-    RunDeferred();
-  }
-
-  void RunDeferred() {
-    while (!deferred_.empty()) {
-      std::vector<std::function<void()>> tasks;
-      tasks.swap(deferred_);
-      for (auto& task : tasks) task();
-    }
-  }
-
-  void HandleCqe(const io_uring_cqe& cqe) {
-    if ((cqe.flags & IORING_CQE_F_MORE) == 0) --outstanding_ops_;
-    if (cqe.user_data < kUdFirstPtr) {
-      if (cqe.user_data == kUdWake) HandleWakeCqe();
-      return;  // kUdWakeCancel needs no action beyond the count
-    }
-    auto* target =
-        reinterpret_cast<Target*>(cqe.user_data & ~static_cast<uint64_t>(3));
-    target->OnCqe(this, static_cast<uint8_t>(cqe.user_data & 3), cqe.res,
-                  cqe.flags);
-  }
-
-  void HandleWakeCqe() {
-    wake_armed_ = false;
-    wake_pending_.store(false, std::memory_order_relaxed);
-    if (!stopping_) ArmWakeRead();
-  }
-
-  void ArmWakeRead() {
-    io_uring_sqe sqe;
-    memset(&sqe, 0, sizeof(sqe));
-    sqe.opcode = IORING_OP_READ;
-    sqe.fd = wake_fd_;
-    sqe.addr = reinterpret_cast<uint64_t>(&wake_buf_);
-    sqe.len = sizeof(wake_buf_);
-    sqe.user_data = kUdWake;
-    PushOp(sqe);
-    wake_armed_ = true;
-  }
-
-  void BeginShutdownOnLoop() {
-    stopping_ = true;
-    if (on_stop_) on_stop_();
-    if (wake_armed_) CancelOp(kUdWake, kUdWakeCancel);
-  }
-
-  void DrainPosted() {
-    std::vector<std::function<void()>> tasks;
-    {
-      MutexLock guard(post_mu_);
-      tasks.swap(posted_);
-    }
-    for (auto& task : tasks) task();
-  }
-
-  void Wake() {
-    if (wake_pending_.exchange(true, std::memory_order_relaxed)) return;
-    uint64_t one = 1;
-    // dprlint: allowed(net-raw-write) eventfd nudge, not a stream write.
-    ssize_t n = write(wake_fd_, &one, sizeof(one));
-    (void)n;
-  }
-
   UringRing ring_;
-  int wake_fd_ = -1;
   uint64_t wake_buf_ = 0;
-  std::thread thread_;
-
   // Loop-thread-only state.
-  bool stopping_ = false;
   bool wake_armed_ = false;
+  bool accept_armed_ = false;
+  int listen_fd_ = -1;
+  std::function<void(int)> on_accept_;
   size_t outstanding_ops_ = 0;
   void* buf_ring_ = nullptr;
   size_t buf_ring_sz_ = 0;
   char* bufs_ = nullptr;
   size_t bufs_sz_ = 0;
   uint32_t buf_tail_ = 0;
-  std::function<void()> on_stop_;
-  std::vector<std::function<void()>> deferred_;
-
-  // relaxed: collapses redundant eventfd writes; the loop clears it before
-  // re-arming the read, so a post can never miss a wakeup.
-  std::atomic<bool> wake_pending_{false};
-  mutable Mutex post_mu_{LockRank::kTransportLoop, "net.uring.post"};
-  std::vector<std::function<void()>> posted_ GUARDED_BY(post_mu_);
-  bool accepting_posts_ GUARDED_BY(post_mu_) = false;
-  bool stop_requested_ GUARDED_BY(post_mu_) = false;
-};
-
-// Connection state shared by the server and client sides: the outbound
-// frame queue with its single in-flight SENDMSG, the carry buffer for
-// partial inbound frames, and close/cancel accounting. Subclasses supply
-// frame dispatch and close notification.
-class UringConn : public UringLoop::Target {
- public:
-  UringConn(UringLoop* loop, int fd, size_t out_budget, bool track_gauge)
-      : loop_(loop),
-        fd_(fd),
-        out_budget_(out_budget),
-        track_gauge_(track_gauge) {}
-
-  ~UringConn() override {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  UringLoop* loop() const { return loop_; }
-
-  // Loop thread: arm the initial multishot recv.
-  void ArmRecvOnLoop() {
-    if (closed_ || recv_armed_) return;
-    loop_->ArmRecv(this, fd_);
-    recv_armed_ = true;
-    ++pending_ops_;
-  }
-
-  void OnCqe(UringLoop* loop, uint8_t tag, int32_t res,
-             uint32_t flags) override {
-    if ((flags & IORING_CQE_F_MORE) == 0) --pending_ops_;
-    switch (tag) {
-      case kTagRecv:
-        HandleRecvCqe(loop, res, flags);
-        break;
-      case kTagSend:
-        HandleSendCqe(res);
-        break;
-      default:  // kTagCancel: the cancel op's own completion
-        break;
-    }
-    if (closed_) MaybeFinishClose();
-  }
-
-  // Loop thread (posted from SendResponse/CallAsync): start a send if one
-  // is not already in flight.
-  void StartSendIfNeeded() {
-    if (closed_ || send_inflight_) return;
-    bool start = false;
-    {
-      MutexLock guard(out_mu_);
-      start = !out_.empty();
-      if (!start) flush_scheduled_ = false;
-    }
-    if (start) StartSend();
-  }
-
-  // Loop thread. Closes the connection: drops queued output, cancels the
-  // armed recv, and (once every CQE drained) closes the fd and notifies the
-  // owner. An in-flight send keeps its queue until its CQE lands so the
-  // completion can still detect a torn frame (bytes of the front frame on
-  // the wire) — the shutdown() below wakes a blocked send promptly.
-  void CloseOnLoop(const Status& reason) {
-    if (closed_) return;
-    closed_ = true;
-    {
-      MutexLock guard(out_mu_);
-      writable_ = false;
-    }
-    if (!send_inflight_) DropOutputQueue();
-    shutdown(fd_, SHUT_RDWR);
-    if (recv_armed_) {
-      loop_->CancelOp(UringLoop::Ud(this, kTagRecv),
-                      UringLoop::Ud(this, kTagCancel));
-      ++pending_ops_;
-    }
-    OnClosed(reason);
-    MaybeFinishClose();
-  }
-
- protected:
-  // Exactly one decoded inbound frame. Loop thread; `payload` points into
-  // the provided buffer (or the carry spill) and is valid only for the call.
-  virtual void OnFrame(uint64_t id, const char* payload, size_t len) = 0;
-  // The connection began closing (queued output dropped, fd shut down).
-  virtual void OnClosed(const Status& reason) = 0;
-  // Every CQE drained and the fd closed: the owner may release the conn.
-  virtual void OnFullyClosed() = 0;
-  // A send completed with an error. `torn` means bytes of the front frame
-  // were already on the wire (the stream cannot resynchronize). The default
-  // close covers the server; the client overrides to poison + fail calls.
-  virtual void OnSendFailure(const Status& s, bool torn) {
-    (void)torn;
-    CloseOnLoop(s);
-  }
-
-  void HandleRecvCqe(UringLoop* loop, int32_t res, uint32_t flags) {
-    const bool terminal = (flags & IORING_CQE_F_MORE) == 0;
-    if (terminal) recv_armed_ = false;
-    if (res > 0) {
-      if ((flags & IORING_CQE_F_BUFFER) == 0) {
-        // Data without a provided buffer violates the BUFFER_SELECT
-        // contract; treat the stream as garbage.
-        CloseOnLoop(Status::IOError("recv completion without buffer"));
-        return;
-      }
-      const uint16_t bid =
-          static_cast<uint16_t>(flags >> IORING_CQE_BUFFER_SHIFT);
-      const bool ok = IngestBytes(loop->BufferFor(bid),
-                                  static_cast<size_t>(res));
-      loop->RecycleBuffer(bid);
-      if (!ok) {
-        CloseOnLoop(Status::IOError("bad frame stream"));
-        return;
-      }
-      if (terminal && !closed_ && !read_gate_.paused) {
-        // Multishot ran out (kernel dropped the arm); re-arm.
-        Stats().uring_resubmits->Add();
-        ArmRecvOnLoop();
-      }
-      return;
-    }
-    if (res == -ENOBUFS) {
-      Stats().uring_buffer_ring_exhausted->Add();
-      if (!closed_ && !read_gate_.paused) {
-        Stats().uring_resubmits->Add();
-        ArmRecvOnLoop();
-      }
-      return;
-    }
-    if (res == -ECANCELED) {
-      // Our own pause/close cancel landing; paused conns stay unarmed.
-      if (!closed_ && !read_gate_.paused) ArmRecvOnLoop();
-      return;
-    }
-    if (res == 0) {
-      CloseOnLoop(Status::Transient("connection closed"));
-      return;
-    }
-    CloseOnLoop(MapSocketError("recv", -res));
-  }
-
-  void HandleSendCqe(int32_t res) {
-    send_inflight_ = false;
-    bool torn;
-    bool more;
-    size_t queued;
-    {
-      MutexLock guard(out_mu_);
-      if (res > 0) {
-        if (static_cast<size_t>(res) < send_batch_bytes_) {
-          Stats().short_writes->Add();
-        }
-        const size_t completed =
-            ConsumeWritten(&out_, static_cast<size_t>(res));
-        out_bytes_ -= static_cast<size_t>(res);
-        if (track_gauge_) Stats().output_queue_bytes->Sub(res);
-        Stats().frames_sent->Add(completed);
-      }
-      torn = !out_.empty() && out_.front().offset > 0;
-      more = !out_.empty();
-      if (!more) flush_scheduled_ = false;
-      queued = out_bytes_;
-    }
-    if (res < 0 && res != -ECANCELED) {
-      OnSendFailure(MapSocketError("sendmsg", -res), torn);
-      return;
-    }
-    if (closed_) {
-      // The conn closed while this send was in flight (recv EOF/error).
-      // A partially-sent front frame means the stream tore mid-frame — the
-      // same poison contract as a send failure. Either way the queue is
-      // dead now; drop it.
-      if (torn) {
-        OnSendFailure(Status::Transient("connection closed mid-frame"), torn);
-      }
-      DropOutputQueue();
-      return;
-    }
-    if (more) {
-      // Partial write or more frames queued since the SQE was built: the
-      // offsets carry forward and the next SENDMSG picks up mid-frame.
-      Stats().uring_resubmits->Add();
-      StartSend();
-    }
-    UpdateReadGate(queued);
-  }
-
-  void DropOutputQueue() {
-    size_t dropped;
-    {
-      MutexLock guard(out_mu_);
-      dropped = out_bytes_;
-      out_.clear();
-      out_bytes_ = 0;
-      flush_scheduled_ = false;
-    }
-    if (track_gauge_ && dropped > 0) {
-      Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
-    }
-  }
-
-  // Builds the iovec batch under out_mu_ and submits one SENDMSG. The
-  // iovecs point into deque elements; std::deque never invalidates
-  // references on push_back/pop_front, and only this loop thread pops, so
-  // the pointers stay valid while the SQE is in flight.
-  void StartSend() {
-    {
-      MutexLock guard(out_mu_);
-      if (out_.empty()) {
-        flush_scheduled_ = false;
-        return;
-      }
-      int iovcnt = 0;
-      BuildIovecs(out_, iov_, &iovcnt, &send_batch_bytes_);
-      memset(&send_msg_, 0, sizeof(send_msg_));
-      send_msg_.msg_iov = iov_;
-      send_msg_.msg_iovlen = static_cast<size_t>(iovcnt);
-    }
-    loop_->SubmitSendmsg(this, fd_, &send_msg_);
-    send_inflight_ = true;
-    ++pending_ops_;
-  }
-
-  void UpdateReadGate(size_t queued) {
-    if (closed_ || out_budget_ == 0) return;
-    if (!read_gate_.Update(queued, out_budget_)) return;
-    if (read_gate_.paused) {
-      if (recv_armed_) {
-        loop_->CancelOp(UringLoop::Ud(this, kTagRecv),
-                        UringLoop::Ud(this, kTagCancel));
-        ++pending_ops_;
-      }
-    } else if (!recv_armed_) {
-      Stats().uring_resubmits->Add();
-      ArmRecvOnLoop();
-    }
-  }
-
-  // Frame-decodes a provided buffer's bytes. Whole frames parse in place;
-  // a trailing partial frame (or a frame spanning buffers) rides carry_.
-  // Returns false on a garbage length prefix.
-  bool IngestBytes(const char* data, size_t len) {
-    bool garbage = false;
-    if (!carry_.empty()) {
-      carry_.append(data, len);
-      const size_t pos = internal::ParseFrameStream(
-          carry_.data(), carry_.size(), &garbage,
-          [this](uint64_t id, const char* p, size_t n) { OnFrame(id, p, n); });
-      if (garbage) return false;
-      carry_.erase(0, pos);
-      return true;
-    }
-    const size_t pos = internal::ParseFrameStream(
-        data, len, &garbage,
-        [this](uint64_t id, const char* p, size_t n) { OnFrame(id, p, n); });
-    if (garbage) return false;
-    if (pos < len) carry_.assign(data + pos, len - pos);
-    return true;
-  }
-
-  void MaybeFinishClose() {
-    if (!closed_ || pending_ops_ != 0 || fully_closed_) return;
-    fully_closed_ = true;
-    close(fd_);
-    fd_ = -1;
-    // Deferred, not called inline: OnFullyClosed releases the owner's last
-    // reference (server registry) or wakes the blocked destructor (client),
-    // but the CQE handler that got us here still reads this object after
-    // its callee returns (OnCqe's closed_ check, this function's guards).
-    // The loop runs deferred tasks only once no handler frame is on its
-    // stack.
-    loop_->Defer([this] { OnFullyClosed(); });
-  }
-
-  // Any thread: queue a frame; returns true with *nudge set when the
-  // caller must post StartSendIfNeeded to the loop.
-  bool EnqueueFrame(OutFrame frame, bool* nudge) {
-    MutexLock guard(out_mu_);
-    if (!writable_) return false;
-    out_bytes_ += frame.size();
-    if (track_gauge_) {
-      Stats().output_queue_bytes->Add(static_cast<int64_t>(frame.size()));
-    }
-    out_.push_back(std::move(frame));
-    *nudge = !flush_scheduled_;
-    if (*nudge) flush_scheduled_ = true;
-    return true;
-  }
-
-  UringLoop* const loop_;
-  int fd_;
-  const size_t out_budget_;
-  const bool track_gauge_;
-
-  // Loop-thread-only state.
-  bool closed_ = false;
-  bool fully_closed_ = false;
-  bool recv_armed_ = false;
-  bool send_inflight_ = false;
-  size_t pending_ops_ = 0;
-  ReadGate read_gate_;
-  std::string carry_;
-  struct iovec iov_[kMaxIov];
-  msghdr send_msg_{};
-  size_t send_batch_bytes_ = 0;
-
-  Mutex out_mu_{LockRank::kTransport, "net.uring.conn_out"};
-  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
-  size_t out_bytes_ GUARDED_BY(out_mu_) = 0;
-  bool flush_scheduled_ GUARDED_BY(out_mu_) = false;
-  bool writable_ GUARDED_BY(out_mu_) = true;
-};
-
-// ------------------------------------------------------------------- server
-
-class UringTcpServer;
-
-class UringServerConn : public UringConn,
-                        public std::enable_shared_from_this<UringServerConn> {
- public:
-  UringServerConn(UringTcpServer* server, UringLoop* loop, int fd,
-                  size_t out_budget)
-      : UringConn(loop, fd, out_budget, /*track_gauge=*/true),
-        server_(server) {}
-
-  // Any thread (executor workers). Queues the response and nudges the loop.
-  void SendResponse(uint64_t id, std::string payload) {
-    bool nudge = false;
-    if (!EnqueueFrame(MakeFrame(id, std::move(payload)), &nudge)) return;
-    if (nudge) {
-      auto self = shared_from_this();
-      // Post rejection means the loop already stopped (server Stop): the
-      // queued response dies with the connection.
-      (void)loop_->Post([self] { self->StartSendIfNeeded(); });
-    }
-  }
-
- protected:
-  void OnFrame(uint64_t id, const char* payload, size_t len) override;
-  void OnClosed(const Status& /*reason*/) override {}
-  void OnFullyClosed() override;
-
- private:
-  UringTcpServer* const server_;
-};
-
-class UringTcpServer : public RpcServer, public UringLoop::Target {
- public:
-  UringTcpServer(uint16_t port, const TcpServerOptions& options)
-      : requested_port_(port), options_(options) {
-    if (options_.io_threads == 0) options_.io_threads = 1;
-    if (options_.executor_threads == 0) options_.executor_threads = 1;
-    if (options_.executor_queue_capacity == 0) {
-      options_.executor_queue_capacity = 1;
-    }
-  }
-
-  ~UringTcpServer() override { Stop(); }
-
-  // Ring setup for every loop; a false return routes the factory to epoll.
-  bool InitRings() {
-    loops_.reserve(options_.io_threads);
-    for (uint32_t i = 0; i < options_.io_threads; ++i) {
-      loops_.push_back(std::make_unique<UringLoop>());
-      if (!loops_.back()->Init(/*entries=*/256)) return false;
-    }
-    return true;
-  }
-
-  Status Start(RpcHandler handler) override {
-    handler_ = std::move(handler);
-    stop_.store(false, std::memory_order_release);
-    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return Status::IOError("socket failed");
-    ConfigureSocket(listen_fd_, SocketKind::kListener);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(requested_port_);
-    if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Status::IOError(std::string("bind: ") + strerror(errno));
-    }
-    socklen_t len = sizeof(addr);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    bound_port_ = ntohs(addr.sin_port);
-    if (listen(listen_fd_, 128) != 0) {
-      return Status::IOError(std::string("listen: ") + strerror(errno));
-    }
-    executor_ = std::make_unique<Executor>(ExecutorOptions{
-        options_.executor_threads, options_.executor_queue_capacity,
-        "net.tcp.executor"});
-    executor_->Start();
-    // The listener's multishot accept lives on loop 0; accepted sockets
-    // spread round-robin. Each loop cancels its own ops on stop.
-    loops_[0]->set_on_stop([this] {
-      if (accept_armed_) {
-        loops_[0]->CancelOp(UringLoop::Ud(this, kTagAccept),
-                            UringLoop::Ud(this, kTagCancel));
-      }
-      CloseLoopConns(loops_[0].get());
-    });
-    for (uint32_t i = 1; i < options_.io_threads; ++i) {
-      UringLoop* loop = loops_[i].get();
-      loop->set_on_stop([this, loop] { CloseLoopConns(loop); });
-    }
-    for (auto& loop : loops_) loop->StartThread();
-    const bool armed = loops_[0]->Post([this] {
-      loops_[0]->ArmAccept(this, listen_fd_);
-      accept_armed_ = true;
-    });
-    return armed ? Status::OK()
-                 : Status::IOError("uring loop rejected accept arm");
-  }
-
-  void Stop() override {
-    if (stop_.exchange(true)) return;
-    // Stop the loops first: each drains its ops (conns close themselves and
-    // leave the registry) before the thread joins, so teardown below is
-    // single-threaded and no kernel op references conn memory.
-    for (auto& loop : loops_) loop->Stop();
-    if (listen_fd_ >= 0) {
-      close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    if (executor_) executor_->Shutdown();
-    // Conns whose close never finished (posted responses racing Stop) were
-    // all force-closed by the on_stop hooks; the registry is empty unless a
-    // loop never started. Drop whatever remains.
-    std::map<UringServerConn*, std::shared_ptr<UringServerConn>> conns;
-    {
-      MutexLock guard(conns_mu_);
-      conns.swap(conns_);
-    }
-    for (auto& [ptr, conn] : conns) {
-      (void)ptr;
-      Stats().server_conns->Sub(1);
-    }
-  }
-
-  std::string address() const override {
-    return "127.0.0.1:" + std::to_string(bound_port_);
-  }
-
-  // Multishot accept completion (loop-0 thread).
-  void OnCqe(UringLoop* loop, uint8_t tag, int32_t res,
-             uint32_t flags) override {
-    if (tag != kTagAccept) return;  // kTagCancel: nothing to do
-    const bool terminal = (flags & IORING_CQE_F_MORE) == 0;
-    if (terminal) accept_armed_ = false;
-    if (res >= 0) {
-      AdoptSocket(res);
-    }
-    // Re-arm when the multishot terminated for any reason other than stop
-    // (ENFILE bursts, kernel dropping the arm after a completion).
-    if (terminal && !loop->stopping()) {
-      Stats().uring_resubmits->Add();
-      loop->ArmAccept(this, listen_fd_);
-      accept_armed_ = true;
-    }
-  }
-
-  // Drops the registry ref for a connection that fully closed. The object
-  // survives while executor tasks still hold it.
-  void ForgetConn(UringServerConn* conn) {
-    std::shared_ptr<UringServerConn> ref;
-    {
-      MutexLock guard(conns_mu_);
-      auto it = conns_.find(conn);
-      if (it == conns_.end()) return;
-      ref = std::move(it->second);
-      conns_.erase(it);
-    }
-    Stats().server_conns->Sub(1);
-  }
-
-  // Loop thread: hand a decoded request to the shared executor. Submit
-  // blocks while the bounded queue is full — the loop thread pausing here
-  // is precisely the read-throttle the bounded intake exists to provide.
-  void Dispatch(std::shared_ptr<UringServerConn> conn, uint64_t id,
-                std::string request) {
-    (void)executor_->Submit(
-        [this, conn = std::move(conn), id, request = std::move(request)] {
-          if (stop_.load(std::memory_order_acquire)) return;
-          std::string response;
-          handler_(Slice(request), &response);
-          conn->SendResponse(id, std::move(response));
-        });
-  }
-
- private:
-  void AdoptSocket(int fd) {
-    Stats().accepted->Add();
-    ConfigureSocket(fd, SocketKind::kData);
-    UringLoop* loop = loops_[next_loop_++ % loops_.size()].get();
-    auto conn = std::make_shared<UringServerConn>(
-        this, loop, fd, options_.max_output_queue_bytes);
-    {
-      MutexLock guard(conns_mu_);
-      conns_[conn.get()] = conn;
-    }
-    Stats().server_conns->Add(1);
-    // Arm the recv on the owning loop's thread.
-    if (!loop->Post([conn] { conn->ArmRecvOnLoop(); })) {
-      ForgetConn(conn.get());
-    }
-  }
-
-  // on_stop hook (that loop's thread): close every conn pinned there.
-  void CloseLoopConns(UringLoop* loop) {
-    std::vector<std::shared_ptr<UringServerConn>> mine;
-    {
-      MutexLock guard(conns_mu_);
-      for (auto& [ptr, conn] : conns_) {
-        if (ptr->loop() == loop) mine.push_back(conn);
-      }
-    }
-    for (auto& conn : mine) {
-      conn->CloseOnLoop(Status::Unavailable("server stopping"));
-    }
-  }
-
-  friend class UringServerConn;
-
-  uint16_t requested_port_;
-  TcpServerOptions options_;
-  uint16_t bound_port_ = 0;
-  int listen_fd_ = -1;
-  RpcHandler handler_;
-  // seq_cst flag (defaults suffice): guards double-Stop and publishes the
-  // started/stopped transition; no data is ordered through it — loops and
-  // executor have their own join/shutdown synchronization.
-  std::atomic<bool> stop_{true};
-  std::unique_ptr<Executor> executor_;
-  std::vector<std::unique_ptr<UringLoop>> loops_;
-  size_t next_loop_ = 0;   // loop-0 thread only (accept path)
-  bool accept_armed_ = false;  // loop-0 thread only
-  Mutex conns_mu_{LockRank::kTransportLoop, "net.uring.conns"};
-  std::map<UringServerConn*, std::shared_ptr<UringServerConn>> conns_
-      GUARDED_BY(conns_mu_);
-};
-
-void UringServerConn::OnFrame(uint64_t id, const char* payload, size_t len) {
-  server_->Dispatch(shared_from_this(), id, std::string(payload, len));
-}
-
-void UringServerConn::OnFullyClosed() { server_->ForgetConn(this); }
-
-// ------------------------------------------------------------------- client
-
-// All uring client connections share one process-wide ring loop (vs two
-// dedicated threads per epoll connection): CallAsync queues the frame and
-// nudges the loop; response callbacks run on the loop thread, matching the
-// epoll client's reader-thread callback context.
-class UringClientConn;
-
-UringLoop* SharedClientLoop() {
-  static UringLoop* loop = []() -> UringLoop* {
-    auto owned = std::make_unique<UringLoop>();
-    if (!owned->Init(/*entries=*/256)) return nullptr;
-    owned->StartThread();
-    // Leaked deliberately: client connections may outlive any scope, and
-    // the loop thread must survive until process exit (same pattern as
-    // DefaultIoEngine in the storage plane).
-    return owned.release();
-  }();
-  return loop;
-}
-
-class UringClientConn final : public UringConn, public RpcConnection {
- public:
-  UringClientConn(UringLoop* loop, int fd, const std::string& peer)
-      : UringConn(loop, fd, /*out_budget=*/0, /*track_gauge=*/false),
-        peer_scope_(HashBytes(peer.data(), peer.size())) {}
-
-  // Factory: arms the recv on the loop thread before any call is issued.
-  static std::unique_ptr<RpcConnection> Create(int fd,
-                                               const std::string& peer) {
-    UringLoop* loop = SharedClientLoop();
-    if (loop == nullptr) return nullptr;
-    auto conn = std::make_unique<UringClientConn>(loop, fd, peer);
-    UringClientConn* raw = conn.get();
-    if (!loop->Post([raw] { raw->ArmRecvOnLoop(); })) return nullptr;
-    return conn;
-  }
-
-  ~UringClientConn() override {
-    {
-      MutexLock guard(out_mu_);
-      closing_ = true;
-    }
-    // Hand the close to the loop thread and wait until no kernel op (or
-    // loop-thread frame) references this object. Unlike the epoll client
-    // there is no reader thread blocked in recv() to unblock with an early
-    // shutdown() here — fd_ is loop-thread state (CloseOnLoop shuts it
-    // down), and the eventfd nudge inside Post wakes the parked loop.
-    //
-    // The wait needs BOTH conditions: `destroyed_` alone is not enough,
-    // because the loop may have fully closed the connection (peer reset,
-    // server stop) before this destructor ran — destroyed_ would already be
-    // true while the lambda below, capturing `this`, is still queued.
-    const bool posted = loop_->Post([this] {
-      CloseOnLoop(Status::Unavailable("connection destroyed"));
-      MutexLock guard(close_mu_);
-      close_task_ran_ = true;
-      destroyed_cv_.NotifyAll();
-    });
-    if (posted) {
-      MutexLock guard(close_mu_);
-      destroyed_cv_.Wait(close_mu_, [this]() REQUIRES(close_mu_) {
-        return destroyed_ && close_task_ran_;
-      });
-    }
-    FailPending(Status::Unavailable("connection destroyed"));
-  }
-
-  void CallAsync(std::string request, ResponseCallback callback) override {
-    bool duplicate = false;
-    if (!internal::ApplyClientNetFaults(peer_scope_, callback, &duplicate)) {
-      return;
-    }
-    const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    {
-      MutexLock guard(pending_mu_);
-      pending_[id] = std::move(callback);
-    }
-    bool accepted;
-    bool nudge = false;
-    {
-      MutexLock guard(out_mu_);
-      accepted = !closing_ && !poisoned_ && writable_;
-      if (accepted) {
-        auto enqueue = [this](OutFrame f) REQUIRES(out_mu_) {
-          out_bytes_ += f.size();
-          out_.push_back(std::move(f));
-        };
-        if (duplicate) enqueue(MakeFrame(id, request));
-        enqueue(MakeFrame(id, std::move(request)));
-        if (!flush_scheduled_) {
-          flush_scheduled_ = true;
-          nudge = true;
-        }
-      }
-    }
-    if (accepted) {
-      if (nudge && !loop_->Post([this] { StartSendIfNeeded(); })) {
-        accepted = false;  // loop died under us; fail the call below
-      } else {
-        return;
-      }
-    }
-    ResponseCallback cb = TakePending(id);
-    if (cb) cb(Status::Transient("connection closed"), Slice());
-  }
-
- protected:
-  // Loop thread: match the response id; the Slice points into the provided
-  // buffer (or carry spill) and is valid only during the callback, same
-  // contract as the epoll reader thread.
-  void OnFrame(uint64_t id, const char* payload, size_t len) override {
-    ResponseCallback cb = TakePending(id);
-    if (cb) cb(Status::OK(), Slice(payload, len));
-  }
-
-  void OnClosed(const Status& reason) override { FailPending(reason); }
-
-  void OnFullyClosed() override {
-    MutexLock guard(close_mu_);
-    destroyed_ = true;
-    destroyed_cv_.NotifyAll();
-  }
-
-  // Same torn-frame contract as the epoll client: a failure with bytes of
-  // the front frame on the wire poisons the connection (shutdown makes the
-  // armed recv fail every pending call); a clean frame-boundary failure
-  // only fails the frames queued at failure time.
-  void OnSendFailure(const Status& s, bool torn) override {
-    if (torn) {
-      Stats().poisoned->Add();
-      {
-        MutexLock guard(out_mu_);
-        poisoned_ = true;
-      }
-      shutdown(fd_, SHUT_RDWR);
-    }
-    std::vector<uint64_t> failed;
-    {
-      MutexLock guard(out_mu_);
-      for (OutFrame& f : out_) failed.push_back(f.id);
-      out_.clear();
-      out_bytes_ = 0;
-      flush_scheduled_ = false;
-    }
-    for (uint64_t id : failed) {
-      ResponseCallback cb = TakePending(id);
-      if (cb) cb(s, Slice());
-    }
-  }
-
- private:
-  ResponseCallback TakePending(uint64_t id) {
-    MutexLock guard(pending_mu_);
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return nullptr;
-    ResponseCallback cb = std::move(it->second);
-    pending_.erase(it);
-    return cb;
-  }
-
-  void FailPending(const Status& s) {
-    std::map<uint64_t, ResponseCallback> orphans;
-    {
-      MutexLock guard(pending_mu_);
-      orphans.swap(pending_);
-    }
-    for (auto& [id, cb] : orphans) {
-      (void)id;
-      cb(s, Slice());
-    }
-  }
-
-  const uint64_t peer_scope_;
-  // relaxed: request-id allocator; uniqueness is all that matters, the id
-  // is published through pending_mu_.
-  std::atomic<uint64_t> next_id_{1};
-  bool closing_ GUARDED_BY(out_mu_) = false;
-  bool poisoned_ GUARDED_BY(out_mu_) = false;
-  Mutex pending_mu_{LockRank::kTransport, "net.uring.pending"};
-  std::map<uint64_t, ResponseCallback> pending_ GUARDED_BY(pending_mu_);
-  Mutex close_mu_{LockRank::kTransport, "net.uring.close"};
-  CondVar destroyed_cv_;
-  bool destroyed_ GUARDED_BY(close_mu_) = false;
-  bool close_task_ran_ GUARDED_BY(close_mu_) = false;
 };
 
 }  // namespace
+
+std::unique_ptr<IoLoop> MakeUringLoop() {
+  if (!NetUringSupported()) return nullptr;
+  auto loop = std::make_unique<UringLoop>();
+  if (!loop->Init(/*entries=*/256)) return nullptr;
+  return loop;
+}
+
+}  // namespace internal
 
 bool NetUringSupported() {
   static const bool supported = [] {
@@ -1170,44 +408,18 @@ bool NetUringSupported() {
   return supported;
 }
 
-namespace internal {
-
-std::unique_ptr<RpcServer> TryMakeUringTcpServer(
-    uint16_t port, const TcpServerOptions& options) {
-  if (!NetUringSupported()) return nullptr;
-  auto server = std::make_unique<UringTcpServer>(port, options);
-  if (!server->InitRings()) return nullptr;
-  return server;
-}
-
-std::unique_ptr<RpcConnection> TryWrapUringClientFd(int fd,
-                                                    const std::string& peer) {
-  if (!NetUringSupported()) return nullptr;
-  return UringClientConn::Create(fd, peer);
-}
-
-}  // namespace internal
-
 }  // namespace dpr
 
 #else  // !(DPR_HAVE_IOURING && DPR_URING_NET_COMPILED)
+
+#include "net/io_loop.h"
 
 namespace dpr {
 
 bool NetUringSupported() { return false; }
 
 namespace internal {
-
-std::unique_ptr<RpcServer> TryMakeUringTcpServer(
-    uint16_t /*port*/, const TcpServerOptions& /*options*/) {
-  return nullptr;
-}
-
-std::unique_ptr<RpcConnection> TryWrapUringClientFd(
-    int /*fd*/, const std::string& /*peer*/) {
-  return nullptr;
-}
-
+std::unique_ptr<IoLoop> MakeUringLoop() { return nullptr; }
 }  // namespace internal
 
 }  // namespace dpr

@@ -153,6 +153,25 @@ int RawConnect(const std::string& address) {
   return fd;
 }
 
+// Blocking loops over a raw socket; a short transfer just continues.
+void SendAll(int fd, const char* data, size_t n) {
+  while (n > 0) {
+    const ssize_t sent = send(fd, data, n, MSG_NOSIGNAL);
+    ASSERT_GT(sent, 0) << strerror(errno);
+    data += sent;
+    n -= static_cast<size_t>(sent);
+  }
+}
+
+void RecvAll(int fd, char* data, size_t n) {
+  while (n > 0) {
+    const ssize_t got = recv(fd, data, n, 0);
+    ASSERT_GT(got, 0) << (got == 0 ? "peer closed" : strerror(errno));
+    data += got;
+    n -= static_cast<size_t>(got);
+  }
+}
+
 // One synchronous request/response in the transport's frame format:
 // [u32 payload-length][u64 request-id][payload].
 void RawCall(int fd, uint64_t id, const std::string& payload,
@@ -161,15 +180,13 @@ void RawCall(int fd, uint64_t id, const std::string& payload,
   PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
   PutFixed64(&frame, id);
   frame.append(payload);
-  ASSERT_TRUE(internal::TcpWriteFully(fd, frame.data(), frame.size()).ok());
+  ASSERT_NO_FATAL_FAILURE(SendAll(fd, frame.data(), frame.size()));
   char header[12];
-  ASSERT_TRUE(internal::TcpReadFully(fd, header, sizeof(header)).ok());
+  ASSERT_NO_FATAL_FAILURE(RecvAll(fd, header, sizeof(header)));
   const uint32_t len = DecodeFixed32(header);
   ASSERT_EQ(DecodeFixed64(header + 4), id);
   echo->resize(len);
-  if (len > 0) {
-    ASSERT_TRUE(internal::TcpReadFully(fd, echo->data(), len).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(RecvAll(fd, echo->data(), len));
 }
 
 // The point of the loop architecture, on either backend: server-side thread
@@ -199,6 +216,33 @@ TEST_P(NetConformanceTest, ServerThreadCountIndependentOfConnectionCount) {
   EXPECT_EQ(CountProcessThreads(), baseline);
 
   for (int fd : fds) close(fd);
+  server->Stop();
+}
+
+// The client side of the same property: every client connection of a
+// backend rides one shared loop thread, so opening 64 clients (each
+// serving a call) adds no thread after the first client started the loop.
+TEST_P(NetConformanceTest, ClientThreadCountIndependentOfConnectionCount) {
+  auto server = MakeServer(TcpServerOptions{.io_threads = 2,
+                                            .executor_threads = 2});
+  ASSERT_TRUE(server->Start(Echo).ok());
+
+  std::vector<std::unique_ptr<RpcConnection>> conns;
+  constexpr int kConns = 64;
+  int baseline = -1;
+  for (int i = 0; i < kConns; ++i) {
+    conns.push_back(Connect(server->address()));
+    ASSERT_NE(conns.back(), nullptr);
+    std::string response;
+    const std::string msg = "client" + std::to_string(i);
+    ASSERT_TRUE(conns.back()->Call(msg, &response).ok());
+    ASSERT_EQ(response, msg + "!");
+    if (i == 0) baseline = CountProcessThreads();
+  }
+  ASSERT_GT(baseline, 0);
+  EXPECT_EQ(CountProcessThreads(), baseline);
+
+  conns.clear();
   server->Stop();
 }
 

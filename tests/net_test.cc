@@ -178,6 +178,12 @@ TEST(TcpNetTest, BadAddressRejected) {
   std::unique_ptr<RpcConnection> conn;
   EXPECT_EQ(ConnectTcp("no-port-here", &conn).code(),
             Status::Code::kInvalidArgument);
+  // Ports must be all digits in 1..65535: no silent truncation (70000 would
+  // wrap to 4464) and no prefix parsing ("8x" is not port 8).
+  for (const char* bad : {"127.0.0.1:70000", "127.0.0.1:", "127.0.0.1:8x"}) {
+    EXPECT_EQ(ConnectTcp(bad, &conn).code(), Status::Code::kInvalidArgument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(OwnershipTest, TransferMigratesDataAndOwnership) {
   }
   ASSERT_TRUE(session->WaitForAll().ok());
 
-  ASSERT_TRUE(cluster.TransferPartition(vp, 1).ok());
+  ASSERT_TRUE(cluster.MigratePartition(vp, 1).ok());
   EXPECT_EQ(cluster.OwnerOf(vp), 1u);
   EXPECT_FALSE(cluster.worker(0)->OwnsPartition(vp));
   EXPECT_TRUE(cluster.worker(1)->OwnsPartition(vp));
@@ -99,10 +99,10 @@ TEST(OwnershipTest, TransferBackAndForth) {
   auto session = client->NewSession(1);
   session->Upsert(key, 1);
   ASSERT_TRUE(session->WaitForAll().ok());
-  ASSERT_TRUE(cluster.TransferPartition(vp, 1).ok());
+  ASSERT_TRUE(cluster.MigratePartition(vp, 1).ok());
   session->Upsert(key, 2);
   ASSERT_TRUE(session->WaitForAll().ok());
-  ASSERT_TRUE(cluster.TransferPartition(vp, 0).ok());
+  ASSERT_TRUE(cluster.MigratePartition(vp, 0).ok());
   std::atomic<uint64_t> value{0};
   session->Read(key, [&](KvResult r, uint64_t v) {
     if (r == KvResult::kOk) value.store(v);
@@ -139,7 +139,7 @@ TEST(OwnershipTest, WritesDuringTransferAreNotLost) {
     }
   });
   SleepMicros(5000);
-  ASSERT_TRUE(cluster.TransferPartition(vp, 1).ok());
+  ASSERT_TRUE(cluster.MigratePartition(vp, 1).ok());
   SleepMicros(5000);
   stop.store(true);
   writer.join();
@@ -158,7 +158,7 @@ TEST(OwnershipTest, CommitsContinueAfterTransfer) {
   DFasterCluster cluster(Opts());
   ASSERT_TRUE(cluster.Start().ok());
   const uint32_t vp = PartitionOnWorker(0, 2);
-  ASSERT_TRUE(cluster.TransferPartition(vp, 1).ok());
+  ASSERT_TRUE(cluster.MigratePartition(vp, 1).ok());
   auto client = cluster.NewClient(4, 32);
   auto session = client->NewSession(1);
   const uint64_t key = KeyInPartition(vp);
@@ -192,7 +192,7 @@ TEST(MembershipTest, ScaleOutThenDrainAndRemove) {
   EXPECT_EQ(cluster.worker(new_id)->OwnedPartitionCount(), 0u);
   for (uint32_t vp = 0; vp < YcsbWorkload::kNumPartitions; ++vp) {
     if (cluster.OwnerOf(vp) == 0) {
-      ASSERT_TRUE(cluster.TransferPartition(vp, new_id).ok());
+      ASSERT_TRUE(cluster.MigratePartition(vp, new_id).ok());
     }
   }
   EXPECT_EQ(cluster.worker(0)->OwnedPartitionCount(), 0u);

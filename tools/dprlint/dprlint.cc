@@ -22,8 +22,9 @@ const std::vector<CheckInfo> kRegistry = {
      "naked std sync primitive outside common/sync.h; use the annotated, "
      "rank-checked dpr:: wrappers"},
     {"net-raw-write",
-     "raw send(2)/write(2)/writev(2)/pwrite(2) under net/; route frame bytes "
-     "through TcpWriteFully/TcpWritevFully or the event-loop flush"},
+     "raw send(2)/write(2)/writev(2)/pwrite(2) under net/; queue frame bytes "
+     "on a connection and let IoLoop::Send flush them (the epoll adapter's "
+     "TrySend in net/event_loop.cc is the one sanctioned sendmsg)"},
     {"storage-raw-io",
      "raw block I/O syscall outside src/storage/; submit through the "
      "Device/IoEngine API"},
@@ -520,7 +521,7 @@ void CheckSyncPrim(const FileCtx& f, std::vector<Finding>* out) {
 void CheckRawCalls(const FileCtx& f, std::vector<Finding>* out) {
   const bool in_net = HasSegment(f.path, "net");
   const bool in_storage = HasSegment(f.path, "storage");
-  // sendmsg covers the vectored-flush syscall both backends coalesce into;
+  // sendmsg covers the vectored-flush syscall the epoll adapter issues;
   // io_uring_enter covers hand-rolled ring submission that would bypass
   // UringRing's batching counters (sqe_batches) and EINTR/EBUSY retry
   // policy. Sanctioned helpers carry `dprlint: allowed(net-raw-write)`.
@@ -543,8 +544,8 @@ void CheckRawCalls(const FileCtx& f, std::vector<Finding>* out) {
     if (in_net && kNet.count(t.text)) {
       Report(f, out, "net-raw-write", t.line, t.col,
              "raw " + t.text +
-                 "(2) under net/ bypasses the flush helpers (coalescing "
-                 "metrics + torn-frame accounting)");
+                 "(2) under net/ bypasses the connection flush path "
+                 "(coalescing metrics + torn-frame accounting)");
     }
     if (!in_storage && kStorage.count(t.text)) {
       Report(f, out, "storage-raw-io", t.line, t.col,
