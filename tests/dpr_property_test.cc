@@ -29,8 +29,11 @@ struct Rig {
   std::unique_ptr<MetadataStore> metadata;
   std::unique_ptr<DprFinder> finder;
   std::unique_ptr<ClusterManager> manager;
-  std::vector<std::unique_ptr<FasterStore>> stores;
+  // Workers are declared before stores so they are destroyed after them:
+  // a store's flush thread reports persistence into its worker until the
+  // store's destructor joins it.
   std::vector<std::unique_ptr<DprWorker>> workers;
+  std::vector<std::unique_ptr<FasterStore>> stores;
 
   explicit Rig(int n, bool graph_finder) {
     metadata = std::make_unique<MetadataStore>(
