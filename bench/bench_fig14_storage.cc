@@ -22,6 +22,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "harness/stats.h"
+#include "obs/metrics.h"
 #include "storage/async_io.h"
 #include "storage/device.h"
 #include "storage/fsync_scheduler.h"
@@ -65,6 +66,7 @@ ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
   ShardLoadResult result;
   std::vector<Histogram> per_thread(shards);
   std::vector<std::thread> threads;
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   const uint64_t t_start = NowMicros();
   for (uint32_t i = 0; i < shards; ++i) {
     threads.emplace_back([&, i] {
@@ -89,9 +91,12 @@ ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
   result.appends = static_cast<uint64_t>(shards) * appends_per_shard;
   for (const auto& h : per_thread) result.durable_us.Merge(h);
   // The old path issues exactly one device fsync per append; the scheduler
-  // counts its own.
-  result.fsyncs = group_commit ? sched.fsyncs_issued() : result.appends;
-  result.coalesced = group_commit ? sched.waiters_coalesced() : 0;
+  // counts its own in the registry.
+  MetricsSnapshot delta = MetricsRegistry::Default().Snapshot();
+  delta.SubtractCounters(before);
+  result.fsyncs =
+      group_commit ? delta.counters["storage.sched.fsyncs"] : result.appends;
+  result.coalesced = delta.counters["storage.sched.coalesced"];
   base.reset();
   remove(path.c_str());
   return result;

@@ -26,6 +26,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "faster/faster_store.h"
+#include "harness/stats.h"
 #include "obs/metrics.h"
 
 namespace dpr {

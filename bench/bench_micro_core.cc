@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -202,6 +203,7 @@ void BM_RemoteFinderBatchedReport(benchmark::State& state) {
   remote_options.flush_interval_us = 200;
   RemoteDprFinder remote(net.Connect(server.address()), remote_options);
   (void)remote.AddWorker(0, 0);
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   Version v = 1;
   for (auto _ : state) {
     (void)remote.ReportPersistedVersion(kInitialWorldLine,
@@ -209,8 +211,11 @@ void BM_RemoteFinderBatchedReport(benchmark::State& state) {
                                         DependencySet());
   }
   (void)remote.Flush();
-  const RemoteFinderStats stats = remote.stats();
-  state.counters["reports_per_batch"] = stats.ReportsPerBatch();
+  MetricsSnapshot delta = MetricsRegistry::Default().Snapshot();
+  delta.SubtractCounters(before);
+  state.counters["reports_per_batch"] =
+      static_cast<double>(delta.counters["dpr.remote.reports_sent"]) /
+      std::max<uint64_t>(1, delta.counters["dpr.remote.batches_sent"]);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RemoteFinderBatchedReport);

@@ -300,7 +300,6 @@ DriverResult RunYcsbDriver(DFasterCluster* cluster,
     result.op_latency_us.Merge(drivers[t]->op_latency());
     result.commit_latency_us.Merge(drivers[t]->commit_latency());
   }
-  result.tracking = cluster->tracking_stats();
   PublishBenchCounters(stats);
   return result;
 }

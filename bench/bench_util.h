@@ -42,8 +42,6 @@ struct DriverResult {
   double seconds = 0;
   Histogram op_latency_us;
   Histogram commit_latency_us;
-  /// Tracking-plane counters snapshotted at the end of the run.
-  TrackingPlaneStats tracking;
 
   double Mops() const {
     return seconds > 0 ? completed / seconds / 1e6 : 0.0;

@@ -15,10 +15,10 @@ uint32_t RoundUpPow2(uint32_t n) {
   return p;
 }
 
-// Process-wide mirrors of the per-instance stats (summed across trackers),
-// so bench artifacts and chaos dumps see the tracking plane without plumbing
-// instance pointers. Relaxed atomics only — Record() runs under the shared
-// version latch on the batch admission path.
+// Process-wide tracking-plane series (summed across trackers), so bench
+// artifacts and chaos dumps see the tracker without plumbing instance
+// pointers. Relaxed atomics only — Record() runs under the shared version
+// latch on the batch admission path.
 struct TrackerMetrics {
   Counter* records;
   Counter* empty_records;
@@ -47,6 +47,10 @@ VersionDependencyTracker::VersionDependencyTracker(uint32_t shards) {
   shards_ = std::make_unique<Shard[]>(count);
 }
 
+// A tracker torn down with staged versions (a worker stopped mid-interval)
+// must not leave them in the process-wide gauge.
+VersionDependencyTracker::~VersionDependencyTracker() { Clear(); }
+
 void VersionDependencyTracker::Record(uint64_t session_id, Version version,
                                       const DependencySet& deps,
                                       WorkerId self) {
@@ -61,7 +65,6 @@ void VersionDependencyTracker::Record(uint64_t session_id, Version version,
     }
   }
   if (!any) {
-    empty_records_.fetch_add(1, std::memory_order_relaxed);
     Metrics().empty_records->Add();
     return;
   }
@@ -70,7 +73,6 @@ void VersionDependencyTracker::Record(uint64_t session_id, Version version,
     SpinLatchGuard guard(shard.latch);
     auto [it, inserted] = shard.deps.try_emplace(version);
     if (inserted) {
-      live_entries_.fetch_add(1, std::memory_order_relaxed);
       Gauge* live = Metrics().live_entries;
       live->Add(1);
       Metrics().live_entries_peak->UpdateMax(live->value());
@@ -80,14 +82,12 @@ void VersionDependencyTracker::Record(uint64_t session_id, Version version,
       MergeDependency(&it->second, WorkerVersion{dw, dv});
     }
   }
-  records_.fetch_add(1, std::memory_order_relaxed);
   Metrics().records->Add();
 }
 
 DependencySet VersionDependencyTracker::DrainUpTo(Version token) {
   DependencySet merged;
-  const uint32_t count = shard_mask_ + 1;
-  for (uint32_t i = 0; i < count; ++i) {
+  for (uint32_t i = 0; i < shards(); ++i) {
     Shard& shard = shards_[i];
     SpinLatchGuard guard(shard.latch);
     auto it = shard.deps.begin();
@@ -97,39 +97,20 @@ DependencySet VersionDependencyTracker::DrainUpTo(Version token) {
       it = shard.deps.erase(it);
       ++removed;
     }
-    if (removed != 0) {
-      live_entries_.fetch_sub(removed, std::memory_order_relaxed);
-      Metrics().live_entries->Sub(removed);
-    }
+    if (removed != 0) Metrics().live_entries->Sub(removed);
   }
-  drains_.fetch_add(1, std::memory_order_relaxed);
   Metrics().drains->Add();
   return merged;
 }
 
 void VersionDependencyTracker::Clear() {
-  const uint32_t count = shard_mask_ + 1;
-  for (uint32_t i = 0; i < count; ++i) {
+  for (uint32_t i = 0; i < shards(); ++i) {
     Shard& shard = shards_[i];
     SpinLatchGuard guard(shard.latch);
     const int64_t removed = static_cast<int64_t>(shard.deps.size());
     shard.deps.clear();
-    if (removed != 0) {
-      live_entries_.fetch_sub(removed, std::memory_order_relaxed);
-      Metrics().live_entries->Sub(removed);
-    }
+    if (removed != 0) Metrics().live_entries->Sub(removed);
   }
-}
-
-DepTrackerStats VersionDependencyTracker::stats() const {
-  DepTrackerStats s;
-  s.records = records_.load(std::memory_order_relaxed);
-  s.empty_records = empty_records_.load(std::memory_order_relaxed);
-  s.drains = drains_.load(std::memory_order_relaxed);
-  const int64_t live = live_entries_.load(std::memory_order_relaxed);
-  s.live_entries = live > 0 ? static_cast<uint64_t>(live) : 0;
-  s.shards = shard_mask_ + 1;
-  return s;
 }
 
 }  // namespace dpr

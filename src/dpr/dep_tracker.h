@@ -1,7 +1,6 @@
 #ifndef DPR_DPR_DEP_TRACKER_H_
 #define DPR_DPR_DEP_TRACKER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,16 +10,6 @@
 #include "dpr/types.h"
 
 namespace dpr {
-
-/// Counters exported through harness/stats (all monotonically increasing
-/// except `live_entries`, a point-in-time gauge).
-struct DepTrackerStats {
-  uint64_t records = 0;        // Record() calls that carried cross-worker deps
-  uint64_t empty_records = 0;  // Record() calls with nothing to merge (no lock)
-  uint64_t drains = 0;         // DrainUpTo() calls
-  uint64_t live_entries = 0;   // (version -> deps) entries currently staged
-  uint32_t shards = 0;
-};
 
 /// Lock-striped accumulator of per-version dependency sets, the worker-side
 /// ingest half of the DPR tracking plane (paper §3.3: tracking must stay off
@@ -34,11 +23,17 @@ struct DepTrackerStats {
 /// all. The per-version sets are merged across shards only at
 /// checkpoint-persist time (DrainUpTo), which runs on the persistence
 /// callback thread — already off the critical path.
+///
+/// Activity is counted only in the process-wide registry
+/// (`dpr.dep_tracker.{records,empty_records,drains}` counters and the
+/// `dpr.dep_tracker.live_entries{,_peak}` gauges), summed across trackers.
 class VersionDependencyTracker {
  public:
   static constexpr uint32_t kDefaultShards = 16;
 
   explicit VersionDependencyTracker(uint32_t shards = kDefaultShards);
+  /// Returns any still-staged entries to the live-entries gauge.
+  ~VersionDependencyTracker();
 
   VersionDependencyTracker(const VersionDependencyTracker&) = delete;
   VersionDependencyTracker& operator=(const VersionDependencyTracker&) =
@@ -57,7 +52,8 @@ class VersionDependencyTracker {
   /// Discards everything (rollback: uncommitted dependency state is void).
   void Clear();
 
-  DepTrackerStats stats() const;
+  /// Shard count (the constructor's argument rounded up to a power of 2).
+  uint32_t shards() const { return shard_mask_ + 1; }
 
  private:
   // Padded to a cache line so shard latches never false-share.
@@ -72,12 +68,6 @@ class VersionDependencyTracker {
 
   uint32_t shard_mask_;  // shard count rounded up to a power of two, minus 1
   std::unique_ptr<Shard[]> shards_;
-  // relaxed: monotonic stat counters for obs export only; the dependency
-  // data itself is fenced by the per-shard latches above.
-  std::atomic<uint64_t> records_{0};
-  std::atomic<uint64_t> empty_records_{0};
-  std::atomic<uint64_t> drains_{0};
-  std::atomic<int64_t> live_entries_{0};
 };
 
 }  // namespace dpr

@@ -112,7 +112,6 @@ Status FinderCore::ReportPersistedVersion(WorldLine world_line,
                                           const DependencySet& deps) {
   ReaderMutexLock gate(ingest_gate_);
   if (world_line != world_line_.load(std::memory_order_acquire)) {
-    reports_stale_.fetch_add(1, std::memory_order_relaxed);
     Metrics().reports_stale->Add();
     return Status::Aborted("report from stale world-line");
   }
@@ -129,15 +128,9 @@ Status FinderCore::ReportPersistedVersion(WorldLine world_line,
       staged_.push_back(StagedReport{wv, deps, NowMicros()});
       depth = staged_.size();
     }
-    uint64_t peak = staged_peak_.load(std::memory_order_relaxed);
-    while (depth > peak &&
-           !staged_peak_.compare_exchange_weak(peak, depth,
-                                               std::memory_order_relaxed)) {
-    }
     Metrics().staged_depth->Set(static_cast<int64_t>(depth));
     Metrics().staged_peak->UpdateMax(static_cast<int64_t>(depth));
   }
-  reports_ingested_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reports_ingested->Add();
   return Status::OK();
 }
@@ -202,7 +195,6 @@ Status FinderCore::ComputeCut() {
   DPR_RETURN_NOT_OK(
       metadata_->SetCut(world_line_.load(std::memory_order_acquire), next));
   cut_ = std::move(next);
-  cut_advances_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cut_advances->Add();
   last_advance_us_.store(now_us, std::memory_order_relaxed);
   Metrics().cut_age_us->Set(0);
@@ -277,19 +269,6 @@ Status FinderCore::EndRecovery() {
   MutexLock guard(mu_);
   in_recovery_ = false;
   return Status::OK();
-}
-
-FinderCoreStats FinderCore::core_stats() const {
-  FinderCoreStats s;
-  s.reports_ingested = reports_ingested_.load(std::memory_order_relaxed);
-  s.reports_stale = reports_stale_.load(std::memory_order_relaxed);
-  {
-    MutexLock guard(stage_mu_);
-    s.staged_depth = staged_.size();
-  }
-  s.staged_peak = staged_peak_.load(std::memory_order_relaxed);
-  s.cut_advances = cut_advances_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace dpr

@@ -88,15 +88,6 @@ struct StagedReport {
   uint64_t ingest_us = 0;
 };
 
-/// Observability counters for the finder's ingest/compute split.
-struct FinderCoreStats {
-  uint64_t reports_ingested = 0;  // accepted ReportPersistedVersion calls
-  uint64_t reports_stale = 0;     // rejected: world-line mismatch
-  uint64_t staged_depth = 0;      // reports staged, not yet drained (gauge)
-  uint64_t staged_peak = 0;       // max staged_depth observed
-  uint64_t cut_advances = 0;      // ComputeCut rounds that advanced the cut
-};
-
 /// The state machine shared by all local finder implementations: world-line
 /// and recovery handling, the committed cut, Vmax tracking, and the
 /// ingest/compute split.
@@ -117,6 +108,11 @@ struct FinderCoreStats {
 /// Recovery closes the ingest gate exclusively (a shared_mutex reports pass
 /// through in shared mode) so no report can interleave with the world-line
 /// bump and the above-cut trim.
+///
+/// Activity is counted in the process-wide registry: `dpr.finder.*`
+/// counters (reports_ingested, reports_stale, cut_advances), gauges
+/// (staged_depth, staged_peak, cut_age_us) and the report_to_cut_us
+/// histogram.
 class FinderCore : public DprFinder {
  public:
   Status AddWorker(WorkerId worker, Version start_version) override;
@@ -130,8 +126,6 @@ class FinderCore : public DprFinder {
   Version SafeVersion(WorkerId worker) const override;
   Status BeginRecovery(WorldLine* new_world_line, DprCut* cut) override;
   Status EndRecovery() override;
-
-  FinderCoreStats core_stats() const;
 
  protected:
   /// `stage_reports` is false for algorithms with no in-memory per-report
@@ -195,19 +189,13 @@ class FinderCore : public DprFinder {
   mutable Mutex stage_mu_{LockRank::kFinderStage, "finder.stage"};
   std::vector<StagedReport> staged_ GUARDED_BY(stage_mu_);
 
-  /// relaxed: monotonic stat counters for obs export only.
-  std::atomic<uint64_t> reports_ingested_{0};
-  std::atomic<uint64_t> reports_stale_{0};
-  std::atomic<uint64_t> staged_peak_{0};
-  std::atomic<uint64_t> cut_advances_{0};
-
   /// Drained reports not yet covered by the cut, awaiting their
   /// report→cut-advance latency sample (mu_ held; capped so a stalled cut
   /// cannot grow it without bound).
   std::deque<std::pair<WorkerVersion, uint64_t>> cut_latency_pending_
       GUARDED_BY(mu_);
   /// When the committed cut last advanced, for the cut-age gauge
-  /// (relaxed: a monotonic timestamp read only by the stats path).
+  /// (relaxed: a monotonic timestamp read only by ComputeCut).
   std::atomic<uint64_t> last_advance_us_{0};
 };
 

@@ -18,6 +18,8 @@ namespace {
 // Retry causes are split by status taxonomy so a chaos run can tell "the
 // coordinator was slow" (timeouts) from "the link was flapping" (transient).
 struct RemoteMetrics {
+  Counter* reports_enqueued;
+  Counter* reports_stale;
   Counter* batches_sent;
   Counter* reports_sent;
   Counter* reports_rejected;
@@ -25,19 +27,23 @@ struct RemoteMetrics {
   Counter* retries_transient;
   Counter* retries_other;
   Counter* batches_abandoned;
+  Counter* snapshot_refreshes;
   Gauge* pending_depth;
 };
 
 const RemoteMetrics& Metrics() {
   static const RemoteMetrics m = [] {
     MetricsRegistry& r = MetricsRegistry::Default();
-    return RemoteMetrics{r.counter("dpr.remote.batches_sent"),
+    return RemoteMetrics{r.counter("dpr.remote.reports_enqueued"),
+                         r.counter("dpr.remote.reports_stale"),
+                         r.counter("dpr.remote.batches_sent"),
                          r.counter("dpr.remote.reports_sent"),
                          r.counter("dpr.remote.reports_rejected"),
                          r.counter("dpr.remote.retries_timeout"),
                          r.counter("dpr.remote.retries_transient"),
                          r.counter("dpr.remote.retries_other"),
                          r.counter("dpr.remote.batches_abandoned"),
+                         r.counter("dpr.remote.snapshot_refreshes"),
                          r.gauge("dpr.remote.pending_depth")};
   }();
   return m;
@@ -275,7 +281,6 @@ Status RemoteDprFinder::SendBatch(
   const int attempts = std::max(1, options_.max_send_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      send_retries_.fetch_add(1, std::memory_order_relaxed);
       if (last.IsTimedOut()) {
         Metrics().retries_timeout->Add();
       } else if (last.IsTransient()) {
@@ -305,9 +310,6 @@ Status RemoteDprFinder::SendBatch(
     if (!dec.GetFixed32(&processed) || !dec.GetFixed32(&rejected)) {
       return Status::Corruption("bad ReportBatch response");
     }
-    batches_sent_.fetch_add(1, std::memory_order_relaxed);
-    reports_sent_.fetch_add(batch.size(), std::memory_order_relaxed);
-    reports_rejected_.fetch_add(rejected, std::memory_order_relaxed);
     Metrics().batches_sent->Add();
     Metrics().reports_sent->Add(batch.size());
     Metrics().reports_rejected->Add(rejected);
@@ -382,7 +384,7 @@ Status RemoteDprFinder::RefreshSnapshot(bool force) const {
   snapshot_.cut = std::move(cut);
   snapshot_.vmax = vmax;
   snapshot_.fetched_us = NowMicros();
-  snapshot_refreshes_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().snapshot_refreshes->Add();
   return Status::OK();
 }
 
@@ -449,7 +451,7 @@ Status RemoteDprFinder::ReportPersistedVersion(WorldLine world_line,
     DPR_RETURN_NOT_OK(RefreshSnapshot(/*force=*/true));
     MutexLock guard(snap_mu_);
     if (world_line != snapshot_.world_line) {
-      reports_stale_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().reports_stale->Add();
       return Status::Aborted("report from stale world-line");
     }
   }
@@ -459,7 +461,7 @@ Status RemoteDprFinder::ReportPersistedVersion(WorldLine world_line,
     pending_.push_back(PendingReport{world_line, wv, deps});
     depth = pending_.size();
   }
-  reports_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().reports_enqueued->Add();
   Metrics().pending_depth->Set(static_cast<int64_t>(depth));
   // The timer flushes small queues; a full batch is worth waking the
   // flusher for immediately.
@@ -539,22 +541,6 @@ Status RemoteDprFinder::BeginRecovery(WorldLine* new_world_line,
 
 Status RemoteDprFinder::EndRecovery() {
   return Call(kEndRecovery, Slice(), nullptr);
-}
-
-RemoteFinderStats RemoteDprFinder::stats() const {
-  RemoteFinderStats s;
-  s.reports_enqueued = reports_enqueued_.load(std::memory_order_relaxed);
-  s.reports_stale = reports_stale_.load(std::memory_order_relaxed);
-  s.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  s.reports_sent = reports_sent_.load(std::memory_order_relaxed);
-  s.reports_rejected = reports_rejected_.load(std::memory_order_relaxed);
-  s.send_retries = send_retries_.load(std::memory_order_relaxed);
-  s.snapshot_refreshes = snapshot_refreshes_.load(std::memory_order_relaxed);
-  {
-    MutexLock guard(queue_mu_);
-    s.pending_depth = pending_.size();
-  }
-  return s;
 }
 
 }  // namespace dpr

@@ -1,7 +1,6 @@
 #ifndef DPR_DPR_FINDER_SERVICE_H_
 #define DPR_DPR_FINDER_SERVICE_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -56,24 +55,6 @@ struct RemoteDprFinderOptions {
   uint64_t retry_backoff_max_us = 50'000;
 };
 
-/// Observability counters for the client-side report path.
-struct RemoteFinderStats {
-  uint64_t reports_enqueued = 0;   // ReportPersistedVersion calls accepted
-  uint64_t reports_stale = 0;      // rejected client-side: world-line mismatch
-  uint64_t batches_sent = 0;       // successful kReportBatch RPCs
-  uint64_t reports_sent = 0;       // reports carried by those batches
-  uint64_t reports_rejected = 0;   // rejected server-side (stale at arrival)
-  uint64_t send_retries = 0;       // transport errors retried
-  uint64_t snapshot_refreshes = 0; // kSnapshot RPCs issued
-  uint64_t pending_depth = 0;      // reports queued, not yet flushed (gauge)
-
-  double ReportsPerBatch() const {
-    return batches_sent == 0
-               ? 0.0
-               : static_cast<double>(reports_sent) / batches_sent;
-  }
-};
-
 /// Client-side stub: a DprFinder implementation backed by a connection to a
 /// DprFinderServer.
 ///
@@ -86,6 +67,11 @@ struct RemoteFinderStats {
 /// is the fast path and serves from the snapshot within its TTL. Control
 /// operations (AddWorker, recovery) are synchronous RPCs preceded by a
 /// flush.
+///
+/// The report path is counted in the process-wide registry under
+/// `dpr.remote.*` (reports_enqueued, reports_stale, batches_sent,
+/// reports_sent, reports_rejected, retries_{timeout,transient,other},
+/// batches_abandoned, snapshot_refreshes, and the pending_depth gauge).
 class RemoteDprFinder : public DprFinder {
  public:
   explicit RemoteDprFinder(std::unique_ptr<RpcConnection> conn,
@@ -108,8 +94,6 @@ class RemoteDprFinder : public DprFinder {
   /// errors). Called internally before every read/control RPC; public so
   /// tests and shutdown paths can force the queue empty.
   Status Flush();
-
-  RemoteFinderStats stats() const;
 
  private:
   struct PendingReport {
@@ -156,16 +140,6 @@ class RemoteDprFinder : public DprFinder {
   /// Leaf lock (never held while calling anything that locks).
   mutable Mutex snap_mu_{LockRank::kFinderSnapshot, "finder.remote.snap"};
   mutable Snapshot snapshot_ GUARDED_BY(snap_mu_);
-
-  /// relaxed: monotonic stat counters for obs export only; queue contents
-  /// are fenced by queue_mu_.
-  mutable std::atomic<uint64_t> reports_enqueued_{0};
-  mutable std::atomic<uint64_t> reports_stale_{0};
-  mutable std::atomic<uint64_t> batches_sent_{0};
-  mutable std::atomic<uint64_t> reports_sent_{0};
-  mutable std::atomic<uint64_t> reports_rejected_{0};
-  mutable std::atomic<uint64_t> send_retries_{0};
-  mutable std::atomic<uint64_t> snapshot_refreshes_{0};
 
   std::thread flusher_;
 };

@@ -49,19 +49,13 @@ class StateObject {
 
   /// Begins a checkpoint; returns the token (the pre-advance version) via
   /// `out_token`. Returns Busy if a checkpoint/rollback is in flight.
-  virtual Status PerformCheckpoint(Version target_version,
-                                   PersistCallback on_persistent,
-                                   Version* out_token) = 0;
-
-  /// Hinted variant used by the cadence controller. The default ignores
-  /// the hints, so stores without incremental support need no changes.
+  /// `hints` come from the cadence controller; a store without incremental
+  /// support ignores them, and `CheckpointHints{}` asks for a plain full
+  /// checkpoint.
   virtual Status PerformCheckpoint(Version target_version,
                                    PersistCallback on_persistent,
                                    Version* out_token,
-                                   const CheckpointHints& /*hints*/) {
-    return PerformCheckpoint(target_version, std::move(on_persistent),
-                             out_token);
-  }
+                                   const CheckpointHints& hints) = 0;
 
   /// Rolls back to the largest durable token <= `version` and resumes
   /// execution in a fresh version above everything pre-rollback. Fills

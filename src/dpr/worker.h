@@ -115,8 +115,6 @@ class DprWorker {
   Version last_reported() const {
     return last_reported_.load(std::memory_order_acquire);
   }
-  /// Counters from the sharded dependency tracker.
-  DepTrackerStats dep_tracker_stats() const { return deps_.stats(); }
 
  private:
   void TimerLoop();

@@ -97,9 +97,9 @@ Status SendCommand(RpcConnection* conn, RespOp op, uint64_t arg,
 
 }  // namespace
 
-Status RemoteRespStateObject::PerformCheckpoint(Version target_version,
-                                                PersistCallback on_persist,
-                                                Version* out_token) {
+Status RemoteRespStateObject::PerformCheckpoint(
+    Version target_version, PersistCallback on_persist, Version* out_token,
+    const CheckpointHints& /*hints*/) {
   const Version token = version_.load(std::memory_order_acquire);
   if (target_version <= token) {
     return Status::InvalidArgument("target version must exceed current");

@@ -66,8 +66,10 @@ class RemoteRespStateObject : public StateObject {
                         RespStore* crash_handle = nullptr);
   ~RemoteRespStateObject() override;
 
+  /// RESP BGSAVE has no index image to attach, so `hints` are ignored.
   Status PerformCheckpoint(Version target_version, PersistCallback on_persist,
-                           Version* out_token) override;
+                           Version* out_token,
+                           const CheckpointHints& hints) override;
   Status RestoreCheckpoint(Version version, Version* restored_token) override;
   Version CurrentVersion() const override {
     return version_.load(std::memory_order_acquire);

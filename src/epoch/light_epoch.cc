@@ -139,15 +139,27 @@ uint64_t LightEpoch::BumpEpoch() {
 uint64_t LightEpoch::BumpEpoch(std::function<void()> action) {
   // The action is safe once every protected thread has seen an epoch >= the
   // post-bump value, i.e. safe-epoch >= prior+1.
-  drain_latch_.Lock();
   int idx = -1;
-  for (int i = 0; i < kDrainListSize; ++i) {
-    if (!drain_list_[i].action) {
-      idx = i;
-      break;
+  for (;;) {
+    drain_latch_.Lock();
+    for (int i = 0; i < kDrainListSize; ++i) {
+      if (!drain_list_[i].action) {
+        idx = i;
+        break;
+      }
     }
+    if (idx >= 0) break;
+    drain_latch_.Unlock();
+    // Back-pressure: the list is full of actions waiting on some protected
+    // thread's stale epoch — possibly our own, so re-publish it (Refresh
+    // drains too) before retrying.
+    if (IsProtected()) {
+      Refresh();
+    } else {
+      TryDrain();
+    }
+    std::this_thread::yield();
   }
-  DPR_CHECK_MSG(idx >= 0, "epoch drain list full");
   const uint64_t next = BumpEpoch();
   drain_list_[idx].epoch = next;
   drain_list_[idx].action = std::move(action);

@@ -23,6 +23,8 @@ class LightEpoch {
  public:
   static constexpr uint32_t kMaxThreads = 128;
   static constexpr uint64_t kUnprotected = 0;
+  /// Pending drain actions; BumpEpoch(action) blocks while this many wait.
+  static constexpr int kDrainListSize = 256;
 
   LightEpoch();
   ~LightEpoch();
@@ -46,7 +48,9 @@ class LightEpoch {
 
   /// Atomically increments the current epoch; `action` runs exactly once,
   /// on some thread inside Refresh()/Protect()/Drain, after every protected
-  /// thread has moved past the pre-bump epoch.
+  /// thread has moved past the pre-bump epoch. When kDrainListSize actions
+  /// are already pending, the call refreshes the caller's own slot (if
+  /// protected) and drains until a slot frees up.
   uint64_t BumpEpoch(std::function<void()> action);
 
   /// Bump without an action.
@@ -78,8 +82,6 @@ class LightEpoch {
     uint64_t epoch;                // action safe once safe-epoch >= this
     std::function<void()> action;  // empty slot when !action
   };
-
-  static constexpr int kDrainListSize = 256;
 
   void DoDrain(uint64_t safe_epoch);
 

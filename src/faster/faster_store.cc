@@ -318,13 +318,6 @@ Status FasterStore::UpsertInternal(uint64_t key, Slice value) {
 
 Status FasterStore::PerformCheckpoint(Version target_version,
                                       PersistCallback on_persist,
-                                      Version* out_token) {
-  return PerformCheckpoint(target_version, std::move(on_persist), out_token,
-                           CheckpointHints{});
-}
-
-Status FasterStore::PerformCheckpoint(Version target_version,
-                                      PersistCallback on_persist,
                                       Version* out_token,
                                       const CheckpointHints& hints) {
   if (crashed_.load(std::memory_order_acquire)) {

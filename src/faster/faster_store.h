@@ -89,12 +89,9 @@ class FasterStore : public StateObject {
   std::unique_ptr<Session> NewSession();
 
   // --- StateObject (libDPR) interface ---
-  /// Legacy full fold-over: no hash-index image rides in the meta WAL and
-  /// ColdRecover rebuilds the index by scanning the log.
-  Status PerformCheckpoint(Version target_version, PersistCallback on_persist,
-                           Version* out_token) override;
-  /// Hinted variant (the cadence controller's entry point). With
-  /// hints.index_image the flush thread captures a hash-index image —
+  /// With default hints this is a full fold-over: no hash-index image rides
+  /// in the meta WAL and ColdRecover rebuilds the index by scanning the log.
+  /// With hints.index_image the flush thread captures a hash-index image —
   /// full, or dirty-buckets-only when hints.delta and a durable image base
   /// exists — and persists it inside the checkpoint meta record, enabling
   /// chain restores that skip the full log scan.

@@ -144,36 +144,6 @@ void DFasterCluster::Stop() {
   if (finder_server_ != nullptr) finder_server_->Stop();
 }
 
-TrackingPlaneStats DFasterCluster::tracking_stats() {
-  TrackingPlaneStats t;
-  for (auto& worker : workers_) {
-    DprWorker* dw = worker->dpr_worker();
-    if (dw == nullptr) continue;
-    const DepTrackerStats d = dw->dep_tracker_stats();
-    t.dep_records += d.records;
-    t.dep_empty_records += d.empty_records;
-    t.dep_drains += d.drains;
-    t.dep_live_entries += d.live_entries;
-  }
-  if (auto* core = dynamic_cast<FinderCore*>(finder_.get())) {
-    const FinderCoreStats f = core->core_stats();
-    t.reports_ingested = f.reports_ingested;
-    t.reports_stale = f.reports_stale;
-    t.staged_peak = f.staged_peak;
-    t.cut_advances = f.cut_advances;
-  }
-  if (remote_finder_ != nullptr) {
-    const RemoteFinderStats r = remote_finder_->stats();
-    t.remote_reports_enqueued = r.reports_enqueued;
-    t.remote_batches_sent = r.batches_sent;
-    t.remote_reports_sent = r.reports_sent;
-    t.remote_reports_rejected = r.reports_rejected;
-    t.remote_send_retries = r.send_retries;
-    t.remote_snapshot_refreshes = r.snapshot_refreshes;
-  }
-  return t;
-}
-
 std::string DFasterCluster::AddressOf(WorkerId id) const {
   MutexLock lock(topology_mu_);
   return id < addresses_.size() ? addresses_[id] : std::string();
@@ -509,27 +479,6 @@ void DRedisCluster::Stop() {
   for (auto& proxy : dpr_proxies_) proxy->Stop();
   for (auto& proxy : pass_proxies_) proxy->Stop();
   for (auto& server : store_servers_) server->Stop();
-}
-
-TrackingPlaneStats DRedisCluster::tracking_stats() {
-  TrackingPlaneStats t;
-  for (auto& proxy : dpr_proxies_) {
-    DprWorker* dw = proxy->dpr_worker();
-    if (dw == nullptr) continue;
-    const DepTrackerStats d = dw->dep_tracker_stats();
-    t.dep_records += d.records;
-    t.dep_empty_records += d.empty_records;
-    t.dep_drains += d.drains;
-    t.dep_live_entries += d.live_entries;
-  }
-  if (auto* core = dynamic_cast<FinderCore*>(finder_.get())) {
-    const FinderCoreStats f = core->core_stats();
-    t.reports_ingested = f.reports_ingested;
-    t.reports_stale = f.reports_stale;
-    t.staged_peak = f.staged_peak;
-    t.cut_advances = f.cut_advances;
-  }
-  return t;
 }
 
 Status DRedisCluster::InjectFailure(

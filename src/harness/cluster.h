@@ -14,7 +14,6 @@
 #include "dpr/finder.h"
 #include "dpr/finder_service.h"
 #include "dredis/client.h"
-#include "harness/stats.h"
 #include "dredis/dredis.h"
 #include "metadata/metadata_store.h"
 #include "net/inmemory_net.h"
@@ -119,14 +118,8 @@ class DFasterCluster {
   /// The authoritative (local) finder; with remote_finder enabled this is
   /// the instance behind the RPC server.
   DprFinder* finder() { return finder_.get(); }
-  /// The shared batching client, or nullptr when remote_finder is off.
-  RemoteDprFinder* remote_finder() { return remote_finder_.get(); }
   MetadataStore* metadata() { return metadata_.get(); }
   ClusterMembership* membership() { return membership_.get(); }
-
-  /// Aggregated tracking-plane counters across workers, finder, and (if
-  /// deployed) the remote-finder client.
-  TrackingPlaneStats tracking_stats();
 
  private:
   /// Address of worker `id`, or empty when unknown (locked: AddWorker grows
@@ -192,9 +185,6 @@ class DRedisCluster {
   DRedisProxy* proxy(uint32_t i) { return dpr_proxies_[i].get(); }
   DprFinder* finder() { return finder_.get(); }
   ClusterManager* cluster_manager() { return cluster_manager_.get(); }
-
-  /// Aggregated tracking-plane counters across proxies and the finder.
-  TrackingPlaneStats tracking_stats();
 
  private:
   RedisClusterOptions options_;

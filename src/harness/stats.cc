@@ -4,32 +4,6 @@
 
 namespace dpr {
 
-void TrackingPlaneStats::Print(const std::string& label) const {
-  printf("tracking plane [%s]\n", label.c_str());
-  printf("  dep tracker : records=%llu lock-free=%llu drains=%llu live=%llu\n",
-         static_cast<unsigned long long>(dep_records),
-         static_cast<unsigned long long>(dep_empty_records),
-         static_cast<unsigned long long>(dep_drains),
-         static_cast<unsigned long long>(dep_live_entries));
-  printf("  finder core : ingested=%llu stale=%llu staged-peak=%llu "
-         "cut-advances=%llu\n",
-         static_cast<unsigned long long>(reports_ingested),
-         static_cast<unsigned long long>(reports_stale),
-         static_cast<unsigned long long>(staged_peak),
-         static_cast<unsigned long long>(cut_advances));
-  if (remote_batches_sent > 0 || remote_reports_enqueued > 0) {
-    printf("  remote      : enqueued=%llu batches=%llu reports/batch=%.2f "
-           "rejected=%llu retries=%llu snapshots=%llu\n",
-           static_cast<unsigned long long>(remote_reports_enqueued),
-           static_cast<unsigned long long>(remote_batches_sent),
-           RemoteReportsPerBatch(),
-           static_cast<unsigned long long>(remote_reports_rejected),
-           static_cast<unsigned long long>(remote_send_retries),
-           static_cast<unsigned long long>(remote_snapshot_refreshes));
-  }
-  fflush(stdout);
-}
-
 ResultTable::ResultTable(std::vector<std::string> columns)
     : columns_(std::move(columns)) {}
 

@@ -19,40 +19,6 @@ struct BenchCounters {
   std::atomic<uint64_t> aborted{0};
 };
 
-/// Aggregated observability counters for the DPR tracking plane: the
-/// workers' sharded dependency trackers, the finder's ingest/compute split,
-/// and (when deployed) the batching remote-finder client. Filled by the
-/// cluster harness; plain integers so benches can snapshot and diff them.
-struct TrackingPlaneStats {
-  // Worker-side dependency tracking (VersionDependencyTracker).
-  uint64_t dep_records = 0;        // batches with cross-worker deps recorded
-  uint64_t dep_empty_records = 0;  // batches admitted via the lock-free path
-  uint64_t dep_drains = 0;         // checkpoint-time merges
-  uint64_t dep_live_entries = 0;   // per-version entries pending (gauge)
-  // Finder core (FinderCoreStats).
-  uint64_t reports_ingested = 0;
-  uint64_t reports_stale = 0;
-  uint64_t staged_peak = 0;
-  uint64_t cut_advances = 0;
-  // Remote batching client (RemoteFinderStats), zero for local deployments.
-  uint64_t remote_reports_enqueued = 0;
-  uint64_t remote_batches_sent = 0;
-  uint64_t remote_reports_sent = 0;
-  uint64_t remote_reports_rejected = 0;
-  uint64_t remote_send_retries = 0;
-  uint64_t remote_snapshot_refreshes = 0;
-
-  /// Average reports carried per kReportBatch RPC (>1 means batching works).
-  double RemoteReportsPerBatch() const {
-    return remote_batches_sent == 0 ? 0.0
-                                    : static_cast<double>(remote_reports_sent) /
-                                          static_cast<double>(
-                                              remote_batches_sent);
-  }
-
-  void Print(const std::string& label) const;
-};
-
 /// Fixed-width row printer for paper-style result tables.
 class ResultTable {
  public:

@@ -68,10 +68,7 @@ void GroupCommitScheduler::RequestSync(Device* dev, IoCallback done) {
   m.pending->Add(1);
   MutexLock lock(mu_);
   DeviceState& st = devices_[root];
-  if (!st.pending.empty() || st.fsync_in_flight) {
-    m.coalesced->Add(1);
-    waiters_coalesced_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!st.pending.empty() || st.fsync_in_flight) m.coalesced->Add(1);
   if (st.pending.empty()) st.oldest_request_us = NowMicros();
   st.pending.push_back(std::move(done));
   if (!st.queued && !st.fsync_in_flight) {
@@ -99,14 +96,6 @@ Status GroupCommitScheduler::SyncNow(Device* dev) {
   return waiter.status;
 }
 
-uint64_t GroupCommitScheduler::fsyncs_issued() const {
-  return fsyncs_issued_.load(std::memory_order_relaxed);
-}
-
-uint64_t GroupCommitScheduler::waiters_coalesced() const {
-  return waiters_coalesced_.load(std::memory_order_relaxed);
-}
-
 void GroupCommitScheduler::DispatchLoop() {
   for (;;) {
     Device* root = nullptr;
@@ -130,7 +119,6 @@ void GroupCommitScheduler::DispatchLoop() {
                                           st.oldest_request_us);
     }
     SchedMetrics::Get().fsyncs->Add(1);
-    fsyncs_issued_.fetch_add(1, std::memory_order_relaxed);
     // Submit outside the scheduler lock: a stalled device (slow-fsync
     // fault, cloud latency model) must not block dispatch for other
     // devices... though it does occupy the dispatcher for the duration of

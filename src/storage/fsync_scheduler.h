@@ -1,7 +1,6 @@
 #ifndef DPR_STORAGE_FSYNC_SCHEDULER_H_
 #define DPR_STORAGE_FSYNC_SCHEDULER_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -34,6 +33,10 @@ namespace dpr {
 ///  - Callbacks are invoked with no scheduler locks held and may re-enter
 ///    RequestSync.
 ///
+/// Fsyncs issued and waiters absorbed into an already-pending group (fsyncs
+/// saved vs. the one-per-waiter world) are counted process-wide, across
+/// scheduler instances, as `storage.sched.fsyncs` / `storage.sched.coalesced`.
+///
 /// Lock rank: kStorageSched (52) — below the consumers that call in while
 /// holding kStorageWal (55) or kMetadata (70), above the devices (50) the
 /// dispatcher submits to.
@@ -52,13 +55,6 @@ class GroupCommitScheduler {
   /// Blocking convenience shim over RequestSync, for legacy callers.
   Status SyncNow(Device* dev);
 
-  /// Test/obs hooks: this scheduler's total fsyncs issued and waiters
-  /// absorbed into an already-pending group (i.e. fsyncs saved vs. the
-  /// one-per-waiter world). The process-wide `storage.sched.*` metrics sum
-  /// the same counters across all scheduler instances.
-  uint64_t fsyncs_issued() const;
-  uint64_t waiters_coalesced() const;
-
  private:
   struct DeviceState {
     std::vector<IoCallback> pending;
@@ -76,9 +72,6 @@ class GroupCommitScheduler {
   std::deque<Device*> ready_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   uint64_t inflight_fsyncs_ GUARDED_BY(mu_) = 0;
-  // relaxed: test/obs counters, never used for synchronization.
-  std::atomic<uint64_t> fsyncs_issued_{0};
-  std::atomic<uint64_t> waiters_coalesced_{0};
 
   std::thread dispatcher_;
 };

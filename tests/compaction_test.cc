@@ -24,7 +24,7 @@ std::unique_ptr<FasterStore> NewStore() {
 Version Checkpoint(FasterStore* store) {
   Version token;
   EXPECT_TRUE(
-      store->PerformCheckpoint(store->CurrentVersion() + 1, nullptr, &token)
+      store->PerformCheckpoint(store->CurrentVersion() + 1, nullptr, &token, {})
           .ok());
   store->WaitForCheckpoints();
   return token;

@@ -8,16 +8,34 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include "common/sync.h"
 #include <thread>
 #include <vector>
 
 #include "dpr/types.h"
+#include "obs/metrics.h"
 
 namespace dpr {
 namespace {
 
-TEST(DepTrackerTest, DrainMergesVersionsUpToToken) {
+// The tracker counts only into the process-wide registry, so every test
+// starts from a zeroed registry and reads its series from a snapshot.
+class DepTrackerTest : public ::testing::Test {
+ protected:
+  void SetUp() override { MetricsRegistry::Default().ResetForTest(); }
+
+  static uint64_t Count(const std::string& name) {
+    return MetricsRegistry::Default().Snapshot().counters[name];
+  }
+  static int64_t LiveEntries() {
+    return MetricsRegistry::Default()
+        .Snapshot()
+        .gauges["dpr.dep_tracker.live_entries"];
+  }
+};
+
+TEST_F(DepTrackerTest, DrainMergesVersionsUpToToken) {
   VersionDependencyTracker tracker(4);
   tracker.Record(1, 5, {{1, 3}}, /*self=*/0);
   tracker.Record(2, 6, {{1, 7}, {2, 2}}, /*self=*/0);
@@ -29,14 +47,14 @@ TEST(DepTrackerTest, DrainMergesVersionsUpToToken) {
   EXPECT_EQ(drained[2], 2u);
 
   // Version 9 stays staged until a later checkpoint covers it.
-  EXPECT_EQ(tracker.stats().live_entries, 1u);
+  EXPECT_EQ(LiveEntries(), 1);
   drained = tracker.DrainUpTo(10);
   EXPECT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[3], 1u);
-  EXPECT_EQ(tracker.stats().live_entries, 0u);
+  EXPECT_EQ(LiveEntries(), 0);
 }
 
-TEST(DepTrackerTest, SelfDependenciesAreImplicit) {
+TEST_F(DepTrackerTest, SelfDependenciesAreImplicit) {
   VersionDependencyTracker tracker(4);
   tracker.Record(1, 2, {{0, 9}, {1, 4}}, /*self=*/0);
   DependencySet drained = tracker.DrainUpTo(2);
@@ -44,31 +62,30 @@ TEST(DepTrackerTest, SelfDependenciesAreImplicit) {
   EXPECT_EQ(drained[1], 4u);
 }
 
-TEST(DepTrackerTest, BatchesWithoutCrossWorkerDepsTakeLockFreePath) {
+TEST_F(DepTrackerTest, BatchesWithoutCrossWorkerDepsTakeLockFreePath) {
   VersionDependencyTracker tracker(4);
   tracker.Record(1, 2, {}, /*self=*/0);
   tracker.Record(1, 2, {{0, 1}}, /*self=*/0);  // self-only: nothing to merge
-  DepTrackerStats stats = tracker.stats();
-  EXPECT_EQ(stats.empty_records, 2u);
-  EXPECT_EQ(stats.records, 0u);
-  EXPECT_EQ(stats.live_entries, 0u);
+  EXPECT_EQ(Count("dpr.dep_tracker.empty_records"), 2u);
+  EXPECT_EQ(Count("dpr.dep_tracker.records"), 0u);
+  EXPECT_EQ(LiveEntries(), 0);
   EXPECT_TRUE(tracker.DrainUpTo(100).empty());
 }
 
-TEST(DepTrackerTest, ClearDiscardsEverything) {
+TEST_F(DepTrackerTest, ClearDiscardsEverything) {
   VersionDependencyTracker tracker(2);
   tracker.Record(1, 3, {{1, 1}}, /*self=*/0);
   tracker.Record(2, 4, {{2, 5}}, /*self=*/0);
   tracker.Clear();
-  EXPECT_EQ(tracker.stats().live_entries, 0u);
+  EXPECT_EQ(LiveEntries(), 0);
   EXPECT_TRUE(tracker.DrainUpTo(100).empty());
 }
 
 // Shard count rounds up to a power of two; 1 shard degenerates to the old
 // single-map tracker and must still work.
-TEST(DepTrackerTest, SingleShardStillCorrect) {
+TEST_F(DepTrackerTest, SingleShardStillCorrect) {
   VersionDependencyTracker tracker(1);
-  EXPECT_EQ(tracker.stats().shards, 1u);
+  EXPECT_EQ(tracker.shards(), 1u);
   tracker.Record(17, 1, {{1, 2}}, /*self=*/0);
   tracker.Record(99, 1, {{1, 5}}, /*self=*/0);
   DependencySet drained = tracker.DrainUpTo(1);
@@ -81,7 +98,7 @@ TEST(DepTrackerTest, SingleShardStillCorrect) {
 // Folding every drain together with a max-merge must yield exactly what the
 // reference map folds to — dependencies can move between drains, but none
 // may be lost or weakened.
-TEST(DepTrackerTest, ConcurrentRecordAndDrainLosesNothing) {
+TEST_F(DepTrackerTest, ConcurrentRecordAndDrainLosesNothing) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4000;
   constexpr Version kMaxVersion = 64;
@@ -135,10 +152,9 @@ TEST(DepTrackerTest, ConcurrentRecordAndDrainLosesNothing) {
   }
   EXPECT_EQ(collected, expected);
 
-  DepTrackerStats stats = tracker.stats();
-  EXPECT_EQ(stats.live_entries, 0u);
-  EXPECT_GT(stats.records, 0u);
-  EXPECT_GT(stats.empty_records, 0u);  // the i % 11 self-only batches
+  EXPECT_EQ(LiveEntries(), 0);
+  EXPECT_GT(Count("dpr.dep_tracker.records"), 0u);
+  EXPECT_GT(Count("dpr.dep_tracker.empty_records"), 0u);  // i % 11 batches
 }
 
 }  // namespace

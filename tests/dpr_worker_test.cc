@@ -18,7 +18,8 @@ namespace {
 class FakeStateObject : public StateObject {
  public:
   Status PerformCheckpoint(Version target, PersistCallback cb,
-                           Version* out_token) override {
+                           Version* out_token,
+                           const CheckpointHints& /*hints*/) override {
     MutexLock guard(mu_);
     if (pending_.has_value()) return Status::Busy("in flight");
     const Version token = version_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -96,6 +97,35 @@ TEST(LightEpochTest, ManyThreadsManyBumps) {
   for (auto& t : threads) t.join();
   epoch.TryDrain();
   EXPECT_EQ(ran.load(), kThreads * kBumpsPerThread);
+}
+
+// A full drain list is back-pressure, not a crash: the bump that finds no
+// free slot waits (draining) until the thread pinning the old epoch moves
+// on, then lands, and every action still runs exactly once.
+TEST(LightEpochTest, FullDrainListBlocksUntilDrained) {
+  LightEpoch epoch;
+  std::atomic<int> ran{0};
+  std::atomic<bool> held{false};
+  std::atomic<bool> filled{false};
+  std::atomic<bool> released{false};
+  std::thread holder([&] {
+    epoch.Protect();  // pins the pre-bump epoch; never refreshes
+    held.store(true);
+    while (!filled.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    released.store(true);
+    epoch.Unprotect();
+  });
+  while (!held.load()) std::this_thread::yield();
+  for (int i = 0; i < LightEpoch::kDrainListSize; ++i) {
+    epoch.BumpEpoch([&] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 0);  // all pinned behind the holder
+  filled.store(true);
+  epoch.BumpEpoch([&] { ran.fetch_add(1); });  // list full: must wait
+  EXPECT_TRUE(released.load());
+  EXPECT_EQ(ran.load(), LightEpoch::kDrainListSize + 1);
+  holder.join();
 }
 
 TEST(LightEpochTest, SlotReleasedOnUnprotect) {

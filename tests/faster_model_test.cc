@@ -66,7 +66,7 @@ TEST_P(FasterModelFuzz, RandomOpsCheckpointsRollbacksCrashes) {
       // Checkpoint: capture the current model image at the token.
       Version token;
       Status s = store.PerformCheckpoint(store.CurrentVersion() + 1, nullptr,
-                                         &token);
+                                         &token, CheckpointHints{});
       if (s.ok()) {
         store.WaitForCheckpoints();
         images[token] = live;

@@ -26,7 +26,7 @@ Version Checkpoint(FasterStore* store) {
   std::atomic<bool> durable{false};
   Status s = store->PerformCheckpoint(
       store->CurrentVersion() + 1,
-      [&](Version) { durable.store(true); }, &token);
+      [&](Version) { durable.store(true); }, &token, CheckpointHints{});
   EXPECT_TRUE(s.ok()) << s.ToString();
   store->WaitForCheckpoints();
   EXPECT_TRUE(durable.load());
@@ -188,7 +188,7 @@ TEST(FasterStoreTest, CheckpointTokenAndVersionAdvance) {
 TEST(FasterStoreTest, CheckpointTargetsArbitraryHigherVersion) {
   auto store = NewStore();
   Version token;
-  ASSERT_TRUE(store->PerformCheckpoint(7, nullptr, &token).ok());
+  ASSERT_TRUE(store->PerformCheckpoint(7, nullptr, &token, {}).ok());
   EXPECT_EQ(token, 1u);
   EXPECT_EQ(store->CurrentVersion(), 7u);  // Vmax-style fast-forward
   store->WaitForCheckpoints();
@@ -204,8 +204,8 @@ TEST(FasterStoreTest, SecondCheckpointWhileFlushingIsBusy) {
   FasterStore store(std::move(options));
   auto session = store.NewSession();
   ASSERT_TRUE(session->Upsert(1, uint64_t{1}).ok());
-  ASSERT_TRUE(store.PerformCheckpoint(2, nullptr, nullptr).ok());
-  EXPECT_TRUE(store.PerformCheckpoint(3, nullptr, nullptr).IsBusy());
+  ASSERT_TRUE(store.PerformCheckpoint(2, nullptr, nullptr, {}).ok());
+  EXPECT_TRUE(store.PerformCheckpoint(3, nullptr, nullptr, {}).IsBusy());
   store.WaitForCheckpoints();
 }
 
@@ -378,7 +378,7 @@ TEST(FasterStoreTest, PageSpanningAllocations) {
   }
   // And survive a crash-recovery cycle across page boundaries.
   Version token;
-  ASSERT_TRUE(store.PerformCheckpoint(2, nullptr, &token).ok());
+  ASSERT_TRUE(store.PerformCheckpoint(2, nullptr, &token, {}).ok());
   store.WaitForCheckpoints();
   session.reset();
   store.SimulateCrash();

@@ -6,10 +6,12 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "net/inmemory_net.h"
 #include "net/tcp_net.h"
+#include "obs/metrics.h"
 
 namespace dpr {
 namespace {
@@ -17,6 +19,8 @@ namespace {
 class FinderServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The remote client counts only into the process-wide registry.
+    MetricsRegistry::Default().ResetForTest();
     metadata_ =
         std::make_unique<MetadataStore>(std::make_unique<MemoryDevice>());
     ASSERT_TRUE(metadata_->Recover().ok());
@@ -26,6 +30,20 @@ class FinderServiceTest : public ::testing::Test {
                                                 net_.CreateServer("finder"));
     ASSERT_TRUE(server_->Start().ok());
     remote_ = std::make_unique<RemoteDprFinder>(net_.Connect("finder"));
+  }
+
+  static uint64_t Count(const std::string& name) {
+    return MetricsRegistry::Default().Snapshot().counters["dpr.remote." +
+                                                          name];
+  }
+  static int64_t PendingDepth() {
+    return MetricsRegistry::Default()
+        .Snapshot()
+        .gauges["dpr.remote.pending_depth"];
+  }
+  static uint64_t Retries() {
+    return Count("retries_timeout") + Count("retries_transient") +
+           Count("retries_other");
   }
 
   InMemoryNetwork net_;
@@ -74,6 +92,8 @@ TEST_F(FinderServiceTest, StaleReportStatusPropagates) {
   Status s = remote_->ReportPersistedVersion(kInitialWorldLine + 5,
                                              WorkerVersion{0, 1}, {});
   EXPECT_TRUE(s.IsAborted());
+  EXPECT_EQ(Count("reports_stale"), 1u);
+  EXPECT_EQ(Count("reports_enqueued"), 0u);
 }
 
 TEST_F(FinderServiceTest, RecoverySequenceOverRpc) {
@@ -130,6 +150,7 @@ class FlakyConnection : public RpcConnection {
 };
 
 TEST_F(FinderServiceTest, BatchedReportsSurviveTransportFailure) {
+  remote_.reset();  // only the client under test publishes dpr.remote.*
   auto owned = std::make_unique<FlakyConnection>(net_.Connect("finder"));
   FlakyConnection* flaky = owned.get();
   RemoteDprFinderOptions options;
@@ -153,14 +174,16 @@ TEST_F(FinderServiceTest, BatchedReportsSurviveTransportFailure) {
   ASSERT_TRUE(remote.Flush().ok());
   EXPECT_EQ(flaky->failures_injected(), 3);
 
-  const RemoteFinderStats stats = remote.stats();
-  EXPECT_GE(stats.send_retries, 3u);
-  EXPECT_EQ(stats.reports_enqueued, 12u);
-  EXPECT_EQ(stats.reports_sent, 12u);
-  EXPECT_EQ(stats.reports_rejected, 0u);
-  EXPECT_EQ(stats.pending_depth, 0u);
+  EXPECT_GE(Retries(), 3u);
+  EXPECT_EQ(Count("reports_enqueued"), 12u);
+  EXPECT_EQ(Count("reports_sent"), 12u);
+  EXPECT_EQ(Count("reports_rejected"), 0u);
+  EXPECT_EQ(PendingDepth(), 0);
   // The 12 reports coalesced rather than going one RPC each.
-  EXPECT_GT(stats.ReportsPerBatch(), 1.0);
+  ASSERT_GT(Count("batches_sent"), 0u);
+  EXPECT_GT(static_cast<double>(Count("reports_sent")) /
+                static_cast<double>(Count("batches_sent")),
+            1.0);
 
   // Every WorkerVersion arrived: the finder's cut reaches v=6 on both rows.
   ASSERT_TRUE(local_->ComputeCut().ok());
@@ -171,6 +194,7 @@ TEST_F(FinderServiceTest, BatchedReportsSurviveTransportFailure) {
 }
 
 TEST_F(FinderServiceTest, ExhaustedRetriesRequeueWithoutLoss) {
+  remote_.reset();  // only the client under test publishes dpr.remote.*
   auto owned = std::make_unique<FlakyConnection>(net_.Connect("finder"));
   FlakyConnection* flaky = owned.get();
   RemoteDprFinderOptions options;
@@ -190,13 +214,13 @@ TEST_F(FinderServiceTest, ExhaustedRetriesRequeueWithoutLoss) {
   flaky->FailNext(4);
   Status s = remote.Flush();
   EXPECT_TRUE(s.IsTransient()) << s.ToString();
-  EXPECT_EQ(remote.stats().pending_depth, 5u);
+  EXPECT_EQ(PendingDepth(), 5);
   s = remote.Flush();
   EXPECT_TRUE(s.IsTransient()) << s.ToString();
   // Transport healed: the next flush delivers the full backlog.
   ASSERT_TRUE(remote.Flush().ok());
-  EXPECT_EQ(remote.stats().pending_depth, 0u);
-  EXPECT_EQ(remote.stats().reports_sent, 5u);
+  EXPECT_EQ(PendingDepth(), 0);
+  EXPECT_EQ(Count("reports_sent"), 5u);
   ASSERT_TRUE(local_->ComputeCut().ok());
   DprCut cut;
   local_->GetCut(nullptr, &cut);
@@ -204,6 +228,7 @@ TEST_F(FinderServiceTest, ExhaustedRetriesRequeueWithoutLoss) {
 }
 
 TEST_F(FinderServiceTest, SnapshotInvalidatedWhenRetriedFlushLands) {
+  remote_.reset();  // only the client under test publishes dpr.remote.*
   auto owned = std::make_unique<FlakyConnection>(net_.Connect("finder"));
   FlakyConnection* flaky = owned.get();
   RemoteDprFinderOptions options;

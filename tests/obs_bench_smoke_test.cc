@@ -1,8 +1,8 @@
-// End-to-end --json_out smoke: runs a real bench binary in quick mode and
-// validates the artifact it writes — it must parse, carry the
-// {bench, config, series[], histograms{}} schema, and its histograms must
-// round-trip through the JSON codec. The binary path is injected by CMake
-// ($<TARGET_FILE:bench_fig13_tradeoff>).
+// End-to-end --json_out smoke: runs real bench binaries in quick mode and
+// validates the artifacts they write — they must parse, carry the
+// {bench, config, series[], histograms{}} schema, and their histograms must
+// round-trip through the JSON codec. The binary paths are injected by CMake
+// ($<TARGET_FILE:bench_fig13_tradeoff>, $<TARGET_FILE:bench_tracking_plane>).
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -19,25 +19,32 @@
 namespace dpr {
 namespace {
 
-TEST(ObsBenchSmokeTest, QuickBenchEmitsValidArtifact) {
-  const std::string dir = ::testing::TempDir() + "obs_smoke_" +
+/// Runs `binary args --json_out=<fresh dir>` and parses the
+/// BENCH_<bench>.json it writes into `doc`.
+void RunBench(const std::string& binary, const std::string& args,
+              const std::string& bench, JsonValue* doc) {
+  const std::string dir = ::testing::TempDir() + "obs_smoke_" + bench + "_" +
                           std::to_string(::getpid());
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
   const std::string cmd =
-      std::string(DPR_SMOKE_BENCH_PATH) +
-      " --quick=true --duration_ms=250 --num_keys=5000 --client_threads=1"
-      " --json_out=" + dir + " > /dev/null";
+      binary + " " + args + " --json_out=" + dir + " > /dev/null";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
-  const std::string path = dir + "/BENCH_fig13_tradeoff.json";
+  const std::string path = dir + "/BENCH_" + bench + ".json";
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << path;
   std::stringstream buf;
   buf << in.rdbuf();
+  ASSERT_TRUE(JsonValue::Parse(buf.str(), doc).ok());
+  ASSERT_TRUE(doc->is_object());
+}
 
+TEST(ObsBenchSmokeTest, QuickBenchEmitsValidArtifact) {
   JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(buf.str(), &doc).ok());
-  ASSERT_TRUE(doc.is_object());
+  ASSERT_NO_FATAL_FAILURE(RunBench(
+      DPR_SMOKE_BENCH_PATH,
+      "--quick=true --duration_ms=250 --num_keys=5000 --client_threads=1",
+      "fig13_tradeoff", &doc));
   EXPECT_EQ(doc.Find("bench")->string_value(), "fig13_tradeoff");
 
   const JsonValue* config = doc.Find("config");
@@ -84,6 +91,25 @@ TEST(ObsBenchSmokeTest, QuickBenchEmitsValidArtifact) {
   const JsonValue* counters = doc.Find("counters");
   ASSERT_TRUE(counters != nullptr && counters->is_object());
   EXPECT_NE(counters->Find("bench.ops_completed"), nullptr);
+}
+
+// The tracking-plane bench reads its per-layer counts from the registry; the
+// artifact must show all three layers — worker dependency tracker, finder
+// core and remote batching client — doing work.
+TEST(ObsBenchSmokeTest, TrackingPlaneBenchCountsEveryLayer) {
+  JsonValue doc;
+  ASSERT_NO_FATAL_FAILURE(RunBench(DPR_SMOKE_TRACKING_BENCH_PATH,
+                                   "--quick=true --duration_ms=250",
+                                   "tracking_plane", &doc));
+  const JsonValue* counters = doc.Find("counters");
+  ASSERT_TRUE(counters != nullptr && counters->is_object());
+  for (const char* name :
+       {"dpr.dep_tracker.empty_records", "dpr.finder.reports_ingested",
+        "dpr.remote.batches_sent"}) {
+    const JsonValue* value = counters->Find(name);
+    ASSERT_NE(value, nullptr) << name;
+    EXPECT_GT(value->uint_value(), 0u) << name;
+  }
 }
 
 }  // namespace

@@ -306,15 +306,27 @@ TEST(RegistryMirrorTest, DepTrackerPublishesToRegistry) {
   tracker.Record(2, 6, deps, /*self=*/0);
   (void)tracker.DrainUpTo(6);
 
-  // The per-instance stats and the process-wide registry mirror agree.
-  const DepTrackerStats local = tracker.stats();
   const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.records"), local.records);
-  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.empty_records"),
-            local.empty_records);
-  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.drains"), local.drains);
+  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.records"), 2u);
+  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.empty_records"), 1u);
+  EXPECT_EQ(snap.counters.at("dpr.dep_tracker.drains"), 1u);
   EXPECT_EQ(snap.gauges.at("dpr.dep_tracker.live_entries"), 0);
-  EXPECT_GE(snap.gauges.at("dpr.dep_tracker.live_entries_peak"), 1);
+  EXPECT_EQ(snap.gauges.at("dpr.dep_tracker.live_entries_peak"), 2);
+  reg.ResetForTest();
+}
+
+// The live-entries gauge is the only count of staged versions, so a tracker
+// destroyed with versions still staged (a worker stopped mid-interval) must
+// hand them back.
+TEST(RegistryMirrorTest, DestroyedTrackerReturnsLiveEntries) {
+  auto& reg = MetricsRegistry::Default();
+  reg.ResetForTest();
+  {
+    VersionDependencyTracker tracker(4);
+    tracker.Record(1, 5, DependencySet{{2, 9}}, /*self=*/0);
+    ASSERT_EQ(reg.Snapshot().gauges.at("dpr.dep_tracker.live_entries"), 1);
+  }
+  EXPECT_EQ(reg.Snapshot().gauges.at("dpr.dep_tracker.live_entries"), 0);
   reg.ResetForTest();
 }
 
