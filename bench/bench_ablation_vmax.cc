@@ -47,7 +47,6 @@ void Run(const Flags& flags) {
       wo.finder = finder.get();
       wo.checkpoint_interval_us =
           i == 0 ? fast_interval_us : slow_interval_us;
-      wo.vmax_fast_forward = vmax;
       workers.push_back(std::make_unique<DprWorker>(stores.back().get(), wo));
       DPR_CHECK(workers.back()->Start().ok());
     }

@@ -109,7 +109,7 @@ PhaseBResult RunPhaseBArm(const CkptPolicy& policy, bool hot,
   for (uint64_t k = 0; k < 4096; ++k) {
     DPR_CHECK(session->Upsert(k, k).ok());
   }
-  CkptCadenceController controller(policy.Resolve(kBaseIntervalUs));
+  CkptCadenceController controller(policy, kBaseIntervalUs);
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   const Stopwatch timer;
   uint64_t writes = 0;

@@ -34,23 +34,23 @@ const CadenceMetrics& Metrics() {
 // not whipsaw the cadence.
 constexpr double kRateAlpha = 0.3;
 
+// The controller aims for roughly this many newly dirtied log bytes per
+// checkpoint: interval ~= kTargetDirtyBytes / ingest_rate.
+constexpr uint64_t kTargetDirtyBytes = 1 << 20;
+// Exception-list occupancy above this shortens the interval (ops are stuck
+// uncommitted behind the cut; commit more often).
+constexpr int64_t kExceptionPressure = 64;
+// storage.sched queue depth above this stretches the interval toward the
+// RPO ceiling (the device is congested; do not pile on).
+constexpr int64_t kQueuePressure = 16;
+
 }  // namespace
 
-CkptPolicy CkptPolicy::Resolve(uint64_t base_interval_us) const {
-  CkptPolicy p = *this;
-  if (p.min_interval_us == 0) {
-    p.min_interval_us = std::max<uint64_t>(base_interval_us / 4, 1000);
-  }
-  if (p.max_interval_us == 0) p.max_interval_us = base_interval_us;
-  if (p.max_interval_us < p.min_interval_us) {
-    p.max_interval_us = p.min_interval_us;
-  }
-  if (p.full_every == 0) p.full_every = 1;
-  return p;
-}
-
-CkptCadenceController::CkptCadenceController(const CkptPolicy& policy)
-    : policy_(policy) {}
+CkptCadenceController::CkptCadenceController(const CkptPolicy& policy,
+                                             uint64_t base_interval_us)
+    : policy_(policy),
+      floor_us_(std::max<uint64_t>(base_interval_us / 4, 1000)),
+      ceiling_us_(std::max(base_interval_us, floor_us_)) {}
 
 CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
                                            uint64_t now_us) {
@@ -86,7 +86,7 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
     // fold-over (no index image riding in the meta WAL).
     last_was_skip_ = false;
     d.action = CkptAction::kFull;
-    d.next_delay_us = policy_.max_interval_us;
+    d.next_delay_us = ceiling_us_;
     Metrics().fulls->Add();
     Metrics().interval_us->Set(static_cast<int64_t>(d.next_delay_us));
     return d;
@@ -99,34 +99,33 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
     // on; the caller still refreshes the persisted watermark each tick.
     last_was_skip_ = true;
     d.action = CkptAction::kSkip;
-    d.next_delay_us = policy_.max_interval_us;
+    d.next_delay_us = ceiling_us_;
     Metrics().skips->Add();
     Metrics().interval_us->Set(static_cast<int64_t>(d.next_delay_us));
     return d;
   }
   last_was_skip_ = false;
 
-  // Cadence: aim for target_dirty_bytes of fresh log per checkpoint, but
+  // Cadence: aim for kTargetDirtyBytes of fresh log per checkpoint, but
   // never stretch past the configured RPO ceiling while data is at risk.
-  double interval = static_cast<double>(policy_.max_interval_us);
+  double interval = static_cast<double>(ceiling_us_);
   if (ewma_rate_ > 0.0) {
-    interval = static_cast<double>(policy_.target_dirty_bytes) / ewma_rate_;
+    interval = static_cast<double>(kTargetDirtyBytes) / ewma_rate_;
   }
   // Pressure: a deep exception list means ops are parked waiting for
   // their versions to commit, and a stale cut means the commit frontier
   // itself is lagging — both call for tighter cadence.
-  if (signals.exception_list_len > policy_.exception_pressure) {
+  if (signals.exception_list_len > kExceptionPressure) {
     interval *= 0.5;
   }
   const uint64_t cut_age =
       now_us > watermark_changed_us_ ? now_us - watermark_changed_us_ : 0;
-  if (cut_age > 4 * policy_.max_interval_us) interval *= 0.5;
+  if (cut_age > 4 * ceiling_us_) interval *= 0.5;
   // A congested fsync scheduler pushes the other way: adding checkpoints
   // to a saturated device only lengthens every group commit.
-  if (signals.storage_queue_depth > policy_.queue_pressure) interval *= 2.0;
-  const uint64_t clamped = std::clamp(
-      static_cast<uint64_t>(interval), policy_.min_interval_us,
-      policy_.max_interval_us);
+  if (signals.storage_queue_depth > kQueuePressure) interval *= 2.0;
+  const uint64_t clamped =
+      std::clamp(static_cast<uint64_t>(interval), floor_us_, ceiling_us_);
 
   const bool full = !issued_any_ || since_full_ + 1 >= policy_.full_every;
   issued_any_ = true;

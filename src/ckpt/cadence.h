@@ -11,31 +11,17 @@ namespace dpr {
 /// RPO ceiling: whenever the shard holds un-checkpointed data, the adaptive
 /// controller never waits longer than that interval, so every existing
 /// latency expectation still holds. Adaptivity works in the other two
-/// directions — hot shards checkpoint *more* often (targeting
-/// `target_dirty_bytes` per checkpoint), and idle shards skip the
-/// checkpoint entirely (no WAL append, no fsync) while still ticking so
-/// the persisted-watermark keeps refreshing.
+/// directions — hot shards checkpoint *more* often (targeting about 1 MiB
+/// of fresh log per checkpoint, down to a quarter of the interval), and
+/// idle shards skip the checkpoint entirely (no WAL append, no fsync)
+/// while still ticking so the persisted-watermark keeps refreshing.
 struct CkptPolicy {
   /// false: byte-compatible with the historical behavior — one full
   /// fold-over checkpoint every `checkpoint_interval_us`, never skipped.
   bool adaptive = true;
-  /// Cadence floor for hot shards. 0 derives base_interval / 4 (>= 1ms).
-  uint64_t min_interval_us = 0;
-  /// Cadence ceiling while dirty data exists (the RPO). 0 derives
-  /// base_interval.
-  uint64_t max_interval_us = 0;
-  /// The controller aims for roughly this many newly dirtied log bytes
-  /// per checkpoint: interval ~= target_dirty_bytes / ingest_rate.
-  uint64_t target_dirty_bytes = 1 << 20;
   /// Every Nth persisted checkpoint carries a full hash-index image (a
-  /// chain base); the rest are deltas. 1 = all full, 0 = treated as 1.
+  /// chain base); the rest are deltas. 0 and 1 both mean all full.
   uint32_t full_every = 16;
-  /// Exception-list occupancy above this shortens the interval (ops are
-  /// stuck uncommitted behind the cut; commit more often).
-  int64_t exception_pressure = 64;
-  /// storage.sched queue depth above this stretches the interval toward
-  /// the RPO ceiling (the device is congested; do not pile on).
-  int64_t queue_pressure = 16;
 
   /// Legacy shape: fixed cadence, full fold-overs, no skips.
   static CkptPolicy FixedInterval() {
@@ -43,9 +29,6 @@ struct CkptPolicy {
     p.adaptive = false;
     return p;
   }
-
-  /// Fills the derived fields from the worker's configured interval.
-  CkptPolicy Resolve(uint64_t base_interval_us) const;
 };
 
 /// Live signals sampled by the shard owner right before each decision.
@@ -84,8 +67,10 @@ struct CkptDecision {
 /// Not thread-safe: one controller per checkpoint timer thread.
 class CkptCadenceController {
  public:
-  /// `policy` must already be Resolve()d (non-zero min/max intervals).
-  explicit CkptCadenceController(const CkptPolicy& policy);
+  /// `base_interval_us` is the worker's checkpoint interval: the cadence
+  /// ceiling while dirty data exists (the RPO). The floor for hot shards is
+  /// a quarter of it, at least 1 ms.
+  CkptCadenceController(const CkptPolicy& policy, uint64_t base_interval_us);
 
   /// Decides what the tick at `now_us` should do. Call exactly once per
   /// timer tick; the controller assumes a non-skip decision is acted on.
@@ -95,6 +80,9 @@ class CkptCadenceController {
 
  private:
   const CkptPolicy policy_;
+  // Cadence floor for hot shards and ceiling while dirty data exists.
+  const uint64_t floor_us_;
+  const uint64_t ceiling_us_;
   uint64_t last_now_us_ = 0;
   uint64_t last_dirty_bytes_ = 0;
   bool last_was_skip_ = true;

@@ -30,36 +30,31 @@ const MigrationMetrics& Metrics() {
   return m;
 }
 
-/// Barrier poll pacing when the caller supplied no pump (someone else is
-/// driving commits, e.g. the workers' own checkpoint timers).
-constexpr uint64_t kBarrierPollUs = 200;
+/// Upserts per drain install batch.
+constexpr size_t kDrainChunkOps = 64;
+/// Commit-barrier give-up horizon.
+constexpr uint64_t kBarrierTimeoutUs = 10'000'000;
 
 }  // namespace
 
 MigrationDriver::MigrationDriver(MigrationOptions options)
-    : options_(std::move(options)) {
-  if (options_.target != nullptr && options_.target_id == kInvalidWorker) {
-    options_.target_id = options_.target->id();
-  }
-}
+    : options_(std::move(options)) {}
 
 Status MigrationDriver::Run() {
   const MigrationMetrics& m = Metrics();
-  if (options_.source == nullptr || options_.metadata == nullptr ||
-      options_.channel == nullptr) {
-    return Status::InvalidArgument("migration needs source+metadata+channel");
+  if (options_.source == nullptr || options_.target == nullptr ||
+      options_.metadata == nullptr || options_.channel == nullptr) {
+    return Status::InvalidArgument(
+        "migration needs source+target+metadata+channel");
   }
-  if (options_.target_id == kInvalidWorker) {
-    return Status::InvalidArgument("migration target unknown");
-  }
-  if (options_.source->id() == options_.target_id) {
+  const WorkerId to = options_.target->id();
+  if (options_.source->id() == to) {
     return Status::InvalidArgument("migration source == target");
   }
   if (!options_.source->OwnsPartition(options_.partition)) {
     return Status::NotOwner("migration source does not own partition");
   }
-  if (options_.target != nullptr &&
-      options_.target->OwnsPartition(options_.partition)) {
+  if (options_.target->OwnsPartition(options_.partition)) {
     return Status::InvalidArgument("migration target already owns partition");
   }
 
@@ -69,14 +64,13 @@ Status MigrationDriver::Run() {
   const WorldLine src_wl0 = options_.source->dpr_worker() != nullptr
                                 ? options_.source->dpr_worker()->world_line()
                                 : kInitialWorldLine;
-  const WorldLine dst_wl0 =
-      options_.target != nullptr && options_.target->dpr_worker() != nullptr
-          ? options_.target->dpr_worker()->world_line()
-          : kInitialWorldLine;
+  const WorldLine dst_wl0 = options_.target->dpr_worker() != nullptr
+                                ? options_.target->dpr_worker()->world_line()
+                                : kInitialWorldLine;
 
   // Phase 1: durable in-flight record, before any state changes hands.
   Status s = options_.metadata->SetMigration(
-      options_.partition, options_.source->id(), options_.target_id);
+      options_.partition, options_.source->id(), to);
   if (!s.ok()) {
     m.aborted->Add(1);
     return s;
@@ -96,7 +90,7 @@ Status MigrationDriver::Run() {
   s = RunSealed(src_wl0, dst_wl0);
   if (!s.ok()) {
     DPR_WARN("migration of partition %u %u->%u aborted: %s",
-             options_.partition, options_.source->id(), options_.target_id,
+             options_.partition, options_.source->id(), to,
              s.ToString().c_str());
     options_.source->UnsealPartition(options_.partition, /*disown=*/false);
     (void)options_.metadata->ClearMigration(options_.partition);
@@ -107,16 +101,14 @@ Status MigrationDriver::Run() {
   // Phase 6: flip. Durable ownership first, then the target starts serving,
   // then the source stops — a crash between these steps leaves at most a
   // dual-ownership window, never an ownerless partition.
-  s = options_.metadata->SetOwner(options_.partition, options_.target_id);
+  s = options_.metadata->SetOwner(options_.partition, to);
   if (!s.ok()) {
     options_.source->UnsealPartition(options_.partition, /*disown=*/false);
     (void)options_.metadata->ClearMigration(options_.partition);
     m.aborted->Add(1);
     return s;
   }
-  if (options_.target != nullptr) {
-    options_.target->AdoptPartition(options_.partition);
-  }
+  options_.target->AdoptPartition(options_.partition);
   options_.source->UnsealPartition(options_.partition, /*disown=*/true);
 
   // Phase 7: release the in-flight record.
@@ -129,7 +121,7 @@ Status MigrationDriver::Run() {
 Status MigrationDriver::RunSealed(WorldLine source_wl0, WorldLine target_wl0) {
   Version max_installed = kInvalidVersion;
   DPR_RETURN_NOT_OK(options_.source->DrainSealedPartition(
-      options_.partition, options_.drain_chunk_ops, &max_installed));
+      options_.partition, kDrainChunkOps, &max_installed));
   if (AbortRequested()) return Status::Aborted("migration abort requested");
 
   DPR_RETURN_NOT_OK(CommitBarrier(max_installed));
@@ -145,7 +137,7 @@ Status MigrationDriver::RunSealed(WorldLine source_wl0, WorldLine target_wl0) {
       options_.source->dpr_worker()->world_line() != source_wl0) {
     return Status::Aborted("source world-line shifted during migration");
   }
-  if (options_.target != nullptr && options_.target->dpr_worker() != nullptr &&
+  if (options_.target->dpr_worker() != nullptr &&
       options_.target->dpr_worker()->world_line() != target_wl0) {
     return Status::Aborted("target world-line shifted during migration");
   }
@@ -163,20 +155,16 @@ Status MigrationDriver::CommitBarrier(Version max_installed) {
   for (;;) {
     DprCut cut;
     DPR_RETURN_NOT_OK(options_.get_cut(&cut));
-    if (CutVersion(cut, options_.target_id) >= max_installed) {
+    if (CutVersion(cut, options_.target->id()) >= max_installed) {
       Metrics().barrier_us->Record(waited.ElapsedMicros());
       return Status::OK();
     }
     if (AbortRequested()) return Status::Aborted("migration abort requested");
-    if (waited.ElapsedMicros() > options_.barrier_timeout_us) {
+    if (waited.ElapsedMicros() > kBarrierTimeoutUs) {
       return Status::TimedOut("migration commit barrier: cut never covered "
                               "the installed versions");
     }
-    if (options_.pump) {
-      options_.pump();
-    } else {
-      SleepMicros(kBarrierPollUs);
-    }
+    options_.pump();
   }
 }
 

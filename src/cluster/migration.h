@@ -20,13 +20,10 @@ struct MigrationOptions {
   /// directly). Remote sources would need a thin RPC wrapper — not needed
   /// yet, the harness drives migrations from the process hosting the source.
   DFasterWorker* source = nullptr;
-  /// Migration target. May be null when the target is remote; then
-  /// `target_id` must be set and the adopt step is the caller's job (the
-  /// harness always has an in-process handle, so in practice it is non-null).
+  /// Migration target; in-process like the source (the driver reads its
+  /// world-line and performs its adopt step).
   DFasterWorker* target = nullptr;
-  /// Target worker id; defaults to target->id() when target is set.
-  WorkerId target_id = kInvalidWorker;
-  /// Install path from source to target (local rendezvous or RPC).
+  /// Install path from source to target.
   std::shared_ptr<MigrationChannel> channel;
   /// Durable membership/ownership/migration rows.
   MetadataStore* metadata = nullptr;
@@ -35,12 +32,9 @@ struct MigrationOptions {
   /// guarantee to preserve).
   std::function<Status(DprCut*)> get_cut;
   /// Advances the commit machinery one step (e.g. TryCommit + finder
-  /// ComputeCut + RefreshPersistedWatermark). Called between barrier polls.
+  /// ComputeCut + RefreshPersistedWatermark). Called between barrier polls;
+  /// required when `get_cut` is set.
   std::function<void()> pump;
-  /// Upserts per drain install batch.
-  size_t drain_chunk_ops = 64;
-  /// Commit-barrier give-up horizon.
-  uint64_t barrier_timeout_us = 10'000'000;
 };
 
 /// Drives one live shard migration through its phases (DESIGN.md §4i):

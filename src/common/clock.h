@@ -16,7 +16,6 @@ inline uint64_t NowNanos() {
 }
 
 inline uint64_t NowMicros() { return NowNanos() / 1000; }
-inline uint64_t NowMillis() { return NowNanos() / 1000000; }
 
 inline void SleepMicros(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));

@@ -79,7 +79,7 @@ enum class LockRank : int {
   kNone = 0,  // unranked: checker skips this lock entirely
 
   // Leaf utilities — safe to take under anything.
-  kObs = 20,            // obs::MetricsRegistry / Timeline
+  kObs = 20,            // obs::MetricsRegistry
   kFault = 40,          // FaultPlane probe table
   kStorageIoWait = 44,  // stack SyncWaiter in Device blocking shims (taken by
                         // completion callbacks under any storage lock)
@@ -127,9 +127,9 @@ enum class LockRank : int {
   kStoreFlush = 142,      // flush/save pipeline locks, store maps
 
   // Worker / server plane.
-  kMigrationChannel = 143,  // migration-channel rendezvous (acquired under
-                            // kMigrationSeal to hand a batch to the
-                            // installer thread / the RPC connection)
+  kMigrationChannel = 143,  // migration channel (acquired under
+                            // kMigrationSeal to hand a batch to the RPC
+                            // connection)
   kMigrationSeal = 145,  // per-partition seal state during live migration:
                          // serializes forwarded writes with drain chunks.
                          // Below kWorkerVersionLatch (taken while executing a

@@ -12,6 +12,8 @@ namespace dpr {
 namespace {
 constexpr int kMaxBatchRetries = 400;     // paired with 1 ms backoff: covers
 constexpr uint64_t kRetryDelayUs = 1000;  // several recovery windows
+// Re-route attempts per op before reporting kNotOwner to the caller.
+constexpr int kMaxRerouteAttempts = 8;
 
 struct ClientMetrics {
   ShardedHistogram* batch_fill;  // ops per dispatched batch (vs. batch_size)
@@ -250,7 +252,7 @@ void DFasterClient::Session::FinishBatch(WorkerId /*worker*/,
   // during a transfer, so bounded retries are expected.
   std::map<WorkerId, PendingBatch> reroutes;
   uint64_t finished = 0;
-  if (ok && batch.reroute_attempts < client_->config_.max_reroute_attempts) {
+  if (ok && batch.reroute_attempts < kMaxRerouteAttempts) {
     bool any_not_owner = false;
     for (const KvOpResult& r : resp.results) {
       if (r.result == KvResult::kNotOwner) {

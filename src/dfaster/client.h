@@ -30,8 +30,6 @@ struct DFasterClientConfig {
   /// Ownership-table source; when set, kNotOwner responses trigger a cache
   /// refresh and transparent re-routing of the affected ops (paper 5.3).
   MetadataStore* metadata = nullptr;
-  /// Re-route attempts per op before reporting kNotOwner to the caller.
-  int max_reroute_attempts = 8;
   /// Elastic membership (DESIGN.md §4i): opens a connection to a worker the
   /// client has no endpoint for yet. When the ownership table routes a key
   /// to an unknown worker (it joined after this client was created), the

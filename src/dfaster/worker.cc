@@ -100,9 +100,6 @@ Status DFasterWorker::Start(std::unique_ptr<RpcServer> server) {
              config_.dpr.checkpoint_interval_us > 0) {
     eventual_timer_ = std::thread([this] { EventualTimerLoop(); });
   }
-  if (config_.compaction_threshold_bytes > 0 && dpr_worker_ != nullptr) {
-    gc_thread_ = std::thread([this] { GcLoop(); });
-  }
   if (server != nullptr) {
     server_ = std::move(server);
     DPR_RETURN_NOT_OK(server_->Start(
@@ -119,7 +116,6 @@ void DFasterWorker::Stop() {
   if (server_ != nullptr) server_->Stop();
   if (dpr_worker_ != nullptr) dpr_worker_->Stop();
   if (eventual_timer_.joinable()) eventual_timer_.join();
-  if (gc_thread_.joinable()) gc_thread_.join();
   store_->WaitForCheckpoints();
 }
 
@@ -127,8 +123,8 @@ void DFasterWorker::EventualTimerLoop() {
   // "No DPR": checkpoint on a local timer without coordination or
   // reporting. Cadence still comes from the controller — uncoordinated
   // does not mean unscheduled, and idle kEventual shards skip fsyncs too.
-  CkptCadenceController controller(
-      config_.dpr.ckpt_policy.Resolve(config_.dpr.checkpoint_interval_us));
+  CkptCadenceController controller(config_.dpr.ckpt_policy,
+                                   config_.dpr.checkpoint_interval_us);
   uint64_t delay_us = config_.dpr.checkpoint_interval_us;
   while (!stop_.load(std::memory_order_acquire)) {
     SleepMicros(delay_us);
@@ -149,44 +145,8 @@ void DFasterWorker::EventualTimerLoop() {
   }
 }
 
-void DFasterWorker::GcLoop() {
-  // Two-phase GC driven by the DPR watermark: start a compaction when the
-  // reclaimable prefix exceeds the threshold; finish it once the committed
-  // cut covers the compaction checkpoint (only entries inside the DPR
-  // guarantee are ever dropped).
-  while (!stop_.load(std::memory_order_acquire)) {
-    // dprlint: allowed(ckpt-interval) GC pacing only — checkpoint cadence
-    // itself lives in CkptCadenceController; GC just trails it by a beat.
-    SleepMicros(config_.dpr.checkpoint_interval_us + 1000);
-    if (stop_.load(std::memory_order_acquire)) break;
-    const Version watermark = dpr_worker_->persisted_watermark();
-    if (pending_compaction_ != kInvalidVersion) {
-      Status s = store_->FinishCompaction(pending_compaction_, watermark);
-      if (s.ok() || s.IsNotFound()) pending_compaction_ = kInvalidVersion;
-      continue;
-    }
-    if (watermark == kInvalidVersion) continue;
-    const uint64_t reclaimable =
-        store_->read_only_address() - store_->begin_address();
-    if (reclaimable < config_.compaction_threshold_bytes) continue;
-    Version token;
-    Status s = store_->StartCompaction(watermark, &token);
-    if (s.ok()) {
-      pending_compaction_ = token;
-    } else if (!s.IsNotFound() && !s.IsBusy() &&
-               s.code() != Status::Code::kInvalidArgument) {
-      DPR_WARN("worker %u compaction: %s", config_.id,
-               s.ToString().c_str());
-    }
-  }
-}
-
 bool DFasterWorker::OwnsPartition(uint32_t partition) const {
   return owners_[partition].load(std::memory_order_acquire) == config_.id;
-}
-
-void DFasterWorker::DisownPartition(uint32_t partition) {
-  owners_[partition].store(kInvalidWorker, std::memory_order_release);
 }
 
 void DFasterWorker::AdoptPartition(uint32_t partition) {
@@ -247,10 +207,6 @@ void DFasterWorker::UnsealPartition(uint32_t partition, bool disown) {
   }
   seal.channel = nullptr;
   seal.sealed.store(false, std::memory_order_release);
-}
-
-bool DFasterWorker::IsPartitionSealed(uint32_t partition) const {
-  return seals_[partition]->sealed.load(std::memory_order_acquire);
 }
 
 bool DFasterWorker::SealForwardFailed(uint32_t partition) const {

@@ -38,10 +38,6 @@ struct DFasterWorkerConfig {
   /// Used in kDpr mode (finder, checkpoint interval) and, for its
   /// checkpoint_interval_us, in kEventual mode too.
   DprWorkerOptions dpr;
-  /// Log-compaction trigger: when the in-memory log exceeds this many bytes
-  /// of reclaimable prefix, garbage-collect up to the DPR watermark
-  /// (two-phase; only entries inside the guarantee are dropped). 0 disables.
-  uint64_t compaction_threshold_bytes = 0;
 };
 
 /// One D-FASTER shard (paper §5.2): a FASTER instance with a DPR worker
@@ -73,22 +69,10 @@ class DFasterWorker {
   // --- ownership (paper §5.3) ---
   /// True if this worker currently owns the virtual partition.
   bool OwnsPartition(uint32_t partition) const;
-  /// Renounces ownership locally; subsequent ops on the partition are
-  /// rejected with kNotOwner. Call at a checkpoint boundary so ownership is
-  /// static within versions.
-  void DisownPartition(uint32_t partition);
   /// Starts serving the partition.
   void AdoptPartition(uint32_t partition);
   /// Number of partitions this worker currently owns.
   uint32_t OwnedPartitionCount() const;
-  /// Installs migrated records under DPR admission (bypasses the ownership
-  /// check: the partition is mid-transfer and deliberately unowned). The
-  /// request header's version + deps make the installing worker fast-forward
-  /// to at least the source's version and record the dependency, so the
-  /// installed data is entangled with the source's world-line and the DPR
-  /// cut cannot cover one side of a migration without the other.
-  Status InstallMigratedData(const KvBatchRequest& request,
-                             KvBatchResponse* response);
 
   // --- live migration (cluster plane; DESIGN.md §4i) ---
   /// Opens the dual-ownership window for an owned partition: records the
@@ -104,7 +88,6 @@ class DFasterWorker {
   /// execute locally-but-unforwarded after the target takes over.
   /// `disown=false` aborts the migration; the source keeps serving.
   void UnsealPartition(uint32_t partition, bool disown);
-  bool IsPartitionSealed(uint32_t partition) const;
   /// Sticky flag, set when any forward or drain install through the seal
   /// channel fails: the target's copy can no longer be trusted and the
   /// migration driver must abort.
@@ -147,7 +130,14 @@ class DFasterWorker {
   /// version v, deps {self: v}. The target fast-forwards to >= v and records
   /// the dependency downward, keeping the version clock invariant.
   DprRequestHeader MakeInstallHeader(uint32_t partition) const;
-  void GcLoop();
+  /// Installs migrated records under DPR admission (bypasses the ownership
+  /// check: the partition is mid-transfer and deliberately unowned). The
+  /// request header's version + deps make the installing worker fast-forward
+  /// to at least the source's version and record the dependency, so the
+  /// installed data is entangled with the source's world-line and the DPR
+  /// cut cannot cover one side of a migration without the other.
+  Status InstallMigratedData(const KvBatchRequest& request,
+                             KvBatchResponse* response);
   void ExecuteBatchInternal(const KvBatchRequest& request,
                             KvBatchResponse* response, bool check_ownership);
   void EventualTimerLoop();
@@ -179,10 +169,7 @@ class DFasterWorker {
 
   // kEventual mode: uncoordinated checkpoint timer.
   std::thread eventual_timer_;
-  // DPR-watermark-driven log garbage collection.
-  std::thread gc_thread_;
-  Version pending_compaction_ = kInvalidVersion;
-  // relaxed flag: timer/gc loop-exit signal; thread join is the barrier.
+  // relaxed flag: timer loop-exit signal; thread join is the barrier.
   std::atomic<bool> stop_{true};
 };
 

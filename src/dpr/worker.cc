@@ -64,8 +64,7 @@ void AdmissionBackoff(int attempt) {
 DprWorker::DprWorker(StateObject* state_object,
                      const DprWorkerOptions& options)
     : state_object_(state_object),
-      options_(options),
-      deps_(options.dep_tracker_shards) {
+      options_(options) {
   DPR_CHECK(state_object_ != nullptr);
   DPR_CHECK(options_.finder != nullptr);
   DPR_CHECK(options_.worker_id != kInvalidWorker);
@@ -97,10 +96,10 @@ void DprWorker::TimerLoop() {
   // Cadence is owned by the controller (src/ckpt/): every tick samples the
   // live signals, asks for a decision, and sleeps whatever the controller
   // returns — checkpoint_interval_us only seeds the first wait and bounds
-  // the cadence via CkptPolicy::Resolve.
+  // the controller's cadence.
   // dprlint: allowed(ckpt-interval) this IS the controller-driven loop.
-  CkptCadenceController controller(
-      options_.ckpt_policy.Resolve(options_.checkpoint_interval_us));
+  CkptCadenceController controller(options_.ckpt_policy,
+                                   options_.checkpoint_interval_us);
   uint64_t delay_us = options_.checkpoint_interval_us;
   while (true) {
     {
@@ -209,14 +208,15 @@ Status DprWorker::TryCommit(Version target_version,
   Version target = target_version;
   if (target == 0) {
     target = cur + 1;
-    if (options_.vmax_fast_forward) {
-      const Version vmax = options_.finder->MaxPersistedVersion();
-      // How far this worker trails the cluster's fastest checkpointer — the
-      // quantity Vmax fast-forward exists to bound (§5.2).
-      Metrics().vmax_lag->Set(vmax > cur ? static_cast<int64_t>(vmax - cur)
-                                         : 0);
-      if (vmax + 1 > target) target = vmax + 1;  // catch up to the cluster
-    }
+    // Vmax fast-forward (§3.4): target at least the cluster's largest
+    // persisted version so a lagging worker catches up. A finder built with
+    // vmax_fastforward=false serves kInvalidVersion, leaving cur + 1.
+    const Version vmax = options_.finder->MaxPersistedVersion();
+    // How far this worker trails the cluster's fastest checkpointer — the
+    // quantity Vmax fast-forward exists to bound (§5.2).
+    Metrics().vmax_lag->Set(vmax > cur ? static_cast<int64_t>(vmax - cur)
+                                       : 0);
+    if (vmax + 1 > target) target = vmax + 1;  // catch up to the cluster
   }
   if (target <= cur) {
     version_latch_.UnlockExclusive();

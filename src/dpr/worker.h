@@ -23,15 +23,8 @@ struct DprWorkerOptions {
   /// Period of the background commit timer; 0 disables it (manual TryCommit
   /// only, as tests prefer).
   uint64_t checkpoint_interval_us = 100000;
-  /// Enable Vmax fast-forwarding (§3.4): each timer tick targets at least the
-  /// global max persisted version so a lagging worker catches up.
-  bool vmax_fast_forward = true;
-  /// Lock stripes in the per-version dependency tracker (rounded up to a
-  /// power of two); sessions hash to stripes, so admission of concurrent
-  /// batches from different sessions never contends on one lock.
-  uint32_t dep_tracker_shards = VersionDependencyTracker::kDefaultShards;
-  /// Checkpoint cadence policy (src/ckpt/). Zero-valued intervals derive
-  /// from checkpoint_interval_us, which stays the RPO ceiling; set
+  /// Checkpoint cadence policy (src/ckpt/). Its interval bounds derive from
+  /// checkpoint_interval_us, which stays the RPO ceiling; set
   /// adaptive=false for the historical fixed-interval full fold-overs.
   CkptPolicy ckpt_policy;
   /// Signal sampler polled before every cadence decision (dirty bytes,

@@ -18,10 +18,7 @@ DFasterCluster::DFasterCluster(ClusterOptions options)
 DFasterCluster::~DFasterCluster() { Stop(); }
 
 Status DFasterCluster::Start() {
-  InMemoryNetOptions net_options;
-  net_options.server_threads = options_.server_threads;
-  net_options.latency_us = options_.net_latency_us;
-  net_ = std::make_unique<InMemoryNetwork>(net_options);
+  net_ = std::make_unique<InMemoryNetwork>();
 
   // One group-commit fsync scheduler per box: all shards' durability waits
   // funnel through it, so fsyncs on devices that share a sync root coalesce.
@@ -41,7 +38,6 @@ Status DFasterCluster::Start() {
   // workers and the cluster manager reach the finder through one shared
   // batching client; the local instance stays authoritative (it owns the
   // metadata store and runs the coordinator).
-  DprFinder* plane = finder_.get();
   if (options_.remote_finder && options_.mode == RecoverabilityMode::kDpr) {
     std::unique_ptr<RpcServer> finder_rpc;
     if (options_.transport == TransportKind::kTcp) {
@@ -61,9 +57,8 @@ Status DFasterCluster::Start() {
       finder_conn = net_->Connect(finder_server_->address());
     }
     remote_finder_ = std::make_unique<RemoteDprFinder>(std::move(finder_conn));
-    plane = remote_finder_.get();
   }
-  cluster_manager_ = std::make_unique<ClusterManager>(plane);
+  cluster_manager_ = std::make_unique<ClusterManager>(plane());
   membership_ = std::make_unique<ClusterMembership>(metadata_.get());
   // A recovery aborts every in-flight migration promptly; the drivers'
   // world-line fences would catch it anyway, but not before burning the
@@ -91,47 +86,57 @@ Status DFasterCluster::Start() {
   }
 
   for (uint32_t i = 0; i < options_.num_workers; ++i) {
-    DFasterWorkerConfig config;
-    config.id = i;
-    config.num_workers = options_.num_workers;
-    config.mode = options_.mode;
-    config.faster.index_buckets = options_.index_buckets;
-    config.faster.log_device =
-        MakeDevice(options_.backend, options_.storage_dir,
-                   "worker" + std::to_string(i) + ".log");
-    config.faster.meta_device =
-        MakeDevice(options_.backend == StorageBackend::kNull
-                       ? StorageBackend::kNull
-                       : StorageBackend::kLocal,
-                   options_.storage_dir,
-                   "worker" + std::to_string(i) + ".meta");
-    config.faster.fsync_scheduler = fsync_sched_.get();
-    config.dpr.finder = plane;
-    config.dpr.checkpoint_interval_us = options_.checkpoint_interval_us;
-    config.dpr.ckpt_policy = options_.ckpt;
-    auto worker = std::make_unique<DFasterWorker>(std::move(config));
-
-    std::unique_ptr<RpcServer> server;
-    if (options_.transport == TransportKind::kTcp) {
-      server = MakeTcpServer(0, options_.tcp);
-    } else {
-      server = net_->CreateServer("worker" + std::to_string(i));
-    }
-    DPR_RETURN_NOT_OK(worker->Start(std::move(server)));
-    {
-      MutexLock lock(topology_mu_);
-      addresses_.push_back(worker->address());
-    }
-    if (options_.mode == RecoverabilityMode::kDpr) {
-      cluster_manager_->RegisterWorker(worker->dpr_worker());
-    }
-    workers_.push_back(std::move(worker));
+    DPR_RETURN_NOT_OK(StartWorker(i, /*start_empty=*/false));
   }
   if (options_.mode == RecoverabilityMode::kDpr) {
     finder_->StartCoordinator(options_.finder_interval_us);
   }
   started_ = true;
   return Status::OK();
+}
+
+Status DFasterCluster::StartWorker(WorkerId id, bool start_empty) {
+  const std::string name = "worker" + std::to_string(id);
+  DFasterWorkerConfig config;
+  config.id = id;
+  config.num_workers = options_.num_workers;
+  config.start_empty = start_empty;
+  config.mode = options_.mode;
+  config.faster.index_buckets = options_.index_buckets;
+  config.faster.log_device =
+      MakeDevice(options_.backend, options_.storage_dir, name + ".log");
+  config.faster.meta_device =
+      MakeDevice(options_.backend == StorageBackend::kNull
+                     ? StorageBackend::kNull
+                     : StorageBackend::kLocal,
+                 options_.storage_dir, name + ".meta");
+  config.faster.fsync_scheduler = fsync_sched_.get();
+  config.dpr.finder = plane();
+  config.dpr.checkpoint_interval_us = options_.checkpoint_interval_us;
+  config.dpr.ckpt_policy = options_.ckpt;
+  auto worker = std::make_unique<DFasterWorker>(std::move(config));
+
+  std::unique_ptr<RpcServer> server;
+  if (options_.transport == TransportKind::kTcp) {
+    server = MakeTcpServer(0, options_.tcp);
+  } else {
+    server = net_->CreateServer(name);
+  }
+  DPR_RETURN_NOT_OK(worker->Start(std::move(server)));
+  {
+    MutexLock lock(topology_mu_);
+    addresses_.push_back(worker->address());
+  }
+  if (options_.mode == RecoverabilityMode::kDpr) {
+    cluster_manager_->RegisterWorker(worker->dpr_worker());
+  }
+  workers_.push_back(std::move(worker));
+  return Status::OK();
+}
+
+DprFinder* DFasterCluster::plane() const {
+  if (remote_finder_ != nullptr) return remote_finder_.get();
+  return finder_.get();
 }
 
 void DFasterCluster::Stop() {
@@ -228,9 +233,9 @@ Status DFasterCluster::MigratePartition(uint32_t partition, WorkerId to) {
   DFasterWorker* src = workers_[from].get();
   DFasterWorker* dst = workers_[to].get();
 
-  // The install path rides the regular RPC transport (in-memory or epoll
-  // TCP), so migration traffic contends with client traffic exactly as it
-  // would in a real deployment.
+  // The install path rides the regular RPC transport (in-memory or TCP),
+  // so migration traffic contends with client traffic exactly as it would
+  // in a real deployment.
   std::unique_ptr<RpcConnection> conn = ConnectTo(AddressOf(to));
   if (conn == nullptr) return Status::Unavailable("no route to target");
 
@@ -238,7 +243,7 @@ Status DFasterCluster::MigratePartition(uint32_t partition, WorkerId to) {
   mo.partition = partition;
   mo.source = src;
   mo.target = dst;
-  mo.channel = std::make_shared<RpcMigrationChannel>(to, std::move(conn));
+  mo.channel = std::make_shared<MigrationChannel>(to, std::move(conn));
   mo.metadata = metadata_.get();
   if (options_.mode == RecoverabilityMode::kDpr) {
     mo.get_cut = [this](DprCut* cut) {
@@ -275,43 +280,8 @@ Status DFasterCluster::MigratePartition(uint32_t partition, WorkerId to) {
 
 Status DFasterCluster::AddWorker(WorkerId* new_id) {
   const WorkerId id = static_cast<WorkerId>(workers_.size());
-  DFasterWorkerConfig config;
-  config.id = id;
-  config.num_workers = options_.num_workers;
-  config.start_empty = true;  // partitions arrive via MigratePartition
-  config.mode = options_.mode;
-  config.faster.index_buckets = options_.index_buckets;
-  config.faster.log_device =
-      MakeDevice(options_.backend, options_.storage_dir,
-                 "worker" + std::to_string(id) + ".log");
-  config.faster.meta_device =
-      MakeDevice(options_.backend == StorageBackend::kNull
-                     ? StorageBackend::kNull
-                     : StorageBackend::kLocal,
-                 options_.storage_dir,
-                 "worker" + std::to_string(id) + ".meta");
-  config.faster.fsync_scheduler = fsync_sched_.get();
-  config.dpr.finder = remote_finder_ != nullptr
-                          ? static_cast<DprFinder*>(remote_finder_.get())
-                          : finder_.get();
-  config.dpr.checkpoint_interval_us = options_.checkpoint_interval_us;
-  config.dpr.ckpt_policy = options_.ckpt;
-  auto worker = std::make_unique<DFasterWorker>(std::move(config));
-  std::unique_ptr<RpcServer> server;
-  if (options_.transport == TransportKind::kTcp) {
-    server = MakeTcpServer(0, options_.tcp);
-  } else {
-    server = net_->CreateServer("worker" + std::to_string(id));
-  }
-  DPR_RETURN_NOT_OK(worker->Start(std::move(server)));
-  {
-    MutexLock lock(topology_mu_);
-    addresses_.push_back(worker->address());
-  }
-  if (options_.mode == RecoverabilityMode::kDpr) {
-    cluster_manager_->RegisterWorker(worker->dpr_worker());
-  }
-  workers_.push_back(std::move(worker));
+  // Partitions arrive via MigratePartition.
+  DPR_RETURN_NOT_OK(StartWorker(id, /*start_empty=*/true));
   options_.num_workers += 1;
   // Durable membership row: the join survives a metadata-service crash.
   DPR_RETURN_NOT_OK(membership_->Transition(id, MemberState::kJoining));
@@ -364,9 +334,8 @@ Status DFasterCluster::DecommissionWorker(WorkerId id) {
     }
     DPR_RETURN_NOT_OK(MigratePartition(static_cast<uint32_t>(next), target));
   }
-  // RemoveWorker's membership advance walks the remaining legal edge
-  // (kDraining -> kRemoved), landing the tombstone.
-  return RemoveWorker(id);
+  DPR_RETURN_NOT_OK(RemoveDrainedWorker(id));
+  return membership_->Transition(id, MemberState::kRemoved);
 }
 
 std::map<WorkerId, MemberState> DFasterCluster::MemberStates() const {
@@ -374,31 +343,18 @@ std::map<WorkerId, MemberState> DFasterCluster::MemberStates() const {
   return membership_->States();
 }
 
-Status DFasterCluster::RemoveWorker(WorkerId id) {
-  if (id >= workers_.size() || workers_[id] == nullptr) {
-    return Status::InvalidArgument("no such worker");
-  }
+Status DFasterCluster::RemoveDrainedWorker(WorkerId id) {
   if (workers_[id]->OwnedPartitionCount() > 0) {
     return Status::InvalidArgument(
         "worker still owns partitions; transfer them first");
   }
-  // Dropping the row removes the worker from every future DPR cut.
-  DPR_RETURN_NOT_OK(finder_->RemoveWorker(id));
   cluster_manager_->UnregisterWorker(id);
+  // Stop first: Stop drains in-flight checkpoint flushes, whose persistence
+  // callbacks report to the finder and would re-create a dropped row.
   workers_[id]->Stop();
-  // Best-effort membership advance for callers that skip DecommissionWorker
-  // (a drained founder being removed directly): walk whatever legal edges
-  // lead to the tombstone.
-  if (membership_ != nullptr) {
-    MemberState st;
-    if (membership_->StateOf(id, &st).ok() && st != MemberState::kRemoved) {
-      if (st == MemberState::kActive) {
-        (void)membership_->Transition(id, MemberState::kDraining);
-      }
-      (void)membership_->Transition(id, MemberState::kRemoved);
-    }
-  }
-  return Status::OK();
+  // Dropping the row removes the worker from every future DPR cut. Through
+  // the plane, so a remote finder flushes the queued reports before it.
+  return plane()->RemoveWorker(id);
 }
 
 // ------------------------------------------------------------- DRedisCluster
@@ -409,9 +365,7 @@ DRedisCluster::DRedisCluster(RedisClusterOptions options)
 DRedisCluster::~DRedisCluster() { Stop(); }
 
 Status DRedisCluster::Start() {
-  InMemoryNetOptions net_options;
-  net_options.server_threads = options_.server_threads;
-  net_ = std::make_unique<InMemoryNetwork>(net_options);
+  net_ = std::make_unique<InMemoryNetwork>();
 
   fsync_sched_ = std::make_unique<GroupCommitScheduler>();
   if (options_.deployment == RedisDeployment::kDpr) {

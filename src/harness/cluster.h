@@ -39,7 +39,6 @@ struct ClusterOptions {
   FinderKind finder = FinderKind::kApprox;   // paper's eval default (§7.1)
   uint64_t finder_interval_us = 10000;
   TransportKind transport = TransportKind::kInMemory;
-  uint64_t net_latency_us = 0;  // in-memory transport only
   /// TCP transport only: event-loop / executor sizing for every server the
   /// cluster brings up (workers and the remote finder).
   TcpServerOptions tcp;
@@ -48,7 +47,6 @@ struct ClusterOptions {
   /// paper's deployment shape, where the tracking plane is its own service.
   /// The coordinator still runs on the local finder (it owns the metadata).
   bool remote_finder = false;
-  uint32_t server_threads = 2;
   uint64_t index_buckets = 1 << 16;
   /// Directory for file-backed devices; empty = memory-backed devices.
   std::string storage_dir;
@@ -101,16 +99,12 @@ class DFasterCluster {
   Status ActivateWorker(WorkerId id);
 
   /// Full decommission: kDraining, live-migrate every owned partition to
-  /// the least-loaded active member, drop the DPR row, tombstone.
+  /// the least-loaded active member, stop the worker, drop the DPR row,
+  /// tombstone.
   Status DecommissionWorker(WorkerId id);
 
   /// Durable membership rows.
   std::map<WorkerId, MemberState> MemberStates() const;
-
-  /// Removes an *empty* worker (drops its DPR-table row and best-effort
-  /// advances its membership row to kRemoved). Fails if the worker still
-  /// owns partitions. Prefer DecommissionWorker, which drains first.
-  Status RemoveWorker(WorkerId id);
 
   DFasterWorker* worker(uint32_t i) { return workers_[i].get(); }
   uint32_t num_workers() const { return options_.num_workers; }
@@ -122,6 +116,15 @@ class DFasterCluster {
   ClusterMembership* membership() { return membership_.get(); }
 
  private:
+  /// Builds worker `id` (devices, config, RPC server), starts it, publishes
+  /// its address and registers it with the cluster manager.
+  Status StartWorker(WorkerId id, bool start_empty);
+  /// Stops an empty worker and drops its DPR-table row. Fails if the worker
+  /// still owns partitions.
+  Status RemoveDrainedWorker(WorkerId id);
+  /// The finder the workers report through: the batching RPC client when
+  /// the tracking plane is remote, the local finder otherwise.
+  DprFinder* plane() const;
   /// Address of worker `id`, or empty when unknown (locked: AddWorker grows
   /// the table while client resolvers read it).
   std::string AddressOf(WorkerId id) const;
@@ -163,7 +166,6 @@ struct RedisClusterOptions {
   CkptPolicy ckpt;
   uint64_t finder_interval_us = 10000;
   bool aof_sync = false;  // appendfsync=always (synchronous recoverability)
-  uint32_t server_threads = 2;
 };
 
 class DRedisCluster {

@@ -64,12 +64,6 @@ void BenchArtifact::AddPoint(std::string_view series, double x, double y,
   SeriesFor(series)->points.push_back(std::move(p));
 }
 
-void BenchArtifact::AddTimeline(const Timeline& timeline) {
-  for (const TimelineEvent& ev : timeline.events()) {
-    AddPoint(ev.series, ev.t_seconds, ev.value, ev.label);
-  }
-}
-
 void BenchArtifact::AddHistogram(std::string_view name, const Histogram& h) {
   histograms_[std::string(name)] = h;
 }

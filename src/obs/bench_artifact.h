@@ -10,7 +10,6 @@
 #include "common/histogram.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 namespace dpr {
 
@@ -44,9 +43,6 @@ class BenchArtifact {
   /// Series preserve insertion order of both points and names.
   void AddPoint(std::string_view series, double x, double y,
                 std::string_view label = {});
-
-  /// Folds every timeline event in as series points (x = t_seconds).
-  void AddTimeline(const Timeline& timeline);
 
   /// Stores a finished latency histogram under `name` (replacing any prior).
   void AddHistogram(std::string_view name, const Histogram& h);

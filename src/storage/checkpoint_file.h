@@ -44,8 +44,6 @@ struct IndexImage {
   void AppendTo(std::string* out) const;
   /// Consumes one image from `dec`. Fails (false) on a truncated record.
   bool ParseFrom(Decoder* dec);
-
-  uint64_t EncodedSize() const { return 8 + pairs.size() * 12; }
 };
 
 }  // namespace dpr

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -408,32 +407,6 @@ void DeviceSlice::Truncate(uint64_t new_size) {
 
 namespace {
 
-// Pinned-engine singletons for the kThreadPool / kIoUring backends, shared
-// across devices so fsyncs and SQEs coalesce per box.
-std::shared_ptr<IoEngine> EngineForBackend(StorageBackend backend) {
-  if (backend == StorageBackend::kIoUring) {
-    static std::shared_ptr<IoEngine>* uring = new std::shared_ptr<IoEngine>(
-        MakeIoEngine({IoEngineKind::kIoUring, /*threads=*/3,
-                      /*queue_depth=*/256}));
-    return *uring;
-  }
-  static std::shared_ptr<IoEngine>* pool = new std::shared_ptr<IoEngine>(
-      MakeIoEngine({IoEngineKind::kThreadPool, /*threads=*/3,
-                    /*queue_depth=*/256}));
-  return *pool;
-}
-
-std::string UniqueTempName(const std::string& name) {
-  // relaxed: a name uniquifier; only the atomicity of the bump matters.
-  static std::atomic<uint64_t> counter{0};
-  if (!name.empty()) return name;
-  char buf[64];
-  snprintf(buf, sizeof(buf), "dpr_dev_%d_%llu.bin", getpid(),
-           static_cast<unsigned long long>(
-               counter.fetch_add(1, std::memory_order_relaxed)));
-  return buf;
-}
-
 std::unique_ptr<Device> MakeRawDevice(StorageBackend backend,
                                       const std::string& dir,
                                       const std::string& name) {
@@ -455,16 +428,6 @@ std::unique_ptr<Device> MakeRawDevice(StorageBackend backend,
       return std::make_unique<LatencyDevice>(std::move(base),
                                              /*flush_latency_us=*/50000,
                                              /*per_mb_us=*/2000);
-    }
-    case StorageBackend::kThreadPool:
-    case StorageBackend::kIoUring: {
-      const std::string d = dir.empty() ? "/tmp" : dir;
-      std::unique_ptr<FileDevice> dev;
-      Status s = FileDevice::Open(d + "/" + UniqueTempName(name),
-                                  /*reset=*/true, &dev,
-                                  EngineForBackend(backend));
-      DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-      return dev;
     }
   }
   return nullptr;

@@ -260,16 +260,12 @@ class DeviceSlice : public Device {
   uint64_t size_ GUARDED_BY(mu_) = 0;
 };
 
-/// The paper's three storage backends, plus explicit async-engine pins used
-/// by the backend-parity tests and benches: kThreadPool / kIoUring are
-/// file-backed devices whose I/O is forced onto that engine (kIoUring
-/// degrades to the thread pool when the kernel lacks io_uring).
-enum class StorageBackend { kNull, kLocal, kCloud, kThreadPool, kIoUring };
+/// The paper's three storage backends. Tests and benches that need a
+/// specific async engine pin it through IoEngineKind instead.
+enum class StorageBackend { kNull, kLocal, kCloud };
 
 /// Factory: kNull -> NullDevice; kLocal -> MemoryDevice (or FileDevice when
-/// `dir` is non-empty); kCloud -> LatencyDevice over the local device;
-/// kThreadPool/kIoUring -> FileDevice pinned to that engine (under `dir`, or
-/// the system temp dir when empty).
+/// `dir` is non-empty); kCloud -> LatencyDevice over the local device.
 std::unique_ptr<Device> MakeDevice(StorageBackend backend,
                                    const std::string& dir = "",
                                    const std::string& name = "");

@@ -52,7 +52,8 @@ class GroupCommitScheduler {
   /// must outlive the callback's invocation.
   void RequestSync(Device* dev, IoCallback done);
 
-  /// Blocking convenience shim over RequestSync, for legacy callers.
+  /// Blocking form of RequestSync: the sync path of the WAL, checkpoint
+  /// files, the FASTER log and the RESP store's AOF.
   Status SyncNow(Device* dev);
 
  private:

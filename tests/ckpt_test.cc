@@ -20,29 +20,10 @@ namespace {
 
 // ------------------------------------------------------- cadence controller
 
-CkptPolicy AdaptivePolicy(uint64_t base_us = 100000) {
-  return CkptPolicy{}.Resolve(base_us);
-}
-
-TEST(CkptPolicyTest, ResolveDerivesBounds) {
-  CkptPolicy p = CkptPolicy{}.Resolve(100000);
-  EXPECT_EQ(p.min_interval_us, 25000u);
-  EXPECT_EQ(p.max_interval_us, 100000u);
-  // Tiny base intervals floor the minimum at 1ms.
-  EXPECT_EQ(CkptPolicy{}.Resolve(2000).min_interval_us, 1000u);
-  // max is pulled up to min when the derivation inverts them.
-  CkptPolicy inverted;
-  inverted.min_interval_us = 50000;
-  inverted.max_interval_us = 10000;
-  EXPECT_EQ(inverted.Resolve(100000).max_interval_us, 50000u);
-  // full_every == 0 means "every checkpoint full".
-  CkptPolicy zero;
-  zero.full_every = 0;
-  EXPECT_EQ(zero.Resolve(100000).full_every, 1u);
-}
+constexpr uint64_t kBaseUs = 100000;
 
 TEST(CkptCadenceTest, FixedIntervalNeverSkipsNeverAdapts) {
-  CkptCadenceController c(CkptPolicy::FixedInterval().Resolve(100000));
+  CkptCadenceController c(CkptPolicy::FixedInterval(), kBaseUs);
   uint64_t now = 1000;
   for (int i = 0; i < 5; ++i) {
     // Idle and hot signals alike: always a full checkpoint at the base
@@ -57,7 +38,7 @@ TEST(CkptCadenceTest, FixedIntervalNeverSkipsNeverAdapts) {
 }
 
 TEST(CkptCadenceTest, FirstCheckpointIssuesEvenWhenIdle) {
-  CkptCadenceController c(AdaptivePolicy());
+  CkptCadenceController c(CkptPolicy{}, kBaseUs);
   // An idle shard still gets one initial checkpoint (the finder needs a
   // first reported version before the cut can ever cover this worker)...
   const CkptDecision first = c.Decide(CkptSignals{}, 1000);
@@ -71,44 +52,53 @@ TEST(CkptCadenceTest, FirstCheckpointIssuesEvenWhenIdle) {
 }
 
 TEST(CkptCadenceTest, FullEveryRotation) {
-  CkptPolicy p;
-  p.full_every = 4;
-  CkptCadenceController c(p.Resolve(100000));
-  uint64_t now = 1000;
-  std::vector<CkptAction> actions;
-  for (int i = 0; i < 9; ++i) {
-    CkptSignals s;
-    s.dirty_bytes = 4096;
-    const CkptDecision d = c.Decide(s, now);
-    actions.push_back(d.action);
-    now += d.next_delay_us;
+  constexpr CkptAction F = CkptAction::kFull;
+  constexpr CkptAction D = CkptAction::kDelta;
+  // full_every == 0 means "every checkpoint full", like 1.
+  const std::map<uint32_t, std::vector<CkptAction>> cases = {
+      {4, {F, D, D, D, F, D, D, D, F}}, {0, {F, F, F, F, F, F, F, F, F}}};
+  for (const auto& [full_every, want] : cases) {
+    CkptPolicy p;
+    p.full_every = full_every;
+    CkptCadenceController c(p, kBaseUs);
+    uint64_t now = 1000;
+    std::vector<CkptAction> actions;
+    for (int i = 0; i < 9; ++i) {
+      CkptSignals s;
+      s.dirty_bytes = 4096;
+      const CkptDecision d = c.Decide(s, now);
+      actions.push_back(d.action);
+      now += d.next_delay_us;
+    }
+    EXPECT_EQ(actions, want) << "full_every=" << full_every;
   }
-  const std::vector<CkptAction> want = {
-      CkptAction::kFull,  CkptAction::kDelta, CkptAction::kDelta,
-      CkptAction::kDelta, CkptAction::kFull,  CkptAction::kDelta,
-      CkptAction::kDelta, CkptAction::kDelta, CkptAction::kFull};
-  EXPECT_EQ(actions, want);
 }
 
 TEST(CkptCadenceTest, HotShardClampsToMinInterval) {
-  CkptCadenceController c(AdaptivePolicy());
-  uint64_t now = 1000000;
-  CkptDecision d{};
-  for (int i = 0; i < 30; ++i) {
-    // 16 MiB of fresh log every 10ms: the rate-derived interval
-    // (1 MiB target / ~1678 B/us) is far below the floor.
-    CkptSignals s;
-    s.dirty_bytes = 16u << 20;
-    s.committed_watermark = static_cast<uint64_t>(i);  // cut keeps moving
-    d = c.Decide(s, now);
-    now += 10000;
+  // base interval -> floor: a quarter of the base, at least 1ms; below
+  // 1ms the ceiling is pulled up to the floor.
+  const std::map<uint64_t, uint64_t> cases = {
+      {100000, 25000}, {2000, 1000}, {500, 1000}};
+  for (const auto& [base_us, floor_us] : cases) {
+    CkptCadenceController c(CkptPolicy{}, base_us);
+    uint64_t now = 1000000;
+    CkptDecision d{};
+    for (int i = 0; i < 30; ++i) {
+      // 16 MiB of fresh log every 10ms: the rate-derived interval
+      // (1 MiB target / ~1678 B/us) is far below the floor.
+      CkptSignals s;
+      s.dirty_bytes = 16u << 20;
+      s.committed_watermark = static_cast<uint64_t>(i);  // cut keeps moving
+      d = c.Decide(s, now);
+      now += 10000;
+    }
+    EXPECT_EQ(d.next_delay_us, floor_us) << "base_us=" << base_us;
+    EXPECT_NE(d.action, CkptAction::kSkip);
   }
-  EXPECT_EQ(d.next_delay_us, 25000u);
-  EXPECT_NE(d.action, CkptAction::kSkip);
 }
 
 TEST(CkptCadenceTest, TrickleIngestStretchesToRpoCeiling) {
-  CkptCadenceController c(AdaptivePolicy());
+  CkptCadenceController c(CkptPolicy{}, kBaseUs);
   uint64_t now = 1000000;
   CkptDecision d{};
   for (int i = 0; i < 10; ++i) {
@@ -122,7 +112,7 @@ TEST(CkptCadenceTest, TrickleIngestStretchesToRpoCeiling) {
 }
 
 TEST(CkptCadenceTest, ExceptionListPressureHalvesInterval) {
-  CkptCadenceController c(AdaptivePolicy());
+  CkptCadenceController c(CkptPolicy{}, kBaseUs);
   uint64_t now = 1000000;
   CkptDecision calm{};
   for (int i = 0; i < 40; ++i) {
@@ -145,7 +135,7 @@ TEST(CkptCadenceTest, ExceptionListPressureHalvesInterval) {
 }
 
 TEST(CkptCadenceTest, StorageBacklogStretchesInterval) {
-  CkptCadenceController c(AdaptivePolicy());
+  CkptCadenceController c(CkptPolicy{}, kBaseUs);
   uint64_t now = 1000000;
   CkptDecision calm{};
   for (int i = 0; i < 40; ++i) {
@@ -169,7 +159,7 @@ TEST(CkptCadenceTest, StorageBacklogStretchesInterval) {
 }
 
 TEST(CkptCadenceTest, StaleCutTightensCadence) {
-  CkptCadenceController c(AdaptivePolicy());
+  CkptCadenceController c(CkptPolicy{}, kBaseUs);
   uint64_t now = 1000000;
   CkptDecision calm{};
   for (int i = 0; i < 40; ++i) {

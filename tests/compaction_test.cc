@@ -195,9 +195,8 @@ TEST(CompactionTest, WorkerAutoGcUnderChurnKeepsDataAndShrinksLog) {
   options.checkpoint_interval_us = 10000;
   options.finder_interval_us = 5000;
   DFasterCluster cluster(options);
-  // Patch in a compaction threshold by rebuilding the worker config is not
-  // exposed; drive the store directly through the worker's DPR watermark
-  // instead (the same logic GcLoop runs).
+  // The worker runs no GC thread of its own; drive the two-phase compaction
+  // directly through the worker's DPR watermark.
   ASSERT_TRUE(cluster.Start().ok());
   auto client = cluster.NewClient(16, 128);
   auto session = client->NewSession(1);

@@ -93,7 +93,6 @@ class DprWorkerTest : public ::testing::Test {
     options.worker_id = 0;
     options.finder = finder_.get();
     options.checkpoint_interval_us = 0;  // manual commits
-    options.vmax_fast_forward = false;
     worker_ = std::make_unique<DprWorker>(&state_, options);
     ASSERT_TRUE(worker_->Start().ok());
   }
@@ -212,6 +211,38 @@ TEST_F(DprWorkerTest, StaleCheckpointReportRejectedAfterRollback) {
   ASSERT_TRUE(worker_->Rollback(new_wl, 0).ok());
   state_.ReleaseCheckpoint();  // fires the stale persistence callback
   EXPECT_EQ(finder_->MaxPersistedVersion(), 0u);
+}
+
+// Version worker 0 checkpoints to on TryCommit(0) while peer worker 1 has
+// persisted `peer_version`, under a finder built with `serve_vmax`.
+Version CommitTargetWithPeerAt(Version peer_version, bool serve_vmax) {
+  MetadataStore metadata(std::make_unique<MemoryDevice>());
+  EXPECT_TRUE(metadata.Recover().ok());
+  auto finder = MakeDprFinder({.kind = FinderKind::kApprox,
+                               .metadata = &metadata,
+                               .vmax_fastforward = serve_vmax});
+  EXPECT_TRUE(finder->AddWorker(1, 0).ok());
+  EXPECT_TRUE(finder
+                  ->ReportPersistedVersion(finder->CurrentWorldLine(),
+                                           WorkerVersion{1, peer_version}, {})
+                  .ok());
+  FakeStateObject state;
+  DprWorkerOptions options;
+  options.worker_id = 0;
+  options.finder = finder.get();
+  options.checkpoint_interval_us = 0;  // manual commits
+  DprWorker worker(&state, options);
+  EXPECT_TRUE(worker.Start().ok());
+  EXPECT_TRUE(worker.TryCommit().ok());
+  return state.CurrentVersion();
+}
+
+TEST(DprWorkerVmaxTest, FinderSwitchSelectsFastForward) {
+  // Vmax fast-forward (§3.4): a lagging worker at v1 jumps past the
+  // cluster's largest persisted version...
+  EXPECT_EQ(CommitTargetWithPeerAt(9, /*serve_vmax=*/true), 10u);
+  // ...unless the finder does not serve Vmax; then it targets cur + 1.
+  EXPECT_EQ(CommitTargetWithPeerAt(9, /*serve_vmax=*/false), 2u);
 }
 
 }  // namespace

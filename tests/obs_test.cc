@@ -15,7 +15,6 @@
 #include "obs/histogram_json.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 namespace dpr {
 namespace {
@@ -139,34 +138,6 @@ TEST(ShardedHistogramTest, SnapshotMatchesPlainHistogram) {
   for (int p : {0, 50, 90, 99, 100}) {
     EXPECT_EQ(snap.Percentile(p), plain.Percentile(p)) << "p=" << p;
   }
-}
-
-// ----------------------------------------------------------------- Timeline
-
-TEST(TimelineTest, SeriesOrderedByFirstAppearance) {
-  Timeline tl;
-  tl.RecordAt("b", 0.5, 2.0);
-  tl.RecordAt("a", 1.0, 3.0, "note");
-  tl.RecordAt("b", 1.5, 4.0);
-  tl.Mark("fault", "crash worker 1");
-  ASSERT_EQ(tl.events().size(), 4u);
-
-  JsonWriter w;
-  tl.WriteSeriesJson(&w);
-  JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(w.str(), &doc).ok());
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.array().size(), 3u);
-  EXPECT_EQ(doc.array()[0].Find("name")->string_value(), "b");
-  EXPECT_EQ(doc.array()[1].Find("name")->string_value(), "a");
-  EXPECT_EQ(doc.array()[2].Find("name")->string_value(), "fault");
-  const auto& b_points = doc.array()[0].Find("points")->array();
-  ASSERT_EQ(b_points.size(), 2u);
-  EXPECT_DOUBLE_EQ(b_points[0].Find("x")->number(), 0.5);
-  EXPECT_DOUBLE_EQ(b_points[1].Find("y")->number(), 4.0);
-  EXPECT_EQ(doc.array()[1].Find("points")->array()[0].Find("label")
-                ->string_value(),
-            "note");
 }
 
 // ----------------------------------------------------- Histogram JSON codec
@@ -560,7 +531,7 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
 TEST(CkptGaugeTest, CadenceControllerPublishesDecisions) {
   auto& reg = MetricsRegistry::Default();
   reg.ResetForTest();
-  CkptCadenceController controller(CkptPolicy{}.Resolve(100000));
+  CkptCadenceController controller(CkptPolicy{}, 100000);
   CkptSignals dirty;
   dirty.dirty_bytes = 4096;
   (void)controller.Decide(dirty, 1000);             // initial full

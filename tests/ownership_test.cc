@@ -214,17 +214,10 @@ TEST(MembershipTest, ScaleOutThenDrainAndRemove) {
   ASSERT_TRUE(session->WaitForCommit(20000).ok());
 
   // The drained worker is now empty and can leave the cluster.
-  ASSERT_TRUE(cluster.RemoveWorker(0).ok());
+  ASSERT_TRUE(cluster.DecommissionWorker(0).ok());
   // DPR progress continues without it.
   for (uint64_t k = 0; k < 50; ++k) session->Upsert(k, k * 2);
   ASSERT_TRUE(session->WaitForCommit(20000).ok());
-}
-
-TEST(MembershipTest, RemoveRefusedWhileOwningPartitions) {
-  DFasterCluster cluster(Opts());
-  ASSERT_TRUE(cluster.Start().ok());
-  Status s = cluster.RemoveWorker(0);
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
 }
 
 }  // namespace
