@@ -104,7 +104,7 @@ class YcsbDriverThread {
     Maintain();
   }
 
-  /// Gives commits a grace period to arrive (pings workers for watermarks).
+  /// Gives commits a grace period to arrive (reads carry the cut back).
   void FinishCommits(uint64_t grace_ms) {
     const Stopwatch timer;
     uint64_t target = session_->dpr().next_seqno();
@@ -116,7 +116,7 @@ class YcsbDriverThread {
         target = session_->dpr().next_seqno();
       }
       for (uint32_t w = 0; w < num_workers_; ++w) {
-        // Empty read round-trips double as watermark pings.
+        // Read round-trips double as cut pings.
         session_->Read(workload_->NextKeyOnShard(w, num_workers_), nullptr);
       }
       (void)session_->WaitForAll(2000);

@@ -180,7 +180,9 @@ class DFasterClient::Session {
                         Slice payload);
   void FinishBatch(WorkerId worker, PendingBatch batch,
                    const KvBatchResponse& resp);
-  void SendPing(WorkerId worker);
+  /// Empty batch whose response refreshes the session's cut; true when the
+  /// worker answered with kOk.
+  bool SendPing(WorkerId worker);
 
   DFasterClient* client_;
   DprSession dpr_session_;

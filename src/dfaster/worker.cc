@@ -405,7 +405,8 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
     response->header.status = DprResponseHeader::BatchStatus::kOk;
     response->header.world_line = kInitialWorldLine;
     response->header.executed_version = store_->CurrentVersion();
-    response->header.persisted_version = store_->LargestDurableToken();
+    // No finder: the cut is this shard's own durable prefix, sent always.
+    response->header.cut = {{config_.id, store_->LargestDurableToken()}};
     return;
   }
   Version version = kInvalidVersion;
@@ -414,7 +415,8 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
     const auto status = admit.IsAborted()
                             ? DprResponseHeader::BatchStatus::kWorldLineShift
                             : DprResponseHeader::BatchStatus::kRetryLater;
-    dpr_worker_->FillResponse(kInvalidVersion, status, &response->header);
+    dpr_worker_->FillResponse(request.header, kInvalidVersion, status,
+                              &response->header);
     response->results.clear();
     return;
   }
@@ -451,7 +453,8 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
       const auto status =
           admit2.IsAborted() ? DprResponseHeader::BatchStatus::kWorldLineShift
                              : DprResponseHeader::BatchStatus::kRetryLater;
-      dpr_worker_->FillResponse(kInvalidVersion, status, &response->header);
+      dpr_worker_->FillResponse(request.header, kInvalidVersion, status,
+                                &response->header);
       response->results.clear();
       return;
     }
@@ -459,7 +462,8 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
     MigMetrics().readmissions->Add();
     version = ack_version;
   }
-  dpr_worker_->FillResponse(version, DprResponseHeader::BatchStatus::kOk,
+  dpr_worker_->FillResponse(request.header, version,
+                            DprResponseHeader::BatchStatus::kOk,
                             &response->header);
 }
 

@@ -50,33 +50,30 @@ DprRequestHeader DprSession::MakeHeader() const {
   header.world_line = world_line_;
   header.version = version_clock_;
   header.deps = deps_;
+  header.cut_epoch = cut_epoch_;
   return header;
 }
 
-void DprSession::AbsorbLocked(WorkerId worker, const DprResponseHeader& resp) {
+void DprSession::AbsorbLocked(const DprResponseHeader& resp) {
   if (resp.world_line > observed_world_line_) {
     observed_world_line_ = resp.world_line;
   }
   if (resp.status != DprResponseHeader::BatchStatus::kOk) return;
-  // A pre-recovery straggler's watermark and version clock describe a
-  // world-line the rollback already erased; absorbing them would mix
-  // pre- and post-recovery state (§4.2, Fig. 5).
+  // A pre-recovery straggler's cut and version clock describe a world-line
+  // the rollback already erased; absorbing them would mix pre- and
+  // post-recovery state (§4.2, Fig. 5).
   if (IsStaleResponseLocked(resp)) return;
   if (resp.executed_version > version_clock_) {
     version_clock_ = resp.executed_version;
   }
-  Version& wm = watermarks_[worker];
-  if (resp.persisted_version > wm) wm = resp.persisted_version;
+  if (resp.cut.empty()) return;  // the session already holds this epoch
+  MergeDependencies(&cut_, resp.cut);  // max per worker
+  cut_epoch_ = std::max(cut_epoch_, resp.cut_epoch);
   // Dependencies on committed versions are satisfied forever; prune them so
   // headers stay small.
-  for (auto it = deps_.begin(); it != deps_.end();) {
-    auto wit = watermarks_.find(it->first);
-    if (wit != watermarks_.end() && it->second <= wit->second) {
-      it = deps_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(deps_, [this](const auto& dep) {
+    return dep.second <= CutVersion(cut_, dep.first);
+  });
 }
 
 uint64_t DprSession::RecordBatch(WorkerId worker, uint64_t n,
@@ -93,7 +90,7 @@ uint64_t DprSession::RecordBatch(WorkerId worker, uint64_t n,
   if (version != kInvalidVersion) {
     MergeDependency(&deps_, WorkerVersion{worker, version});
   }
-  AbsorbLocked(worker, resp);
+  AbsorbLocked(resp);
   return start;
 }
 
@@ -124,7 +121,7 @@ void DprSession::ResolvePending(uint64_t start_seqno,
       if (seg.version != kInvalidVersion) {
         MergeDependency(&deps_, WorkerVersion{seg.worker, seg.version});
       }
-      AbsorbLocked(seg.worker, resp);
+      AbsorbLocked(resp);
       return;
     }
   }
@@ -132,10 +129,9 @@ void DprSession::ResolvePending(uint64_t start_seqno,
            static_cast<unsigned long long>(start_seqno));
 }
 
-void DprSession::ObserveWatermark(WorkerId worker,
-                                  const DprResponseHeader& resp) {
+void DprSession::Observe(const DprResponseHeader& resp) {
   MutexLock guard(mu_);
-  AbsorbLocked(worker, resp);
+  AbsorbLocked(resp);
 }
 
 DprSession::CommitPoint DprSession::ComputePointLocked(
@@ -201,7 +197,7 @@ DprSession::CommitPoint DprSession::ComputePointLocked(
 
 DprSession::CommitPoint DprSession::GetCommitPoint() {
   MutexLock guard(mu_);
-  return ComputePointLocked(watermarks_, /*drop_committed=*/true);
+  return ComputePointLocked(cut_, /*drop_committed=*/true);
 }
 
 uint64_t DprSession::next_seqno() const {
@@ -231,8 +227,8 @@ std::string DprSession::DebugString() const {
                     " Vs=" + std::to_string(version_clock_) +
                     " next=" + std::to_string(next_seqno_) +
                     " reported=" + std::to_string(reported_prefix_) + "\n";
-  out += "  watermarks:";
-  for (const auto& [w, v] : watermarks_) {
+  out += "  cut@" + std::to_string(cut_epoch_) + ":";
+  for (const auto& [w, v] : cut_) {
     out += " (" + std::to_string(w) + "->" + std::to_string(v) + ")";
   }
   out += "\n  segments:";
@@ -265,10 +261,10 @@ DprSession::CommitPoint DprSession::HandleFailure(WorldLine new_world_line,
   // occupancy; with the segments discarded the list is empty — re-zero the
   // gauge or it leaks the stale count until the next commit-point query.
   Metrics().exception_list->Set(0);
-  for (auto& [w, v] : watermarks_) {
-    const Version cv = CutVersion(recovery_cut, w);
-    if (v > cv) v = cv;
-  }
+  // The observed cut can never exceed the recovery cut (the finder's cut is
+  // monotone and the recovery freezes it); clamping keeps that true even
+  // for a session that trusted a straggler.
+  for (auto& [w, v] : cut_) v = std::min(v, CutVersion(recovery_cut, w));
   world_line_ = new_world_line;
   if (observed_world_line_ < new_world_line) {
     observed_world_line_ = new_world_line;

@@ -31,7 +31,7 @@ struct SessionOptions {
   enum class WorldLinePolicy : uint8_t {
     /// Record the operation vacuously: the rollback already erased any
     /// effect it had, so it must contribute neither dependencies nor
-    /// watermark/version-clock advances. This prevents pre-/post-recovery
+    /// cut/version-clock advances. This prevents pre-/post-recovery
     /// mixing (§4.2, Fig. 5).
     kReject,
     /// Absorb it as if current — the pre-world-line-check legacy behavior,
@@ -42,7 +42,13 @@ struct SessionOptions {
 };
 
 /// Client-side libDPR: tracks one session's SessionOrder, version clock,
-/// dependency set, commit watermarks, and world-line (paper §3, §5.4, §6).
+/// dependency set, observed commit cut, and world-line (paper §3, §5.4,
+/// §6).
+///
+/// The observed cut is one DprCut merged by max from every response that
+/// carries entries, whichever worker sent it: any worker's response can
+/// resolve a dependency on any other worker, including one no longer in
+/// the cluster.
 ///
 /// Operations are numbered by *start* order (relaxed DPR). A batch either
 /// completes synchronously (RecordBatch) or is issued as PENDING
@@ -64,7 +70,7 @@ class DprSession {
   DprRequestHeader MakeHeader() const;
 
   /// Records `n` operations that completed synchronously at `worker`;
-  /// returns the first seqno. Absorbs the response's commit watermark.
+  /// returns the first seqno. Absorbs the response's cut.
   uint64_t RecordBatch(WorkerId worker, uint64_t n,
                        const DprResponseHeader& resp);
 
@@ -76,8 +82,8 @@ class DprSession {
   /// Resolves a pending batch previously issued at `start_seqno`.
   void ResolvePending(uint64_t start_seqno, const DprResponseHeader& resp);
 
-  /// Absorbs commit-watermark/world-line info from any response.
-  void ObserveWatermark(WorkerId worker, const DprResponseHeader& resp);
+  /// Absorbs the cut and world-line of any response.
+  void Observe(const DprResponseHeader& resp);
 
   /// Commit status reported to the application.
   struct CommitPoint {
@@ -102,8 +108,8 @@ class DprSession {
   CommitPoint HandleFailure(WorldLine new_world_line,
                             const DprCut& recovery_cut);
 
-  /// Human-readable dump of internal state (segments, watermarks, clocks)
-  /// for diagnostics.
+  /// Human-readable dump of internal state (segments, cut, clocks) for
+  /// diagnostics.
   std::string DebugString() const;
 
  private:
@@ -120,8 +126,7 @@ class DprSession {
 
   CommitPoint ComputePointLocked(const DprCut& committed,
                                  bool drop_committed) REQUIRES(mu_);
-  void AbsorbLocked(WorkerId worker, const DprResponseHeader& resp)
-      REQUIRES(mu_);
+  void AbsorbLocked(const DprResponseHeader& resp) REQUIRES(mu_);
   /// True when `resp` is a pre-recovery straggler the session must not
   /// absorb (world_line_policy == kReject).
   bool IsStaleResponseLocked(const DprResponseHeader& resp) const
@@ -135,7 +140,8 @@ class DprSession {
   WorldLine observed_world_line_ GUARDED_BY(mu_) = kInitialWorldLine;
   Version version_clock_ GUARDED_BY(mu_) = kInvalidVersion;  // Vs (§3.2)
   DependencySet deps_ GUARDED_BY(mu_);     // uncommitted per-worker max
-  DprCut watermarks_ GUARDED_BY(mu_);      // per-worker committed versions
+  DprCut cut_ GUARDED_BY(mu_);             // observed cut, merged by max
+  uint64_t cut_epoch_ GUARDED_BY(mu_) = 0;  // largest epoch merged into it
   std::deque<Segment> segments_ GUARDED_BY(mu_);
   uint64_t reported_prefix_ GUARDED_BY(mu_) = 0;  // keeps GetCommitPoint
                                                   // monotone

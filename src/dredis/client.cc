@@ -90,13 +90,12 @@ void DRedisClient::Session::Dispatch(uint32_t shard) {
   message.append(batch->body);
   it->second->CallAsync(
       std::move(message),
-      [this, shard, batch, start_seqno](Status s, Slice payload) {
-        OnResponse(shard, batch, start_seqno, std::move(s), payload);
+      [this, batch, start_seqno](Status s, Slice payload) {
+        OnResponse(batch, start_seqno, std::move(s), payload);
       });
 }
 
-void DRedisClient::Session::OnResponse(uint32_t shard,
-                                       std::shared_ptr<Batch> batch,
+void DRedisClient::Session::OnResponse(std::shared_ptr<Batch> batch,
                                        uint64_t start_seqno, Status transport,
                                        Slice payload) {
   if (!client_->config_.use_dpr) {
@@ -115,7 +114,7 @@ void DRedisClient::Session::OnResponse(uint32_t shard,
   }
   DprResponseHeader vacuous;
   dpr_session_.ResolvePending(start_seqno, vacuous);
-  if (transport.ok()) dpr_session_.ObserveWatermark(shard, header);
+  if (transport.ok()) dpr_session_.Observe(header);
   RunCallbacks(*batch, Slice(),
                transport.ok() ? Status::Aborted("batch rejected")
                               : transport);
@@ -141,10 +140,10 @@ void DRedisClient::Session::RunCallbacks(const Batch& batch, Slice replies,
     }
     if (cb) cb(op_status, value);
   }
-  {
-    MutexLock guard(mu_);
-    outstanding_ -= batch.count;
-  }
+  // Notify under mu_: ~Session's WaitForAll may destroy the cv the instant
+  // its predicate holds, so the broadcast must finish before it can return.
+  MutexLock guard(mu_);
+  outstanding_ -= batch.count;
   window_cv_.NotifyAll();
 }
 

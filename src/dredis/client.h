@@ -62,8 +62,8 @@ class DRedisClient {
 
     void Issue(uint32_t shard, const RespCommand& cmd, OpCallback callback);
     void Dispatch(uint32_t shard);
-    void OnResponse(uint32_t shard, std::shared_ptr<Batch> batch,
-                    uint64_t start_seqno, Status transport, Slice payload);
+    void OnResponse(std::shared_ptr<Batch> batch, uint64_t start_seqno,
+                    Status transport, Slice payload);
     void RunCallbacks(const Batch& batch, Slice replies, const Status& error);
 
     DRedisClient* client_;

@@ -212,7 +212,7 @@ void DRedisProxy::Handle(Slice request, std::string* response) {
   size_t consumed = 0;
   DprResponseHeader resp_header;
   if (!header.DecodeFrom(request, &consumed)) {
-    dpr_worker_->FillResponse(kInvalidVersion,
+    dpr_worker_->FillResponse(header, kInvalidVersion,
                               DprResponseHeader::BatchStatus::kRetryLater,
                               &resp_header);
     resp_header.EncodeTo(response);
@@ -225,7 +225,7 @@ void DRedisProxy::Handle(Slice request, std::string* response) {
     const auto status = admit.IsAborted()
                             ? DprResponseHeader::BatchStatus::kWorldLineShift
                             : DprResponseHeader::BatchStatus::kRetryLater;
-    dpr_worker_->FillResponse(kInvalidVersion, status, &resp_header);
+    dpr_worker_->FillResponse(header, kInvalidVersion, status, &resp_header);
     resp_header.EncodeTo(response);
     return;
   }
@@ -235,14 +235,14 @@ void DRedisProxy::Handle(Slice request, std::string* response) {
   Status s = state_object_->connection()->Call(body, &replies);
   dpr_worker_->EndBatch();
   if (!s.ok()) {
-    dpr_worker_->FillResponse(kInvalidVersion,
+    dpr_worker_->FillResponse(header, kInvalidVersion,
                               DprResponseHeader::BatchStatus::kRetryLater,
                               &resp_header);
     resp_header.EncodeTo(response);
     return;
   }
-  dpr_worker_->FillResponse(version, DprResponseHeader::BatchStatus::kOk,
-                            &resp_header);
+  dpr_worker_->FillResponse(header, version,
+                            DprResponseHeader::BatchStatus::kOk, &resp_header);
   resp_header.EncodeTo(response);
   response->append(replies);
 }

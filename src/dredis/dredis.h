@@ -127,8 +127,10 @@ class DRedisProxy {
   void Handle(Slice request, std::string* response);
 
   Options options_;
-  std::unique_ptr<RemoteRespStateObject> state_object_;
   std::unique_ptr<DprWorker> dpr_worker_;
+  // Declared after the worker so it is destroyed first: its poll thread
+  // fires persistence callbacks into dpr_worker_ until it is joined.
+  std::unique_ptr<RemoteRespStateObject> state_object_;
   std::unique_ptr<RpcServer> server_;
   std::string address_;
 };

@@ -218,10 +218,13 @@ class FasterStore : public StateObject {
                             uint64_t* restored_record_count);
 
   FasterOptions options_;
-  LightEpoch epoch_;
   LogAllocator log_;
   HashIndex index_;
   WriteAheadLog meta_wal_;
+  // Declared after the structures its drain actions touch: ~LightEpoch runs
+  // every pending action (a ReleasePagesBelow on log_), so it must be
+  // destroyed while they are still alive.
+  LightEpoch epoch_;
 
   // Store-state words read lock-free on every operation. release on the
   // writer side (version bump, checkpoint boundary install, rollback state

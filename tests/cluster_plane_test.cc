@@ -197,6 +197,28 @@ TEST(ClusterPlaneTest, JoinActivateDecommissionLifecycle) {
   EXPECT_TRUE(session->WaitForCommit(20000).ok());
 }
 
+TEST(ClusterPlaneTest, CommitResolvesAfterItsWorkerIsDecommissioned) {
+  ClusterOptions options = Opts();
+  // No timer checkpoints: only the decommission's migration barriers move
+  // the cut, so the session's ops are still uncommitted when it starts.
+  options.checkpoint_interval_us = 60'000'000;
+  DFasterCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient(8, 64);
+  auto session = client->NewSession(1);
+  // The session's last ops land on worker 0, and no cut covers them yet.
+  const uint64_t key = KeyInPartition(PartitionOnWorker(cluster, 0));
+  for (uint64_t i = 0; i < 16; ++i) session->Upsert(key, i);
+  ASSERT_TRUE(session->WaitForAll().ok());
+  ASSERT_LT(session->dpr().GetCommitPoint().prefix_end,
+            session->dpr().next_seqno());
+
+  ASSERT_TRUE(cluster.DecommissionWorker(0).ok());
+  // Worker 0 is gone, but its final cut entry covers the ops; any surviving
+  // worker's response carries it.
+  EXPECT_TRUE(session->WaitForCommit(10000).ok());
+}
+
 TEST(ClusterPlaneTest, MigrationRejectsLeavingTarget) {
   DFasterCluster cluster(Opts());
   ASSERT_TRUE(cluster.Start().ok());

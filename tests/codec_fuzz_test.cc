@@ -67,6 +67,7 @@ TEST_P(CodecFuzz, ValidEncodingsRoundTrip) {
     req.session_id = rng.Next();
     req.world_line = rng.Uniform(100) + 1;
     req.version = rng.Next() % 10000;
+    req.cut_epoch = rng.Next();
     const int deps = static_cast<int>(rng.Uniform(5));
     for (int d = 0; d < deps; ++d) {
       req.deps[static_cast<WorkerId>(rng.Uniform(16))] = rng.Uniform(1000);
@@ -80,7 +81,29 @@ TEST_P(CodecFuzz, ValidEncodingsRoundTrip) {
     ASSERT_EQ(decoded.session_id, req.session_id);
     ASSERT_EQ(decoded.world_line, req.world_line);
     ASSERT_EQ(decoded.version, req.version);
+    ASSERT_EQ(decoded.cut_epoch, req.cut_epoch);
     ASSERT_EQ(decoded.deps, req.deps);
+
+    // Response header, with and without cut entries.
+    DprResponseHeader resp;
+    resp.status = static_cast<DprResponseHeader::BatchStatus>(rng.Uniform(3));
+    resp.world_line = rng.Uniform(100) + 1;
+    resp.executed_version = rng.Next() % 10000;
+    resp.cut_epoch = rng.Next();
+    const int entries = static_cast<int>(rng.Uniform(5));
+    for (int e = 0; e < entries; ++e) {
+      resp.cut[static_cast<WorkerId>(rng.Uniform(16))] = rng.Uniform(1000);
+    }
+    std::string rbuf;
+    resp.EncodeTo(&rbuf);
+    DprResponseHeader rdecoded;
+    ASSERT_TRUE(rdecoded.DecodeFrom(rbuf, &consumed));
+    ASSERT_EQ(consumed, rbuf.size());
+    ASSERT_EQ(rdecoded.status, resp.status);
+    ASSERT_EQ(rdecoded.world_line, resp.world_line);
+    ASSERT_EQ(rdecoded.executed_version, resp.executed_version);
+    ASSERT_EQ(rdecoded.cut_epoch, resp.cut_epoch);
+    ASSERT_EQ(rdecoded.cut, resp.cut);
 
     // Batch with random ops.
     KvBatchRequest batch;

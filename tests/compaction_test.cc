@@ -222,7 +222,6 @@ TEST(CompactionTest, WorkerAutoGcUnderChurnKeepsDataAndShrinksLog) {
       ASSERT_TRUE(fin.IsBusy()) << fin.ToString();
       ASSERT_LT(timer.ElapsedMillis(), 20000u);
       SleepMicros(10000);
-      cluster.worker(0)->dpr_worker()->RefreshPersistedWatermark();
     }
     EXPECT_GT(store->begin_address(), LogAllocator::kBeginAddress);
   }

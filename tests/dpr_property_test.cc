@@ -71,19 +71,19 @@ void DoOp(Rig& rig, DprSession& session, WorkerId w, uint64_t key) {
     EXPECT_TRUE(store_session->Upsert(key, key).ok());
     rig.workers[w]->EndBatch();
     DprResponseHeader resp;
-    rig.workers[w]->FillResponse(version,
+    rig.workers[w]->FillResponse(header, version,
                                  DprResponseHeader::BatchStatus::kOk, &resp);
     session.RecordBatch(w, 1, resp);
   } else {
     DprResponseHeader resp;
     rig.workers[w]->FillResponse(
-        kInvalidVersion,
+        header, kInvalidVersion,
         admit.IsAborted() ? DprResponseHeader::BatchStatus::kWorldLineShift
                           : DprResponseHeader::BatchStatus::kRetryLater,
         &resp);
     DprResponseHeader vacuous;
     session.RecordBatch(w, 1, vacuous);  // failed op commits vacuously
-    session.ObserveWatermark(w, resp);
+    session.Observe(resp);
   }
 }
 
@@ -93,9 +93,9 @@ void Ping(Rig& rig, DprSession& session, WorkerId w) {
   if (rig.workers[w]->BeginBatch(header, &version).ok()) {
     rig.workers[w]->EndBatch();
     DprResponseHeader resp;
-    rig.workers[w]->FillResponse(version,
+    rig.workers[w]->FillResponse(header, version,
                                  DprResponseHeader::BatchStatus::kOk, &resp);
-    session.ObserveWatermark(w, resp);
+    session.Observe(resp);
   }
 }
 

@@ -72,14 +72,15 @@ TEST(DRedisTest, CommitsAdvanceViaBgSave) {
   ASSERT_TRUE(session->WaitForAll().ok());
   const uint64_t target = session->dpr().next_seqno();
   // Checkpoints fire every 20 ms; the commit point must eventually cover
-  // everything. Nudge with pings (empty batches piggyback watermarks).
+  // everything. Nudge with reads (every response can carry the cut).
   Stopwatch timer;
   for (;;) {
     const auto point = session->dpr().GetCommitPoint();
     if (point.prefix_end >= target && point.excluded.empty()) break;
     ASSERT_LT(timer.ElapsedMillis(), 20000u) << "commit never arrived";
-    // Commit notifications piggyback on responses: touch every shard so the
-    // session learns both watermarks.
+    // Commit notifications piggyback on responses; either shard's carries
+    // the whole cut, and touching both covers the D-Redis header path on
+    // each proxy.
     for (uint64_t k = 0; k < 2; ++k) {
       uint64_t key = 0;
       while (DRedisClient::ShardOf(key, 2) != k) key++;

@@ -442,7 +442,7 @@ TEST(CkptGaugeTest, ExceptionListGaugeZeroAfterRollback) {
   (void)pending;
   DprResponseHeader ok;
   ok.executed_version = 1;
-  ok.persisted_version = 1;
+  ok.cut = {{0, 1}};
   session.RecordBatch(/*worker=*/0, 1, ok);
   const auto point = session.GetCommitPoint();
   ASSERT_EQ(point.excluded.size(), 1u);
