@@ -68,6 +68,7 @@ Status MetadataStore::Recover() {
   graph_.clear();
   cut_.clear();
   cut_world_line_ = kInitialWorldLine;
+  cut_count_ = 0;
   world_line_ = kInitialWorldLine;
   ownership_.clear();
   member_states_.clear();
@@ -115,6 +116,7 @@ void MetadataStore::ApplyRecord(Slice record) {
       if (dec.GetFixed64(&wl) && DecodeDeps(&dec, &cut)) {
         cut_world_line_ = wl;
         cut_ = std::move(cut);
+        ++cut_count_;
       }
       break;
     }
@@ -239,6 +241,11 @@ void MetadataStore::GetCut(WorldLine* world_line, DprCut* cut) const {
   MutexLock guard(mu_);
   if (world_line != nullptr) *world_line = cut_world_line_;
   if (cut != nullptr) *cut = cut_;
+}
+
+uint64_t MetadataStore::CutCount() const {
+  MutexLock guard(mu_);
+  return cut_count_;
 }
 
 Status MetadataStore::SetWorldLine(WorldLine world_line) {

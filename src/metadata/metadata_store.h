@@ -77,6 +77,10 @@ class MetadataStore {
   // --- cut + world-line ---
   Status SetCut(WorldLine world_line, const DprCut& cut);
   void GetCut(WorldLine* world_line, DprCut* cut) const;
+  /// How many SetCut calls the store has applied, ever (replayed from the
+  /// WAL, so it survives crashes and only grows): the finder names each
+  /// published cut by it.
+  uint64_t CutCount() const;
   Status SetWorldLine(WorldLine world_line);
   WorldLine GetWorldLine() const;
 
@@ -115,6 +119,7 @@ class MetadataStore {
   std::map<WorkerVersion, DependencySet> graph_ GUARDED_BY(mu_);
   DprCut cut_ GUARDED_BY(mu_);
   WorldLine cut_world_line_ GUARDED_BY(mu_) = kInitialWorldLine;
+  uint64_t cut_count_ GUARDED_BY(mu_) = 0;
   WorldLine world_line_ GUARDED_BY(mu_) = kInitialWorldLine;
   std::map<uint64_t, WorkerId> ownership_ GUARDED_BY(mu_);
   std::map<WorkerId, MemberState> member_states_ GUARDED_BY(mu_);
