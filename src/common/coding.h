@@ -33,6 +33,15 @@ inline uint64_t DecodeFixed64(const char* p) {
   return v;
 }
 
+/// LEB128 varint: 7 bits per byte, low bits first, at most 10 bytes.
+inline void PutVarint64(std::string* dst, uint64_t v) {
+  while (v >= 0x80) {
+    dst->push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  dst->push_back(static_cast<char>(v));
+}
+
 inline void PutLengthPrefixed(std::string* dst, Slice value) {
   PutFixed32(dst, static_cast<uint32_t>(value.size()));
   dst->append(value.data(), value.size());
@@ -56,6 +65,19 @@ class Decoder {
     *v = DecodeFixed64(p_);
     p_ += 8;
     return true;
+  }
+
+  bool GetVarint64(uint64_t* v) {
+    uint64_t result = 0;
+    for (int shift = 0; shift < 64 && p_ < end_; shift += 7) {
+      const uint64_t byte = static_cast<unsigned char>(*p_++);
+      result |= (byte & 0x7f) << shift;
+      if (byte < 0x80) {
+        *v = result;
+        return true;
+      }
+    }
+    return false;  // truncated, or longer than 10 bytes
   }
 
   bool GetLengthPrefixed(Slice* out) {

@@ -22,7 +22,7 @@ constexpr uint8_t kMetaBegin = 3;  // durable log-begin advance (compaction)
 // Checkpoint records carrying a hash-index image (DESIGN.md §4j):
 //   kMetaFullIndex: type, token, boundary, record_count, IndexImage
 //   kMetaDelta:     type, token, boundary, base_token, record_count,
-//                   IndexImage (only buckets dirtied since base_token)
+//                   IndexImage (only entries dirtied since base_token)
 constexpr uint8_t kMetaFullIndex = 4;
 constexpr uint8_t kMetaDelta = 5;
 constexpr size_t kMaxValueSize = 4096;
@@ -444,20 +444,25 @@ void FasterStore::FlushLoop() {
     if (req.boundary > from) s = FlushRange(from, req.boundary);
     uint64_t meta_bytes = 0;
     Version base = kInvalidVersion;
+    uint64_t image_offset = 0;
     if (s.ok()) {
       if (req.index_image) {
         // The base is chosen here, at flush time, against the *durable*
         // checkpoint set: a failed earlier flush simply widens the delta
-        // (dirtiness is judged per bucket as head-version > base, which is
-        // valid for any durable image base — chain versions only decrease
-        // walking backwards).
+        // (dirtiness is judged per entry against the base's boundary,
+        // which is valid for any durable image base — entry addresses
+        // only grow).
+        LogAddress base_boundary = kNullAddress;
         if (req.delta && !force_full_next_.load(std::memory_order_acquire)) {
           MutexLock guard(checkpoints_mu_);
           base = LargestImageBaseLocked();
+          if (base != kInvalidVersion) {
+            base_boundary = checkpoints_.at(base).boundary;
+          }
         }
-        const std::string rec = EncodeIndexMetaRecord(req, base);
+        const std::string rec = EncodeIndexMetaRecord(req, base, base_boundary);
         meta_bytes = rec.size();
-        s = meta_wal_.Append(rec);
+        s = meta_wal_.Append(rec, &image_offset);
         if (s.ok()) s = meta_wal_.Sync();
       } else {
         s = AppendCheckpointMeta(kMetaCheckpoint, req.token, req.boundary);
@@ -468,7 +473,7 @@ void FasterStore::FlushLoop() {
       {
         MutexLock guard(checkpoints_mu_);
         checkpoints_[req.token] =
-            CkptEntry{req.boundary, base, req.index_image};
+            CkptEntry{req.boundary, base, req.index_image, image_offset};
       }
       if (req.index_image && base == kInvalidVersion) {
         force_full_next_.store(false, std::memory_order_release);
@@ -532,7 +537,8 @@ Version FasterStore::LargestImageBaseLocked() const {
 }
 
 std::string FasterStore::EncodeIndexMetaRecord(const FlushRequest& req,
-                                               Version base) {
+                                               Version base,
+                                               LogAddress base_boundary) {
   const bool delta = base != kInvalidVersion;
   std::string rec(1, static_cast<char>(delta ? kMetaDelta : kMetaFullIndex));
   PutFixed64(&rec, req.token);
@@ -545,114 +551,90 @@ std::string FasterStore::EncodeIndexMetaRecord(const FlushRequest& req,
   epoch_.Protect();
   const LogAddress begin = begin_.load(std::memory_order_acquire);
   IndexImage image;
-  const uint64_t buckets = index_.bucket_count();
-  for (uint64_t b = 0; b < buckets; ++b) {
-    // Sub-boundary head: everything at or above the checkpoint boundary
-    // belongs to later versions and must not leak into this image. The
-    // walk only dereferences addresses >= boundary > begin, which cannot
-    // be reclaimed while we are epoch-protected.
-    LogAddress addr = index_.HeadAt(b);
+  index_.ForEachEntry([&](uint64_t bucket, uint64_t word) {
+    // Sub-boundary address: everything at or above the checkpoint boundary
+    // belongs to later versions and must not leak into this image. Only
+    // entries updated since the stamp need a walk, and it only dereferences
+    // addresses >= boundary > begin, which cannot be reclaimed while we are
+    // epoch-protected.
+    LogAddress addr = HashIndex::AddressOf(word);
     while (addr != kNullAddress && addr >= req.boundary) {
       addr = log_.RecordAt(addr)->prev;
     }
-    if (addr == kNullAddress || addr < begin) continue;
-    if (delta) {
-      // Dirty iff the bucket's newest sub-boundary record was written
-      // after `base`: chain versions are non-increasing walking backwards
-      // (prev is always an older append), in-place updates re-stamp the
-      // current version, and admission blocks them while a checkpoint is
-      // active — so head version <= base implies the whole sub-boundary
-      // chain is exactly what the base image already recorded.
-      if (log_.RecordAt(addr)->version <= base) continue;
-    }
-    image.pairs.emplace_back(static_cast<uint32_t>(b), addr);
-  }
+    if (addr == kNullAddress || addr < begin) return;
+    // A delta keeps the entry iff its sub-boundary address lies at or above
+    // the base's boundary. Entry addresses only grow and everything
+    // appended after the base's stamp lies above its boundary, so an
+    // address below it is exactly what the base image recorded. (In-place
+    // updates change no address; rollback and compaction force a full
+    // image.) A full image passes base_boundary = null and keeps all.
+    if (addr < base_boundary) return;
+    image.pairs.emplace_back(static_cast<uint32_t>(bucket),
+                             HashIndex::WithAddress(word, addr));
+  });
   epoch_.Unprotect();
   image.AppendTo(&rec);
   return rec;
 }
 
 bool FasterStore::ResolveChainLocked(Version token,
-                                     std::vector<Version>* chain) const {
-  chain->clear();
+                                     std::vector<uint64_t>* offsets) const {
+  offsets->clear();
   Version cur = token;
   for (;;) {
     auto it = checkpoints_.find(cur);
     if (it == checkpoints_.end() || !it->second.has_index) {
-      chain->clear();
+      offsets->clear();
       return false;
     }
-    chain->push_back(cur);
+    offsets->push_back(it->second.image_offset);
     if (it->second.base == kInvalidVersion) break;  // reached the full image
     cur = it->second.base;
   }
-  std::reverse(chain->begin(), chain->end());
+  std::reverse(offsets->begin(), offsets->end());
   return true;
 }
 
-Status FasterStore::InstallChainImages(const std::vector<Version>& chain,
+Version FasterStore::NewestImageLocked(Version token, Version anchor,
+                                      std::vector<uint64_t>* offsets) const {
+  if (ResolveChainLocked(anchor, offsets)) return anchor;
+  for (auto it = checkpoints_.upper_bound(token);
+       it != checkpoints_.begin();) {
+    --it;
+    if (ResolveChainLocked(it->first, offsets)) return it->first;
+  }
+  return kInvalidVersion;
+}
+
+Status FasterStore::InstallChainImages(const std::vector<uint64_t>& offsets,
                                        uint64_t* restored_record_count) {
-  // Re-replay the meta WAL collecting the newest valid image payload per
-  // chain token. Token numbers can recur across world lines (a rollback to
-  // T revives version T+1), so this maintains the same erasure state
-  // machine as checkpoint registration: a rollback drops collected images
-  // above its point, a begin-advance drops images below its compaction
-  // token — whatever survives is exactly what checkpoints_ says is live.
-  struct Collected {
-    uint8_t type = 0;
-    std::string payload;  // bytes after the token field
-  };
-  std::map<Version, Collected> payloads;
-  Status replay = meta_wal_.Replay([&](uint64_t, Slice record) {
-    Decoder dec(record);
+  uint64_t record_count = 0;
+  std::string rec;
+  for (const uint64_t offset : offsets) {
+    DPR_RETURN_NOT_OK(meta_wal_.ReadRecord(offset, &rec));
+    Decoder dec{Slice(rec)};
     uint8_t type;
     uint64_t token;
-    if (!dec.GetBytes(&type, 1) || !dec.GetFixed64(&token)) return;
-    if (type == kMetaRollback) {
-      for (auto it = payloads.upper_bound(token); it != payloads.end();) {
-        it = payloads.erase(it);
-      }
-      return;
-    }
-    if (type == kMetaBegin) {
-      for (auto it = payloads.begin();
-           it != payloads.end() && it->first < token;) {
-        it = payloads.erase(it);
-      }
-      return;
-    }
-    if (type != kMetaFullIndex && type != kMetaDelta) return;
-    if (!std::binary_search(chain.begin(), chain.end(), token)) return;
-    payloads[token] =
-        Collected{type, std::string(dec.position(), dec.remaining())};
-  });
-  DPR_RETURN_NOT_OK(replay);
-  uint64_t record_count = 0;
-  for (const Version token : chain) {
-    auto it = payloads.find(token);
-    if (it == payloads.end()) {
-      return Status::Corruption("chain image missing from meta WAL");
-    }
-    // Payload cursor (the type byte and token were consumed above):
-    // boundary, [base], record_count, image.
-    Decoder dec(Slice(it->second.payload));
     uint64_t boundary;
-    uint64_t base = kInvalidVersion;
-    if (!dec.GetFixed64(&boundary)) {
+    uint64_t base;
+    if (!dec.GetBytes(&type, 1) || !dec.GetFixed64(&token) ||
+        !dec.GetFixed64(&boundary) ||
+        (type == kMetaDelta && !dec.GetFixed64(&base)) ||
+        !dec.GetFixed64(&record_count)) {
       return Status::Corruption("truncated chain image");
     }
-    if (it->second.type == kMetaDelta && !dec.GetFixed64(&base)) {
-      return Status::Corruption("truncated chain image");
-    }
-    if (!dec.GetFixed64(&record_count)) {
-      return Status::Corruption("truncated chain image");
+    if (type != kMetaFullIndex && type != kMetaDelta) {
+      return Status::Corruption("chain link is not an image record");
     }
     IndexImage image;
     if (!image.ParseFrom(&dec)) {
       return Status::Corruption("truncated chain image");
     }
-    for (const auto& [bucket, head] : image.pairs) {
-      index_.SetHeadAt(bucket, head);
+    for (const auto& [bucket, word] : image.pairs) {
+      if (bucket >= index_.bucket_count()) {
+        return Status::Corruption("chain image bucket out of range");
+      }
+      index_.RestoreEntry(bucket, word);
     }
   }
   // The anchor (last link) stamped its record count with the image.
@@ -949,93 +931,96 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   // Bulk-load the durable log prefix, one log page at a time (Resolve()
   // pointers are only contiguous within a page). A boundary at the begin
   // address means no checkpoint ever flushed: restore to empty.
-  std::vector<char> buf;
   LogAddress pos = begin_.load(std::memory_order_acquire);
   if (cover_boundary <= pos) pos = cover_boundary;
   while (pos < cover_boundary) {
     const uint64_t page_end = (pos | (log_.page_size() - 1)) + 1;
     const uint64_t n = std::min<uint64_t>(page_end, cover_boundary) - pos;
-    buf.resize(n);
     DPR_RETURN_NOT_OK(
-        SyncIo::Read(options_.log_device.get(), pos, buf.data(), n));
-    memcpy(log_.Resolve(pos), buf.data(), n);
+        SyncIo::Read(options_.log_device.get(), pos, log_.Resolve(pos), n));
     pos += n;
   }
-  // Fast path: when the anchor checkpoint (the one whose flushed prefix is
-  // being restored) carries an index image, install its delta chain — base
-  // first, each delta overlaying its predecessor — instead of scanning the
-  // whole restored prefix. Falls back to the scan when any chain link lost
-  // its image (legacy checkpoints, rollback mid-gap entries).
-  std::vector<Version> chain;
+  // Install the newest usable index image, then walk the part of the
+  // restored prefix it does not cover. The anchor's own chain covers the
+  // whole prefix, so the walk only marks the (token, anchor] overshoot
+  // invalid. Otherwise the newest image checkpoint at or below the token
+  // covers the prefix below its boundary, and the walk installs the records
+  // above it. With no image at all (only legacy or rollback entries), the
+  // walk rebuilds the index from the log's begin.
+  std::vector<uint64_t> chain;
+  Version image = kInvalidVersion;
+  LogAddress image_boundary = kNullAddress;
   {
     MutexLock guard(checkpoints_mu_);
-    ResolveChainLocked(anchor, &chain);
+    image = NewestImageLocked(token, anchor, &chain);
+    if (image != kInvalidVersion) {
+      image_boundary = checkpoints_.at(image).boundary;
+    }
   }
-  const uint64_t page_mask = log_.page_size() - 1;
+  const LogAddress begin = begin_.load(std::memory_order_acquire);
   uint64_t chain_count = 0;
-  bool chain_restored =
-      !chain.empty() && InstallChainImages(chain, &chain_count).ok();
-  if (chain_restored) {
+  LogAddress install_from = begin;
+  LogAddress walk_from = begin;
+  if (image != kInvalidVersion &&
+      InstallChainImages(chain, &chain_count).ok()) {
     Metrics().ckpt_chain_restores->Add();
     Metrics().ckpt_chain_length->Set(static_cast<int64_t>(chain.size()));
-    // Only the covering overshoot needs a walk: records with versions in
-    // (token, anchor] must carry invalid marks before post-recovery
-    // versions reuse the same numbers. An exact restore skips even this —
-    // recovery cost is O(image), independent of log size.
-    uint64_t invalidated = 0;
-    pos = std::max(boundary, begin_.load(std::memory_order_acquire));
-    while (pos < cover_boundary) {
-      if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-        pos = (pos | page_mask) + 1;
-        continue;
-      }
-      RecordHeader* rec = log_.RecordAt(pos);
-      if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-          rec->LoadFlags() == 0) {
-        pos = (pos | page_mask) + 1;
-        continue;
-      }
-      if (!rec->pad() && !rec->invalid() && rec->version > token) {
-        rec->SetFlag(RecordHeader::kInvalid);
-        ++invalidated;
-      }
-      pos += rec->size();
-    }
-    record_count_.store(
-        chain_count > invalidated ? chain_count - invalidated : 0,
-        std::memory_order_relaxed);
+    install_from =
+        image == anchor ? cover_boundary : std::max(image_boundary, begin);
+    walk_from = std::min(install_from, std::max(boundary, begin));
   } else {
     if (!chain.empty()) index_.Clear();  // discard a partial install
+    chain_count = 0;
     Metrics().ckpt_scan_restores->Add();
-    // Rebuild the hash index by forward scan: the stored prev pointers are
-    // internally consistent within the restored prefix, so installing each
-    // record as its bucket's head in log order reproduces the chains.
-    // Records in the (token, cover] overshoot get invalid marks instead —
-    // they must never resurrect once post-recovery versions reuse the same
-    // numbers.
-    pos = begin_.load(std::memory_order_acquire);
-    uint64_t records = 0;
-    while (pos < cover_boundary) {
-      if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-        pos = (pos | page_mask) + 1;
-        continue;
-      }
-      RecordHeader* rec = log_.RecordAt(pos);
-      if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-          rec->LoadFlags() == 0) {
-        pos = (pos | page_mask) + 1;
-        continue;
-      }
-      if (!rec->pad() && rec->version > token) {
-        rec->SetFlag(RecordHeader::kInvalid);
-      } else if (!rec->pad() && !rec->invalid() && rec->version <= token) {
-        index_.SetHead(rec->key, pos);
-        ++records;
-      }
-      pos += rec->size();
-    }
-    record_count_.store(records, std::memory_order_relaxed);
   }
+  // The stored prev pointers are consistent within the restored prefix, so
+  // installing each record as its entry's head in log order reproduces the
+  // chains. Records above the token get invalid marks instead: they must
+  // never resurrect once post-recovery versions reuse the same numbers.
+  // Each installed key lands in a random bucket, so records are installed
+  // in batches whose buckets are prefetched first, overlapping the misses.
+  constexpr size_t kBatch = 32;
+  std::pair<uint64_t, LogAddress> batch[kBatch];
+  size_t batched = 0;
+  auto install = [&] {
+    for (size_t i = 0; i < batched; ++i) index_.Prefetch(batch[i].first);
+    for (size_t i = 0; i < batched; ++i) {
+      index_.SetHead(batch[i].first, batch[i].second);
+    }
+    batched = 0;
+  };
+  const uint64_t page_mask = log_.page_size() - 1;
+  uint64_t installed = 0;
+  uint64_t uncounted = 0;  // image-counted records the walk invalidated
+  pos = walk_from;
+  while (pos < cover_boundary) {
+    if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
+      pos = (pos | page_mask) + 1;  // zeroed page remainder
+      continue;
+    }
+    RecordHeader* rec = log_.RecordAt(pos);
+    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
+        rec->LoadFlags() == 0) {
+      pos = (pos | page_mask) + 1;  // zeroed page remainder
+      continue;
+    }
+    if (!rec->pad() && !rec->invalid()) {
+      if (rec->version > token) {
+        rec->SetFlag(RecordHeader::kInvalid);
+        if (pos < install_from) ++uncounted;
+      } else if (pos >= install_from) {
+        batch[batched++] = {rec->key, pos};
+        if (batched == kBatch) install();
+        ++installed;
+      }
+    }
+    pos += rec->size();
+  }
+  install();
+  record_count_.store(
+      chain_count > uncounted ? chain_count - uncounted + installed
+                              : installed,
+      std::memory_order_relaxed);
   if (cover_boundary > boundary) {
     // Persist the overshoot's invalid marks before trusting the restore.
     const LogAddress mark_base =
@@ -1093,7 +1078,7 @@ void FasterStore::SimulateCrash() {
     checkpoints_.clear();
     pending_compactions_.clear();
     begin_.store(LogAllocator::kBeginAddress, std::memory_order_release);
-    Status s = meta_wal_.Replay([this](uint64_t, Slice record) {
+    Status s = meta_wal_.Replay([this](uint64_t offset, Slice record) {
       Decoder dec(record);
       uint8_t type;
       uint64_t token;
@@ -1105,11 +1090,12 @@ void FasterStore::SimulateCrash() {
       if (type == kMetaCheckpoint) {
         checkpoints_[token] = CkptEntry{boundary};
       } else if (type == kMetaFullIndex) {
-        checkpoints_[token] = CkptEntry{boundary, kInvalidVersion, true};
+        checkpoints_[token] =
+            CkptEntry{boundary, kInvalidVersion, true, offset};
       } else if (type == kMetaDelta) {
         uint64_t base;
         if (!dec.GetFixed64(&base)) return;
-        checkpoints_[token] = CkptEntry{boundary, base, true};
+        checkpoints_[token] = CkptEntry{boundary, base, true, offset};
       } else if (type == kMetaRollback) {
         for (auto it = checkpoints_.upper_bound(token);
              it != checkpoints_.end();) {

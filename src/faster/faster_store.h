@@ -24,9 +24,11 @@
 namespace dpr {
 
 struct FasterOptions {
-  /// Hash buckets (rounded up to a power of two). The paper sizes this at
-  /// #keys / 2.
-  uint64_t index_buckets = 1 << 16;
+  /// 64-byte hash-index buckets of seven entries each, rounded up to a
+  /// power of two. The default (8 MiB, ~917K entries) keeps a worker's
+  /// ~500K keys almost entirely out of overflow buckets; tests shrink it to
+  /// force overflow.
+  uint64_t index_buckets = 1 << 17;
   /// log2 of the log page size.
   uint32_t page_bits = 20;
   /// Durable image of the record log (fold-over checkpoint target).
@@ -90,9 +92,10 @@ class FasterStore : public StateObject {
 
   // --- StateObject (libDPR) interface ---
   /// With default hints this is a full fold-over: no hash-index image rides
-  /// in the meta WAL and ColdRecover rebuilds the index by scanning the log.
+  /// in the meta WAL, and ColdRecover rebuilds the index from an older image
+  /// plus a scan of the log above it (or from the whole log).
   /// With hints.index_image the flush thread captures a hash-index image —
-  /// full, or dirty-buckets-only when hints.delta and a durable image base
+  /// full, or dirty-entries-only when hints.delta and a durable image base
   /// exists — and persists it inside the checkpoint meta record, enabling
   /// chain restores that skip the full log scan.
   Status PerformCheckpoint(Version target_version, PersistCallback on_persist,
@@ -162,12 +165,14 @@ class FasterStore : public StateObject {
   /// One durable checkpoint. `base` links a delta image to the newest
   /// durable image checkpoint it was diffed against (kInvalidVersion for
   /// full images and image-less legacy checkpoints); `has_index` says an
-  /// index image for this token exists in the meta WAL, making the token
-  /// eligible as a delta base and as a chain-restore anchor.
+  /// index image for this token sits in the meta WAL at `image_offset`,
+  /// making the token eligible as a delta base and as a chain-restore
+  /// anchor.
   struct CkptEntry {
     LogAddress boundary = 0;
     Version base = kInvalidVersion;
     bool has_index = false;
+    uint64_t image_offset = 0;
   };
 
   Status ReadInternal(uint64_t key, std::string* out_str, uint64_t* out_int);
@@ -190,7 +195,9 @@ class FasterStore : public StateObject {
   // an exact-token restore.
   // `anchor` is the durable checkpoint whose boundary == cover_boundary
   // (the token itself on an exact restore): when it carries an index
-  // image, recovery installs its delta chain instead of scanning the log.
+  // image, recovery installs its delta chain instead of scanning the log;
+  // otherwise it installs the newest image at or below `token` and scans
+  // only the log above that image's boundary.
   Status ColdRecover(Version token, LogAddress boundary,
                      LogAddress cover_boundary, Version anchor);
   Status InMemoryRollback(Version token, LogAddress boundary,
@@ -201,20 +208,27 @@ class FasterStore : public StateObject {
   // --- delta-checkpoint machinery (DESIGN.md §4j) ---
   // Encodes the kMetaFullIndex / kMetaDelta record for `req`, capturing
   // the index image on the flush thread. `base` (kInvalidVersion for a
-  // full image) must be a durable image checkpoint. Returns the record
-  // size via `bytes`.
-  std::string EncodeIndexMetaRecord(const FlushRequest& req, Version base);
+  // full image) must be a durable image checkpoint and `base_boundary` its
+  // flush boundary (kNullAddress for a full image).
+  std::string EncodeIndexMetaRecord(const FlushRequest& req, Version base,
+                                    LogAddress base_boundary);
   // Largest durable token carrying an index image, or kInvalidVersion.
   Version LargestImageBaseLocked() const REQUIRES(checkpoints_mu_);
-  // Resolves the delta chain ending at `token` (ascending, base first).
-  // Fails (false) when any link lacks an image or left the durable set —
-  // the caller then falls back to the full log scan.
-  bool ResolveChainLocked(Version token, std::vector<Version>* chain) const
+  // Resolves the delta chain ending at `token` into the meta-WAL offsets of
+  // its image records (ascending, base first). Fails (false) when any link
+  // lacks an image or left the durable set.
+  bool ResolveChainLocked(Version token, std::vector<uint64_t>* offsets) const
       REQUIRES(checkpoints_mu_);
-  // Replays the meta WAL collecting the newest valid image payload for
-  // each chain token (honoring rollback/compaction erasures), then
-  // installs them ascending so deltas overlay their base.
-  Status InstallChainImages(const std::vector<Version>& chain,
+  // The image a restore to `token` (anchored at `anchor`, see ColdRecover)
+  // starts from: the anchor's own chain, else the newest checkpoint at or
+  // below `token` whose chain resolves. Fills the chain's image offsets;
+  // kInvalidVersion when there is none.
+  Version NewestImageLocked(Version token, Version anchor,
+                            std::vector<uint64_t>* offsets) const
+      REQUIRES(checkpoints_mu_);
+  // Reads the chain's image records at `offsets` and installs them
+  // ascending, so deltas overlay their base.
+  Status InstallChainImages(const std::vector<uint64_t>& offsets,
                             uint64_t* restored_record_count);
 
   FasterOptions options_;

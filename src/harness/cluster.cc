@@ -102,7 +102,6 @@ Status DFasterCluster::StartWorker(WorkerId id, bool start_empty) {
   config.num_workers = options_.num_workers;
   config.start_empty = start_empty;
   config.mode = options_.mode;
-  config.faster.index_buckets = options_.index_buckets;
   config.faster.log_device =
       MakeDevice(options_.backend, options_.storage_dir, name + ".log");
   config.faster.meta_device =

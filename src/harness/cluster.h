@@ -47,7 +47,6 @@ struct ClusterOptions {
   /// paper's deployment shape, where the tracking plane is its own service.
   /// The coordinator still runs on the local finder (it owns the metadata).
   bool remote_finder = false;
-  uint64_t index_buckets = 1 << 16;
   /// Directory for file-backed devices; empty = memory-backed devices.
   std::string storage_dir;
 };

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "storage/fsync_scheduler.h"
 
 namespace dpr {
@@ -10,6 +11,7 @@ namespace dpr {
 namespace {
 constexpr uint64_t kMagic = 0xd1c7b10bcafef00dULL;
 constexpr size_t kHeaderSize = 8 + 8 + 8 + 4;  // magic, token, len, crc
+constexpr uint64_t kImageAddressMask = (uint64_t{1} << 48) - 1;
 }  // namespace
 
 Status CheckpointBlob::Write(Device* device, uint64_t offset,
@@ -33,23 +35,37 @@ Status CheckpointBlob::Write(Device* device, uint64_t offset,
 
 void IndexImage::AppendTo(std::string* out) const {
   PutFixed64(out, pairs.size());
-  for (const auto& [bucket, head] : pairs) {
-    PutFixed32(out, bucket);
-    PutFixed64(out, head);
+  uint32_t prev = 0;
+  for (const auto& [bucket, word] : pairs) {
+    DPR_CHECK(bucket >= prev);
+    PutVarint64(out, bucket - prev);
+    PutVarint64(out, word & kImageAddressMask);
+    const uint16_t high = static_cast<uint16_t>(word >> 48);
+    out->append(reinterpret_cast<const char*>(&high), 2);
+    prev = bucket;
   }
 }
 
 bool IndexImage::ParseFrom(Decoder* dec) {
   uint64_t count;
   if (!dec->GetFixed64(&count)) return false;
-  if (dec->remaining() < count * 12) return false;
+  // Each pair takes at least four bytes; this bounds the reservation.
+  if (dec->remaining() / 4 < count) return false;
   pairs.clear();
   pairs.reserve(count);
+  uint64_t bucket = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t bucket;
-    uint64_t head;
-    if (!dec->GetFixed32(&bucket) || !dec->GetFixed64(&head)) return false;
-    pairs.emplace_back(bucket, head);
+    uint64_t gap;
+    uint64_t address;
+    uint16_t high;
+    if (!dec->GetVarint64(&gap) || !dec->GetVarint64(&address) ||
+        !dec->GetBytes(&high, 2) || address > kImageAddressMask ||
+        gap > UINT32_MAX - bucket) {
+      return false;
+    }
+    bucket += gap;
+    pairs.emplace_back(static_cast<uint32_t>(bucket),
+                       uint64_t{high} << 48 | address);
   }
   return true;
 }

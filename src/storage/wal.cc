@@ -80,6 +80,29 @@ Status WriteAheadLog::Replay(
   return Status::OK();
 }
 
+Status WriteAheadLog::ReadRecord(uint64_t offset, std::string* record) {
+  const uint64_t end = device_->Size();
+  if (offset > end || end - offset < kHeaderSize) {
+    return Status::Corruption("WAL record header past end of log");
+  }
+  char header[kHeaderSize];
+  DPR_RETURN_NOT_OK(SyncIo::Read(device_.get(), offset, header, kHeaderSize));
+  uint32_t len;
+  uint32_t crc;
+  memcpy(&len, header, 4);
+  memcpy(&crc, header + 4, 4);
+  if (end - offset - kHeaderSize < len) {
+    return Status::Corruption("WAL record body past end of log");
+  }
+  record->resize(len);
+  DPR_RETURN_NOT_OK(
+      SyncIo::Read(device_.get(), offset + kHeaderSize, record->data(), len));
+  if (Crc32c(record->data(), len) != crc) {
+    return Status::Corruption("WAL record checksum mismatch");
+  }
+  return Status::OK();
+}
+
 Status WriteAheadLog::Reset() {
   MutexLock guard(mu_);
   device_->Truncate(0);

@@ -46,6 +46,11 @@ class WriteAheadLog {
   Status Replay(
       const std::function<void(uint64_t offset, Slice record)>& visitor);
 
+  /// Reads the one record starting at `offset` (as returned by Append or
+  /// passed to a Replay visitor). Corruption when it is torn, runs past the
+  /// end of the log, or fails its checksum.
+  Status ReadRecord(uint64_t offset, std::string* record);
+
   /// Discards the entire log (e.g. after a compacting checkpoint).
   Status Reset();
 

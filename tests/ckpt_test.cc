@@ -453,6 +453,99 @@ TEST(DeltaCheckpointTest, ChainFromCompactionBaseAfterFinish) {
   }
 }
 
+// Copies the first `n` bytes of `src` into a fresh, fully synced device: the
+// files a restarted process finds after a crash that tore the rest away.
+std::unique_ptr<Device> DurablePrefix(Device* src, uint64_t n) {
+  std::string bytes(n, '\0');
+  EXPECT_TRUE(SyncIo::Read(src, 0, bytes.data(), n).ok());
+  auto copy = std::make_unique<MemoryDevice>();
+  EXPECT_TRUE(SyncIo::Write(copy.get(), 0, bytes.data(), n).ok());
+  EXPECT_TRUE(SyncIo::Fsync(copy.get()).ok());
+  return copy;
+}
+
+TEST(DeltaCheckpointTest, OverflowChainRestoresAtEveryWalTruncation) {
+  // 16 buckets of 7 entries hold at most 112 entries, so 240 keys put much
+  // of every image into overflow buckets, whose layout a chain restore
+  // rebuilds from (bucket, entry word) pairs alone. Cutting the meta WAL at
+  // every byte restarts from each durable chain prefix in turn, torn last
+  // records included. Image-less checkpoints restore from the newest image
+  // below them plus a walk of the log above its boundary.
+  constexpr uint64_t kBuckets = 16;
+  constexpr uint64_t kKeys = 240;
+  MemoryDevice log;
+  MemoryDevice meta;
+  std::map<Version, std::map<uint64_t, uint64_t>> states;
+  {
+    FasterOptions options;
+    options.index_buckets = kBuckets;
+    options.page_bits = 12;
+    options.log_device = std::make_unique<DeviceSlice>(&log, 0);
+    options.meta_device = std::make_unique<DeviceSlice>(&meta, 0);
+    FasterStore store(std::move(options));
+    auto session = store.NewSession();
+    std::map<uint64_t, uint64_t> live;
+    auto write = [&](uint64_t lo, uint64_t hi, uint64_t round) {
+      for (uint64_t k = lo; k < hi; ++k) {
+        ASSERT_TRUE(session->Upsert(k, round * 1000 + k).ok());
+        live[k] = round * 1000 + k;
+      }
+    };
+    write(0, 200, 1);
+    states[Checkpoint(&store, /*image=*/true, /*delta=*/false)] = live;
+    write(0, 50, 2);
+    states[Checkpoint(&store, true, true)] = live;
+    write(200, kKeys, 3);
+    write(100, 120, 3);
+    states[Checkpoint(&store, true, true)] = live;
+    write(120, 140, 4);
+    states[Checkpoint(&store, /*image=*/false, false)] = live;
+    write(0, 10, 5);
+    states[Checkpoint(&store, true, true)] = live;
+    write(150, 170, 6);
+    states[Checkpoint(&store, false, false)] = live;
+    write(0, kKeys, 7);  // never checkpointed
+  }
+  states[kInvalidVersion] = {};
+  const uint64_t log_size = log.Size();
+  const uint64_t meta_size = meta.Size();
+
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  uint64_t image_restores = 0;
+  for (uint64_t cut = 0; cut <= meta_size; ++cut) {
+    FasterOptions options;
+    options.index_buckets = kBuckets;
+    options.page_bits = 12;
+    options.log_device = DurablePrefix(&log, log_size);
+    options.meta_device = DurablePrefix(&meta, cut);
+    FasterStore store(std::move(options));
+    store.SimulateCrash();  // replays the meta WAL as a restart would
+    const Version token = store.LargestDurableToken();
+    if (token != kInvalidVersion) ++image_restores;
+    Version restored = kInvalidVersion;
+    ASSERT_TRUE(store.RestoreCheckpoint(token, &restored).ok())
+        << "cut " << cut;
+    ASSERT_EQ(restored, token);
+    const std::map<uint64_t, uint64_t>& want = states.at(token);
+    auto reader = store.NewSession();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      uint64_t v = 0;
+      const auto it = want.find(k);
+      if (it == want.end()) {
+        ASSERT_TRUE(reader->Read(k, &v).IsNotFound())
+            << "cut " << cut << " key " << k;
+      } else {
+        ASSERT_TRUE(reader->Read(k, &v).ok()) << "cut " << cut << " key " << k;
+        ASSERT_EQ(v, it->second) << "cut " << cut << " key " << k;
+      }
+    }
+  }
+  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+  EXPECT_GT(image_restores, 0u);
+  EXPECT_EQ(CounterDelta(before, after, "ckpt.chain_restores"), image_restores)
+      << "every restart with a durable image must restore from its chain";
+}
+
 // ------------------------------------------- flush-failure regression (bug)
 
 TEST(FlushFailureTest, FailedFlushDoesNotWedgePipeline) {

@@ -126,6 +126,26 @@ TEST(CodingTest, FixedRoundTrip) {
   EXPECT_EQ(dec.remaining(), 0u);
 }
 
+TEST(CodingTest, VarintRoundTripAndTruncation) {
+  const uint64_t values[] = {0, 1, 127, 128, 300, uint64_t{1} << 35,
+                             ~uint64_t{0}};
+  std::string buf;
+  for (uint64_t v : values) PutVarint64(&buf, v);
+  Decoder dec(buf);
+  for (uint64_t want : values) {
+    uint64_t got = 0;
+    ASSERT_TRUE(dec.GetVarint64(&got));
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(dec.remaining(), 0u);
+  std::string cut;
+  PutVarint64(&cut, uint64_t{1} << 35);
+  cut.pop_back();
+  Decoder truncated(cut);
+  uint64_t v;
+  EXPECT_FALSE(truncated.GetVarint64(&v));
+}
+
 TEST(CodingTest, DecoderRejectsUnderflow) {
   std::string buf;
   PutFixed32(&buf, 7);
@@ -140,6 +160,22 @@ TEST(CodingTest, DecoderRejectsUnderflow) {
 TEST(HashTest, Crc32cKnownVector) {
   // CRC32C("123456789") = 0xe3069283 (iSCSI test vector).
   EXPECT_EQ(Crc32c("123456789", 9), 0xe3069283u);
+  EXPECT_EQ(Crc32cTable("123456789", 9, 0), 0xe3069283u);
+}
+
+TEST(HashTest, Crc32cHardwareMatchesTable) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 crc32";
+  std::vector<unsigned char> buf(4096 + 8);
+  Random rng(17);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n = 0; n <= 4096; ++n) {
+      const uint32_t seed = static_cast<uint32_t>(n * 2654435761u);
+      ASSERT_EQ(Crc32cHardware(buf.data() + start, n, seed),
+                Crc32cTable(buf.data() + start, n, seed))
+          << "start " << start << " length " << n;
+    }
+  }
 }
 
 TEST(HashTest, Crc32cDetectsCorruption) {

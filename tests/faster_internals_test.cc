@@ -138,5 +138,85 @@ TEST(HashIndexTest, ConcurrentCasOneWinnerPerRound) {
   EXPECT_EQ(wins.load(), 1);
 }
 
+// Distinct keys that all hash to `bucket` of a 16-bucket index, each with
+// its own tag.
+std::vector<uint64_t> DistinctTagsInBucket(uint64_t bucket, size_t n) {
+  HashIndex probe(16);
+  std::set<uint64_t> tags;
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < n; ++k) {
+    if (probe.BucketFor(k) == bucket &&
+        tags.insert(HashIndex::TagFor(k)).second) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+TEST(HashIndexTest, OverflowBucketsHoldEveryEntryAndImagesRestore) {
+  HashIndex index(16);
+  const std::vector<uint64_t> keys = DistinctTagsInBucket(3, 40);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    LogAddress expected = kNullAddress;
+    ASSERT_TRUE(index.CasHead(keys[i], &expected, 64 + 8 * i));
+  }
+  // 40 entries: 7 in the primary bucket, 33 across at least 5 overflows.
+  EXPECT_GE(index.overflow_bucket_count(), 5u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.Head(keys[i]), 64 + 8 * i);
+  }
+  // An image is (bucket, entry word) pairs; restoring it into an empty
+  // index reproduces every head without knowing the keys.
+  std::vector<std::pair<uint64_t, uint64_t>> image;
+  index.ForEachEntry([&](uint64_t bucket, uint64_t word) {
+    image.emplace_back(bucket, word);
+  });
+  ASSERT_EQ(image.size(), keys.size());
+  HashIndex restored(16);
+  for (const auto& [bucket, word] : image) restored.RestoreEntry(bucket, word);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(restored.Head(keys[i]), 64 + 8 * i);
+  }
+  index.Clear();
+  EXPECT_EQ(index.overflow_bucket_count(), 0u);
+  for (uint64_t k : keys) EXPECT_EQ(index.Head(k), kNullAddress);
+}
+
+TEST(HashIndexTest, RacingFirstInsertsCreateOneEntryPerTag) {
+  HashIndex index(16);
+  constexpr int kThreads = 6;
+  constexpr uint64_t kKeys = 400;
+  std::atomic<uint64_t> arrived{0};
+  std::vector<std::atomic<int>> wins(kKeys);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        arrived.fetch_add(1);
+        while (arrived.load() < (k + 1) * kThreads) std::this_thread::yield();
+        LogAddress expected = kNullAddress;
+        if (index.CasHead(k, &expected, 64 + 8 * (k * kThreads + t))) {
+          wins[k].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  // Keys sharing a bucket and a tag share an entry: the first insert wins
+  // for all of them.
+  std::set<std::pair<uint64_t, uint64_t>> entries;
+  int total_wins = 0;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    entries.emplace(index.BucketFor(k), HashIndex::TagFor(k));
+    total_wins += wins[k].load();
+    EXPECT_LE(wins[k].load(), 1) << "key " << k;
+    EXPECT_NE(index.Head(k), kNullAddress);
+  }
+  EXPECT_EQ(static_cast<size_t>(total_wins), entries.size());
+  size_t visited = 0;
+  index.ForEachEntry([&](uint64_t, uint64_t) { ++visited; });
+  EXPECT_EQ(visited, entries.size());
+}
+
 }  // namespace
 }  // namespace dpr

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "faster/hash_index.h"
 
 namespace dpr {
 namespace {
@@ -99,6 +101,112 @@ TEST(FasterStoreTest, ManyKeysWithBucketCollisions) {
     uint64_t v = 0;
     ASSERT_TRUE(session->Read(k, &v).ok());
     ASSERT_EQ(v, k * 3);
+  }
+}
+
+// Keys whose hash lands in one bucket of a `buckets`-bucket index; with
+// `same_tag` every key also shares the first key's tag.
+std::vector<uint64_t> KeysInOneBucket(uint64_t buckets, size_t n,
+                                      bool same_tag) {
+  HashIndex probe(buckets);
+  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> groups;
+  for (uint64_t k = 1;; ++k) {
+    const auto group = std::make_pair(
+        probe.BucketFor(k), same_tag ? HashIndex::TagFor(k) : uint64_t{0});
+    std::vector<uint64_t>& keys = groups[group];
+    keys.push_back(k);
+    if (keys.size() == n) return keys;
+  }
+}
+
+TEST(FasterStoreTest, KeysSharingBucketAndTagKeepTheirOwnValues) {
+  // Two keys with one bucket and one tag share an index entry and so one
+  // record chain; each lookup must still pick out its own key's records.
+  auto store = NewStore(/*buckets=*/16);
+  const std::vector<uint64_t> keys =
+      KeysInOneBucket(16, 2, /*same_tag=*/true);
+  auto session = store->NewSession();
+  ASSERT_TRUE(session->Upsert(keys[0], uint64_t{100}).ok());
+  ASSERT_TRUE(session->Upsert(keys[1], uint64_t{200}).ok());
+  Checkpoint(store.get());  // next writes append (RCU) onto the shared chain
+  ASSERT_TRUE(session->Upsert(keys[0], uint64_t{101}).ok());
+  uint64_t v = 0;
+  ASSERT_TRUE(session->Read(keys[0], &v).ok());
+  EXPECT_EQ(v, 101u);
+  ASSERT_TRUE(session->Read(keys[1], &v).ok());
+  EXPECT_EQ(v, 200u);
+  ASSERT_TRUE(session->Delete(keys[1]).ok());
+  EXPECT_TRUE(session->Read(keys[1], &v).IsNotFound());
+  ASSERT_TRUE(session->Read(keys[0], &v).ok());
+  EXPECT_EQ(v, 101u);
+}
+
+TEST(FasterStoreTest, FullBucketSpillsIntoOverflowBuckets) {
+  // Forty keys in one bucket need at least five overflow buckets past the
+  // primary bucket's seven entries; all survive a crash and a scan rebuild.
+  auto store = NewStore(/*buckets=*/16);
+  const std::vector<uint64_t> keys =
+      KeysInOneBucket(16, 40, /*same_tag=*/false);
+  auto session = store->NewSession();
+  for (uint64_t k : keys) ASSERT_TRUE(session->Upsert(k, k * 7).ok());
+  for (uint64_t k : keys) {
+    uint64_t v = 0;
+    ASSERT_TRUE(session->Read(k, &v).ok()) << "key " << k;
+    EXPECT_EQ(v, k * 7);
+  }
+  const Version token = Checkpoint(store.get());
+  session.reset();
+  store->SimulateCrash();
+  Version restored = kInvalidVersion;
+  ASSERT_TRUE(store->RestoreCheckpoint(token, &restored).ok());
+  auto reader = store->NewSession();
+  for (uint64_t k : keys) {
+    uint64_t v = 0;
+    ASSERT_TRUE(reader->Read(k, &v).ok()) << "key " << k;
+    EXPECT_EQ(v, k * 7);
+  }
+}
+
+TEST(FasterStoreTest, RacingFirstInsertsLeaveOneEntryPerKey) {
+  // Threads race the first insert of each key (the index's tentative-bit
+  // protocol) with RMW increments. A second entry for a key would hide the
+  // writes that landed in it, so every key must read back one increment
+  // per thread, and Scan must emit it once with that value.
+  auto store = NewStore(/*buckets=*/16);
+  constexpr int kThreads = 6;
+  constexpr uint64_t kKeys = 300;
+  std::atomic<uint64_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto session = store->NewSession();
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        // Start each key together: wait until every thread reached it.
+        arrived.fetch_add(1);
+        while (arrived.load() < (k + 1) * kThreads) std::this_thread::yield();
+        EXPECT_TRUE(session->Rmw(k, 1).ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::map<uint64_t, int> emitted;
+  store->Scan([&](uint64_t key, Slice value) {
+    ++emitted[key];
+    uint64_t v = 0;
+    ASSERT_EQ(value.size(), 8u);
+    memcpy(&v, value.data(), 8);
+    EXPECT_EQ(v, uint64_t{kThreads}) << "key " << key;
+  });
+  ASSERT_EQ(emitted.size(), kKeys);
+  auto session = store->NewSession();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(emitted[k], 1) << "key " << k;
+    uint64_t v = 0;
+    ASSERT_TRUE(session->Read(k, &v).ok());
+    EXPECT_EQ(v, uint64_t{kThreads}) << "key " << k;
+    ASSERT_TRUE(session->Upsert(k, k + 5).ok());
+    ASSERT_TRUE(session->Read(k, &v).ok());
+    EXPECT_EQ(v, k + 5);
   }
 }
 

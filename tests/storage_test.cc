@@ -145,6 +145,15 @@ TEST(WalTest, TornTailRecordIsDropped) {
   }).ok());
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "good");
+  // Reading one record by offset applies the same checks.
+  std::string rec;
+  ASSERT_TRUE(wal.ReadRecord(0, &rec).ok());
+  EXPECT_EQ(rec, "good");
+  EXPECT_EQ(wal.ReadRecord(offset, &rec).code(), Status::Code::kCorruption);
+  EXPECT_EQ(wal.ReadRecord(offset + 4, &rec).code(),
+            Status::Code::kCorruption);
+  EXPECT_EQ(wal.ReadRecord(raw->Size(), &rec).code(),
+            Status::Code::kCorruption);
 }
 
 TEST(WalTest, AppendAfterReplayContinuesAtTail) {
