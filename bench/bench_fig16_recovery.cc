@@ -4,8 +4,7 @@
 // storage plane (file-backed devices, group-commit fsync) with the adaptive
 // checkpoint cadence (src/ckpt/). Restores walk the delta chain, so the
 // artifact carries ckpt.chain_restores / ckpt.scan_restores alongside the
-// timeline. --ckpt_fixed reverts to the historical fixed full fold-overs
-// for an A/B on recovery cost.
+// timeline.
 //
 // Expected shape: commit progress stalls briefly (~100s of ms) around each
 // failure while operation throughput only dips; some operations abort in
@@ -31,15 +30,12 @@
 namespace dpr {
 namespace {
 
-ClusterOptions BaseOptions(const Flags& flags) {
+ClusterOptions BaseOptions() {
   ClusterOptions options;
   options.num_workers = 2;
   options.mode = RecoverabilityMode::kDpr;
   options.backend = StorageBackend::kLocal;
   options.checkpoint_interval_us = 100000;  // paper: 100 ms RPO ceiling
-  if (flags.GetBool("ckpt_fixed", false)) {
-    options.ckpt = CkptPolicy::FixedInterval();
-  }
   return options;
 }
 
@@ -60,7 +56,7 @@ void Run(const Flags& flags) {
   BenchJsonOutput json(flags, "fig16_recovery");
   json.RecordConfig(config);
   const uint64_t total_ms = config.quick ? 9000 : 45000;
-  ClusterOptions options = BaseOptions(flags);
+  ClusterOptions options = BaseOptions();
   DFasterCluster cluster(options);
   Status s = cluster.Start();
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
@@ -79,8 +75,8 @@ void Run(const Flags& flags) {
       {t2 + 0.2, [&] { (void)cluster.InjectFailure({0}); }},
   };
   printf("\n=== Figure 16: recovery timeline (failures at %.1fs, %.1fs, "
-         "%.1fs; cadence=%s) ===\n",
-         t1, t2, t2 + 0.2, options.ckpt.adaptive ? "adaptive" : "fixed");
+         "%.1fs) ===\n",
+         t1, t2, t2 + 0.2);
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   const auto samples =
       RunTimelineDriver(&cluster, driver, /*interval_ms=*/250, events);
@@ -88,7 +84,6 @@ void Run(const Flags& flags) {
   if (json.enabled()) {
     json.artifact().SetConfig("failure_t1_s", t1);
     json.artifact().SetConfig("failure_t2_s", t2);
-    json.artifact().SetConfig("ckpt_adaptive", options.ckpt.adaptive);
   }
   printf("%8s  %14s  %14s  %12s\n", "t(s)", "completed Mops",
          "committed Mops", "aborted Mops");
@@ -109,7 +104,7 @@ void RunLiveRescale(const Flags& flags) {
   BenchJsonOutput json(flags, "fig16_recovery");
   json.RecordConfig(config);
 
-  ClusterOptions options = BaseOptions(flags);
+  ClusterOptions options = BaseOptions();
   DFasterCluster cluster(options);
   Status s = cluster.Start();
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
@@ -124,9 +119,8 @@ void RunLiveRescale(const Flags& flags) {
 
   const double t_join = driver.duration_ms / 1000.0 * 0.2;
   const double t_fail = driver.duration_ms / 1000.0 * 0.45;
-  printf("\n=== Figure 16b: join at %.1fs, kill the joiner at %.1fs "
-         "(cadence=%s) ===\n",
-         t_join, t_fail, options.ckpt.adaptive ? "adaptive" : "fixed");
+  printf("\n=== Figure 16b: join at %.1fs, kill the joiner at %.1fs ===\n",
+         t_join, t_fail);
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   WorkerId joiner = kInvalidWorker;
   std::thread rescale;
@@ -169,7 +163,6 @@ void RunLiveRescale(const Flags& flags) {
   if (json.enabled()) {
     json.artifact().SetConfig("join_t_s", t_join);
     json.artifact().SetConfig("failure_t_s", t_fail);
-    json.artifact().SetConfig("ckpt_adaptive", options.ckpt.adaptive);
   }
   printf("%8s  %14s  %14s  %12s\n", "t(s)", "completed Mops",
          "committed Mops", "aborted Mops");
@@ -188,7 +181,7 @@ void RunLiveRescale(const Flags& flags) {
 int main(int argc, char** argv) {
   dpr::Flags flags(argc, argv);
   printf("bench_fig16_recovery (quick=%d; --live_rescale kills a live-"
-         "migrated joiner; --ckpt_fixed reverts to fixed full fold-overs)\n",
+         "migrated joiner)\n",
          flags.GetBool("quick", true) ? 1 : 0);
   if (flags.GetBool("live_rescale", false)) {
     dpr::RunLiveRescale(flags);

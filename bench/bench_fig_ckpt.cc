@@ -1,25 +1,22 @@
-// Checkpoint-plane figure: what the delta chain and the adaptive cadence
+// Checkpoint-plane figure: what the delta chain and the cadence controller
 // buy (DESIGN.md §4j).
 //
-// Phase A — bytes persisted per checkpoint at equal RPO. The same workload
-// is checkpointed the same number of times under two policies: every
-// checkpoint a full index image (full_every=1, the historical fold-over)
-// vs the delta chain (full_every=16). Recovery points are identical; only
-// the persisted index bytes differ. Expected: the delta chain persists a
-// small fraction of the full-image bytes per checkpoint.
+// Phase A — bytes persisted per checkpoint. One run takes 32 image
+// checkpoints of the same workload; the store picks each image, so the run
+// holds two chains of a full image (the chain's first link) and 15 deltas.
+// Expected: a delta persists a small fraction of the full image's index
+// bytes, at the same recovery points.
 //
-// Phase B — fsyncs on idle vs hot shards. A controller-driven checkpoint
+// Phase B — flushes on idle vs hot shards. A controller-driven checkpoint
 // loop runs for a fixed wall-clock window over an idle store and a hot
-// store, once with the adaptive policy and once with the fixed-interval
-// policy. Expected: the fixed timer flushes a checkpoint every interval
-// regardless; the adaptive controller keeps idle-shard flushes near zero
-// (one initial report, then skips) while ticking the hot shard at least
-// as often.
+// store. Expected: the idle shard flushes once (the initial report) and
+// then skips, while the hot shard flushes on nearly every RPO interval —
+// close to the window/RPO count a fixed timer would flush on either shard.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "bench_util.h"
 #include "ckpt/cadence.h"
@@ -40,11 +37,11 @@ std::unique_ptr<FasterStore> NewStore(uint64_t buckets) {
   return std::make_unique<FasterStore>(std::move(options));
 }
 
-Version Checkpoint(FasterStore* store, bool delta) {
+Version Checkpoint(FasterStore* store, bool image) {
   Version token = kInvalidVersion;
-  Status s = store->PerformCheckpoint(
-      store->CurrentVersion() + 1, nullptr, &token,
-      CheckpointHints{.index_image = true, .delta = delta});
+  Status s = store->PerformCheckpoint(store->CurrentVersion() + 1, nullptr,
+                                      &token,
+                                      CheckpointHints{.index_image = image});
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
   store->WaitForCheckpoints();
   return token;
@@ -59,39 +56,49 @@ uint64_t CounterDelta(const MetricsSnapshot& before,
   return a - b;
 }
 
-struct PhaseAResult {
+// Index and log bytes of the checkpoints of one image kind.
+struct ImageBytes {
   uint64_t checkpoints = 0;
   uint64_t index_bytes = 0;
   uint64_t log_bytes = 0;
 };
 
-PhaseAResult RunPhaseAConfig(uint32_t full_every, uint64_t preload_keys,
-                             uint32_t rounds, uint32_t writes_per_round) {
+struct PhaseAResult {
+  ImageBytes full;
+  ImageBytes delta;
+};
+
+PhaseAResult RunPhaseA(uint64_t preload_keys, uint32_t rounds,
+                       uint32_t writes_per_round) {
   auto store = NewStore(/*buckets=*/1 << 16);
   auto session = store->NewSession();
   for (uint64_t k = 0; k < preload_keys; ++k) {
     DPR_CHECK(session->Upsert(k, k).ok());
   }
-  // The preload fold-over is common to both configs and not measured.
-  Checkpoint(store.get(), /*delta=*/false);
+  // The preload fold-over is image-less and not measured, so the first
+  // measured checkpoint starts a chain.
+  Checkpoint(store.get(), /*image=*/false);
 
-  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  PhaseAResult result;
   uint64_t next_key = 0;
   for (uint32_t r = 0; r < rounds; ++r) {
     // Dirty a 10% working set between checkpoints — the incremental log
-    // flush is identical across configs; the index image is what differs.
+    // flush is alike for every checkpoint; the index image is what differs.
     for (uint32_t i = 0; i < writes_per_round; ++i) {
       const uint64_t key = next_key++ % std::max<uint64_t>(preload_keys / 10, 1);
       DPR_CHECK(session->Upsert(key, r).ok());
     }
-    Checkpoint(store.get(), /*delta=*/full_every > 1 && r % full_every != 0);
+    const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+    Checkpoint(store.get(), /*image=*/true);
+    const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+    ImageBytes& kind = CounterDelta(before, after, "ckpt.full") == 1
+                           ? result.full
+                           : result.delta;
+    ++kind.checkpoints;
+    kind.index_bytes +=
+        CounterDelta(before, after, "ckpt.index_bytes_persisted");
+    kind.log_bytes += CounterDelta(before, after, "ckpt.log_bytes_persisted");
   }
-  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
-  PhaseAResult result;
-  result.checkpoints = rounds;
-  result.index_bytes =
-      CounterDelta(before, after, "ckpt.index_bytes_persisted");
-  result.log_bytes = CounterDelta(before, after, "ckpt.log_bytes_persisted");
   return result;
 }
 
@@ -101,15 +108,15 @@ struct PhaseBResult {
   uint64_t decisions = 0;
 };
 
-PhaseBResult RunPhaseBArm(const CkptPolicy& policy, bool hot,
-                          uint64_t window_ms) {
-  constexpr uint64_t kBaseIntervalUs = 10000;  // 10ms RPO for bench speed
+constexpr uint64_t kBaseIntervalUs = 10000;  // 10ms RPO for bench speed
+
+PhaseBResult RunPhaseB(bool hot, uint64_t window_ms) {
   auto store = NewStore(/*buckets=*/1 << 12);
   auto session = store->NewSession();
   for (uint64_t k = 0; k < 4096; ++k) {
     DPR_CHECK(session->Upsert(k, k).ok());
   }
-  CkptCadenceController controller(policy, kBaseIntervalUs);
+  CkptCadenceController controller(kBaseIntervalUs);
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   const Stopwatch timer;
   uint64_t writes = 0;
@@ -120,16 +127,14 @@ PhaseBResult RunPhaseBArm(const CkptPolicy& policy, bool hot,
         DPR_CHECK(session->Upsert(writes % 4096, writes).ok());
       }
     }
-    // Same signal shape the harness workers sample (DFasterWorker::
-    // CollectCkptSignals): un-flushed log span + the durability watermark.
-    CkptSignals signals;
+    // Same signal the harness workers sample (DFasterWorker::
+    // CollectCkptSignals): the un-flushed log span.
     const LogAddress tail = store->tail_address();
     const LogAddress ro = store->read_only_address();
-    signals.dirty_bytes = tail > ro ? tail - ro : 0;
-    signals.committed_watermark = store->LargestDurableToken();
-    const CkptDecision decision = controller.Decide(signals, NowMicros());
-    if (decision.action != CkptAction::kSkip) {
-      Checkpoint(store.get(), decision.action == CkptAction::kDelta);
+    const CkptDecision decision = controller.Decide(
+        CkptSignals{.dirty_bytes = tail > ro ? tail - ro : 0}, NowMicros());
+    if (decision.action == CkptAction::kCheckpoint) {
+      Checkpoint(store.get(), /*image=*/true);
     }
     SleepMicros(std::min<uint64_t>(decision.next_delay_us, 100000));
   }
@@ -148,61 +153,52 @@ void Run(const Flags& flags) {
 
   // --- Phase A: persisted bytes per checkpoint, full vs delta ---
   const uint64_t preload_keys = config.quick ? 50000 : 200000;
-  const uint32_t rounds = config.quick ? 32 : 128;
+  constexpr uint32_t kRounds = 32;
   const uint32_t writes_per_round = 2048;
-  printf("\n=== Checkpoint bytes at equal RPO (%u checkpoints, %llu keys) "
-         "===\n",
-         rounds, static_cast<unsigned long long>(preload_keys));
-  ResultTable table({"config", "ckpts", "index KiB/ckpt", "log KiB/ckpt",
-                     "total MiB"});
-  struct { const char* name; uint32_t full_every; } configs[] = {
-      {"full-every", 1}, {"delta-chain", 16}};
-  double full_index_per_ckpt = 0;
-  for (const auto& c : configs) {
-    const PhaseAResult r =
-        RunPhaseAConfig(c.full_every, preload_keys, rounds, writes_per_round);
-    const double index_per = static_cast<double>(r.index_bytes) /
-                             r.checkpoints / 1024.0;
-    const double log_per =
-        static_cast<double>(r.log_bytes) / r.checkpoints / 1024.0;
-    if (c.full_every == 1) full_index_per_ckpt = index_per;
-    table.AddRow({c.name, std::to_string(r.checkpoints),
-                  ResultTable::Fmt(index_per), ResultTable::Fmt(log_per),
-                  ResultTable::Fmt((r.index_bytes + r.log_bytes) / 1048576.0)});
+  printf("\n=== Checkpoint bytes by image (%u checkpoints, %llu keys) ===\n",
+         kRounds, static_cast<unsigned long long>(preload_keys));
+  const PhaseAResult a = RunPhaseA(preload_keys, kRounds, writes_per_round);
+  ResultTable table({"image", "ckpts", "index KiB/ckpt", "log KiB/ckpt"});
+  for (const auto& [name, kind] :
+       {std::pair{"full", a.full}, std::pair{"delta", a.delta}}) {
+    const double n = std::max<uint64_t>(kind.checkpoints, 1);
+    const double index_per = kind.index_bytes / n / 1024.0;
+    const double log_per = kind.log_bytes / n / 1024.0;
+    table.AddRow({name, std::to_string(kind.checkpoints),
+                  ResultTable::Fmt(index_per), ResultTable::Fmt(log_per)});
     if (json.enabled()) {
-      json.artifact().AddPoint("index_kib_per_ckpt", c.full_every, index_per);
-      json.artifact().AddPoint("log_kib_per_ckpt", c.full_every, log_per);
+      json.artifact().AddPoint(std::string("index_kib_per_ckpt.") + name,
+                               kind.checkpoints, index_per);
+      json.artifact().AddPoint(std::string("log_kib_per_ckpt.") + name,
+                               kind.checkpoints, log_per);
     }
   }
   table.Print();
-  if (full_index_per_ckpt > 0) {
-    printf("(delta chain persists fewer index bytes per checkpoint at the "
-           "same recovery points)\n");
-  }
+  printf("(a delta persists the index entries dirtied since its base; the "
+         "full image starts each chain)\n");
 
-  // --- Phase B: idle/hot shard flushes, adaptive vs fixed cadence ---
+  // --- Phase B: idle/hot shard flushes under the cadence controller ---
   const uint64_t window_ms = config.quick ? 1200 : 5000;
-  printf("\n=== Checkpoint flushes over %llums, 10ms RPO ===\n",
-         static_cast<unsigned long long>(window_ms));
-  ResultTable btable({"cadence", "shard", "flushed", "skips", "decisions"});
-  struct { const char* name; CkptPolicy policy; } arms[] = {
-      {"fixed", CkptPolicy::FixedInterval()}, {"adaptive", CkptPolicy{}}};
-  for (const auto& arm : arms) {
-    for (const bool hot : {false, true}) {
-      const PhaseBResult r = RunPhaseBArm(arm.policy, hot, window_ms);
-      btable.AddRow({arm.name, hot ? "hot" : "idle",
-                     std::to_string(r.flushed), std::to_string(r.skips),
-                     std::to_string(r.decisions)});
-      if (json.enabled()) {
-        const std::string series =
-            std::string("flushed.") + arm.name + (hot ? ".hot" : ".idle");
-        json.artifact().AddPoint(series, window_ms, r.flushed);
-      }
+  const uint64_t window_rpos = window_ms * 1000 / kBaseIntervalUs;
+  printf("\n=== Checkpoint flushes over %llums, 10ms RPO (%llu RPO "
+         "intervals) ===\n",
+         static_cast<unsigned long long>(window_ms),
+         static_cast<unsigned long long>(window_rpos));
+  ResultTable btable({"shard", "flushed", "skips", "decisions",
+                      "window/RPO"});
+  for (const bool hot : {false, true}) {
+    const PhaseBResult r = RunPhaseB(hot, window_ms);
+    btable.AddRow({hot ? "hot" : "idle", std::to_string(r.flushed),
+                   std::to_string(r.skips), std::to_string(r.decisions),
+                   std::to_string(window_rpos)});
+    if (json.enabled()) {
+      json.artifact().AddPoint(std::string("flushed.") + (hot ? "hot" : "idle"),
+                               window_ms, r.flushed);
     }
   }
   btable.Print();
-  printf("(adaptive keeps idle-shard fsyncs near zero: one initial "
-         "checkpoint, then skips)\n");
+  printf("(the idle shard flushes once, then skips; the hot shard flushes "
+         "on nearly every RPO interval)\n");
   json.Finish();
 }
 

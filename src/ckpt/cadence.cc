@@ -1,7 +1,11 @@
 #include "ckpt/cadence.h"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
+#include "common/clock.h"
+#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace dpr {
@@ -10,8 +14,6 @@ namespace {
 struct CadenceMetrics {
   Counter* decisions;
   Counter* skips;
-  Counter* fulls;
-  Counter* deltas;
   Gauge* interval_us;
   Gauge* dirty_bytes;
 };
@@ -21,8 +23,6 @@ const CadenceMetrics& Metrics() {
     MetricsRegistry& r = MetricsRegistry::Default();
     return CadenceMetrics{r.counter("ckpt.controller.decisions"),
                           r.counter("ckpt.controller.skips"),
-                          r.counter("ckpt.controller.fulls"),
-                          r.counter("ckpt.controller.deltas"),
                           r.gauge("ckpt.controller.interval_us"),
                           r.gauge("ckpt.controller.dirty_bytes")};
   }();
@@ -37,19 +37,11 @@ constexpr double kRateAlpha = 0.3;
 // The controller aims for roughly this many newly dirtied log bytes per
 // checkpoint: interval ~= kTargetDirtyBytes / ingest_rate.
 constexpr uint64_t kTargetDirtyBytes = 1 << 20;
-// Exception-list occupancy above this shortens the interval (ops are stuck
-// uncommitted behind the cut; commit more often).
-constexpr int64_t kExceptionPressure = 64;
-// storage.sched queue depth above this stretches the interval toward the
-// RPO ceiling (the device is congested; do not pile on).
-constexpr int64_t kQueuePressure = 16;
 
 }  // namespace
 
-CkptCadenceController::CkptCadenceController(const CkptPolicy& policy,
-                                             uint64_t base_interval_us)
-    : policy_(policy),
-      floor_us_(std::max<uint64_t>(base_interval_us / 4, 1000)),
+CkptCadenceController::CkptCadenceController(uint64_t base_interval_us)
+    : floor_us_(std::max<uint64_t>(base_interval_us / 4, 1000)),
       ceiling_us_(std::max(base_interval_us, floor_us_)) {}
 
 CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
@@ -58,12 +50,6 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
   Metrics().dirty_bytes->Set(static_cast<int64_t>(signals.dirty_bytes));
 
   const uint64_t elapsed = now_us > last_now_us_ ? now_us - last_now_us_ : 0;
-  if (last_now_us_ == 0) watermark_changed_us_ = now_us;
-  if (signals.committed_watermark != last_watermark_) {
-    last_watermark_ = signals.committed_watermark;
-    watermark_changed_us_ = now_us;
-  }
-
   // Ingest estimate: bytes appended during the last window. When the last
   // tick checkpointed, the dirty counter was reset to ~0, so the current
   // reading IS the window's ingest; when it skipped, only the growth is.
@@ -81,17 +67,6 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
   last_dirty_bytes_ = signals.dirty_bytes;
 
   CkptDecision d;
-  if (!policy_.adaptive) {
-    // Historical behavior: fixed cadence, every checkpoint a full
-    // fold-over (no index image riding in the meta WAL).
-    last_was_skip_ = false;
-    d.action = CkptAction::kFull;
-    d.next_delay_us = ceiling_us_;
-    Metrics().fulls->Add();
-    Metrics().interval_us->Set(static_cast<int64_t>(d.next_delay_us));
-    return d;
-  }
-
   if (signals.dirty_bytes == 0 && issued_any_) {
     // Idle shard: nothing new to persist, so skip the checkpoint (no WAL
     // append, no fsync). DPR-safe: the cut is a per-worker vector, and an
@@ -101,40 +76,73 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
     d.action = CkptAction::kSkip;
     d.next_delay_us = ceiling_us_;
     Metrics().skips->Add();
-    Metrics().interval_us->Set(static_cast<int64_t>(d.next_delay_us));
-    return d;
+  } else {
+    // Cadence: aim for kTargetDirtyBytes of fresh log per checkpoint, but
+    // never stretch past the configured RPO ceiling while data is at risk.
+    last_was_skip_ = false;
+    issued_any_ = true;
+    double interval = static_cast<double>(ceiling_us_);
+    if (ewma_rate_ > 0.0) {
+      interval = static_cast<double>(kTargetDirtyBytes) / ewma_rate_;
+    }
+    d.action = CkptAction::kCheckpoint;
+    d.next_delay_us = std::clamp(static_cast<uint64_t>(interval), floor_us_,
+                                 ceiling_us_);
   }
-  last_was_skip_ = false;
-
-  // Cadence: aim for kTargetDirtyBytes of fresh log per checkpoint, but
-  // never stretch past the configured RPO ceiling while data is at risk.
-  double interval = static_cast<double>(ceiling_us_);
-  if (ewma_rate_ > 0.0) {
-    interval = static_cast<double>(kTargetDirtyBytes) / ewma_rate_;
-  }
-  // Pressure: a deep exception list means ops are parked waiting for
-  // their versions to commit, and a stale cut means the commit frontier
-  // itself is lagging — both call for tighter cadence.
-  if (signals.exception_list_len > kExceptionPressure) {
-    interval *= 0.5;
-  }
-  const uint64_t cut_age =
-      now_us > watermark_changed_us_ ? now_us - watermark_changed_us_ : 0;
-  if (cut_age > 4 * ceiling_us_) interval *= 0.5;
-  // A congested fsync scheduler pushes the other way: adding checkpoints
-  // to a saturated device only lengthens every group commit.
-  if (signals.storage_queue_depth > kQueuePressure) interval *= 2.0;
-  const uint64_t clamped =
-      std::clamp(static_cast<uint64_t>(interval), floor_us_, ceiling_us_);
-
-  const bool full = !issued_any_ || since_full_ + 1 >= policy_.full_every;
-  issued_any_ = true;
-  since_full_ = full ? 0 : since_full_ + 1;
-  d.action = full ? CkptAction::kFull : CkptAction::kDelta;
-  d.next_delay_us = clamped;
-  (full ? Metrics().fulls : Metrics().deltas)->Add();
   Metrics().interval_us->Set(static_cast<int64_t>(d.next_delay_us));
   return d;
+}
+
+CkptLoop::CkptLoop(uint64_t interval_us, std::function<CkptSignals()> signals,
+                   std::function<Status()> checkpoint)
+    : interval_us_(interval_us),
+      signals_(std::move(signals)),
+      checkpoint_(std::move(checkpoint)) {}
+
+CkptLoop::~CkptLoop() { Stop(); }
+
+void CkptLoop::Start() {
+  if (interval_us_ == 0 || thread_.joinable()) return;
+  {
+    MutexLock guard(mu_);
+    stop_ = false;
+  }
+  thread_ = std::thread([this] { Run(); });
+}
+
+void CkptLoop::Stop() {
+  {
+    MutexLock guard(mu_);
+    stop_ = true;
+  }
+  cv_.NotifyAll();
+  if (thread_.joinable()) thread_.join();
+}
+
+void CkptLoop::Run() {
+  // The configured interval only seeds the first wait and bounds the
+  // controller's cadence; every later wait is the controller's decision.
+  CkptCadenceController controller(interval_us_);
+  uint64_t delay_us = interval_us_;
+  while (true) {
+    {
+      MutexLock lock(mu_);
+      if (cv_.WaitFor(mu_, std::chrono::microseconds(delay_us),
+                      [this]() REQUIRES(mu_) { return stop_; })) {
+        return;
+      }
+    }
+    // The checkpoint runs outside mu_ so Stop() never waits on one.
+    const CkptSignals signals =
+        signals_ ? signals_() : CkptSignals{.dirty_bytes = 1};
+    const CkptDecision decision = controller.Decide(signals, NowMicros());
+    delay_us = decision.next_delay_us;
+    if (decision.action == CkptAction::kSkip) continue;
+    const Status s = checkpoint_();
+    if (!s.ok() && !s.IsRetryable()) {
+      DPR_WARN("checkpoint tick: %s", s.ToString().c_str());
+    }
+  }
 }
 
 }  // namespace dpr

@@ -2,85 +2,57 @@
 #define DPR_CKPT_CADENCE_H_
 
 #include <cstdint>
+#include <functional>
+#include <thread>
+
+#include "common/status.h"
+#include "common/sync.h"
 
 namespace dpr {
 
-/// Recovery-point-objective policy for one shard's checkpoint cadence.
-///
-/// The configured `checkpoint_interval_us` (DprWorkerOptions) remains the
-/// RPO ceiling: whenever the shard holds un-checkpointed data, the adaptive
-/// controller never waits longer than that interval, so every existing
-/// latency expectation still holds. Adaptivity works in the other two
-/// directions — hot shards checkpoint *more* often (targeting about 1 MiB
-/// of fresh log per checkpoint, down to a quarter of the interval), and
-/// idle shards skip the checkpoint entirely (no WAL append, no fsync) and
-/// keep ticking only to notice when they turn dirty again (their watermark
-/// moves with the finder's published cut, not with the tick).
-struct CkptPolicy {
-  /// false: byte-compatible with the historical behavior — one full
-  /// fold-over checkpoint every `checkpoint_interval_us`, never skipped.
-  bool adaptive = true;
-  /// Every Nth persisted checkpoint carries a full hash-index image (a
-  /// chain base); the rest are deltas. 0 and 1 both mean all full.
-  uint32_t full_every = 16;
-
-  /// Legacy shape: fixed cadence, full fold-overs, no skips.
-  static CkptPolicy FixedInterval() {
-    CkptPolicy p;
-    p.adaptive = false;
-    return p;
-  }
-};
-
-/// Live signals sampled by the shard owner right before each decision.
-/// All fields are best-effort snapshots; the controller only ever uses
-/// them to pick a cadence, never for correctness.
+/// Live signal sampled by the shard owner right before each decision. A
+/// best-effort snapshot: the controller only uses it to pick a cadence,
+/// never for correctness.
 struct CkptSignals {
   /// Log bytes appended but not yet covered by a stamped checkpoint
   /// (tail - read_only boundary). 0 means the shard is idle.
   uint64_t dirty_bytes = 0;
-  /// The worker's persisted DPR watermark; staleness while dirty data
-  /// exists means the cut is lagging and the cadence should tighten.
-  uint64_t committed_watermark = 0;
-  /// dpr.session.exception_list gauge (ops excluded from the commit
-  /// prefix, waiting for their versions to commit).
-  int64_t exception_list_len = 0;
-  /// storage.sched.pending gauge (fsync scheduler backlog on this box).
-  int64_t storage_queue_depth = 0;
 };
 
 enum class CkptAction {
-  kSkip,   // no checkpoint this tick (idle shard; no I/O)
-  kDelta,  // checkpoint with a delta hash-index image
-  kFull,   // checkpoint with a full hash-index image (chain base)
+  kSkip,        // no checkpoint this tick (idle shard; no I/O)
+  kCheckpoint,  // checkpoint now; the store picks full or delta image
 };
 
 struct CkptDecision {
-  CkptAction action = CkptAction::kFull;
+  CkptAction action = CkptAction::kCheckpoint;
   /// Delay until the next Decide() call.
   uint64_t next_delay_us = 0;
 };
 
-/// Per-shard checkpoint cadence controller (ROADMAP "adaptive incremental
-/// checkpointing"; scheduling shape follows ACIiL's interval-driven
-/// checkpointing). Owns an ingest-rate EWMA and the full/delta rotation.
+/// Per-shard checkpoint cadence controller: decides only *when* to
+/// checkpoint. The configured interval is the RPO ceiling: while the shard
+/// holds un-checkpointed data it never waits longer. Hot shards checkpoint
+/// more often (about 1 MiB of fresh log per checkpoint, down to a quarter of
+/// the interval), and idle shards skip the checkpoint entirely (no WAL
+/// append, no fsync) and keep ticking only to notice when they turn dirty
+/// again (their watermark moves with the finder's published cut, not with
+/// the tick). Whether a checkpoint persists a full or a delta index image
+/// is the store's choice (FasterStore::FlushLoop).
 ///
-/// Not thread-safe: one controller per checkpoint timer thread.
+/// Not thread-safe: one controller per CkptLoop.
 class CkptCadenceController {
  public:
   /// `base_interval_us` is the worker's checkpoint interval: the cadence
   /// ceiling while dirty data exists (the RPO). The floor for hot shards is
   /// a quarter of it, at least 1 ms.
-  CkptCadenceController(const CkptPolicy& policy, uint64_t base_interval_us);
+  explicit CkptCadenceController(uint64_t base_interval_us);
 
   /// Decides what the tick at `now_us` should do. Call exactly once per
   /// timer tick; the controller assumes a non-skip decision is acted on.
   CkptDecision Decide(const CkptSignals& signals, uint64_t now_us);
 
-  const CkptPolicy& policy() const { return policy_; }
-
  private:
-  const CkptPolicy policy_;
   // Cadence floor for hot shards and ceiling while dirty data exists.
   const uint64_t floor_us_;
   const uint64_t ceiling_us_;
@@ -89,12 +61,41 @@ class CkptCadenceController {
   bool last_was_skip_ = true;
   // Bytes-per-microsecond ingest estimate, exponentially smoothed.
   double ewma_rate_ = 0.0;
-  uint64_t last_watermark_ = 0;
-  uint64_t watermark_changed_us_ = 0;
-  // Persisted checkpoints issued since the last full; the first
-  // checkpoint a controller issues is always full.
-  uint32_t since_full_ = 0;
+  // The first decision always checkpoints, even on an idle shard.
   bool issued_any_ = false;
+};
+
+/// The one checkpoint tick loop, shared by every mode that checkpoints
+/// periodically (kDpr workers, D-Redis proxies, kEventual shards): a thread
+/// that sleeps whatever the controller returns, samples `signals`, and runs
+/// `checkpoint` unless the controller skips. Stop() wakes the sleep, so
+/// shutdown does not wait out an interval.
+class CkptLoop {
+ public:
+  /// `interval_us` 0 disables the loop (Start() starts no thread). An unset
+  /// `signals` reads as always dirty: no idle skips, cadence at the RPO
+  /// ceiling. A `checkpoint` error other than a retryable one is logged.
+  CkptLoop(uint64_t interval_us, std::function<CkptSignals()> signals,
+           std::function<Status()> checkpoint);
+  ~CkptLoop();
+
+  CkptLoop(const CkptLoop&) = delete;
+  CkptLoop& operator=(const CkptLoop&) = delete;
+
+  void Start();
+  /// Idempotent; returns once the thread has exited.
+  void Stop();
+
+ private:
+  void Run();
+
+  const uint64_t interval_us_;
+  const std::function<CkptSignals()> signals_;
+  const std::function<Status()> checkpoint_;
+  std::thread thread_;
+  Mutex mu_{LockRank::kCkptLoop, "ckpt.loop"};
+  CondVar cv_;
+  bool stop_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace dpr

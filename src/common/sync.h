@@ -136,7 +136,7 @@ enum class LockRank : int {
                          // serializes forwarded writes with drain chunks.
                          // Below kWorkerVersionLatch (taken while executing a
                          // batch under the shared latch), above store locks.
-  kWorkerTimer = 148,
+  kCkptLoop = 148,  // checkpoint tick loop sleep (src/ckpt/)
   kWorkerVersionLatch = 150,  // held across store checkpoints + finder reads
   kServer = 170,              // dredis/dfaster/resp server request locks
 

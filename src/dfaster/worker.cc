@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -49,27 +48,22 @@ DFasterWorker::DFasterWorker(DFasterWorkerConfig config)
     seals_[vp] = std::make_unique<SealState>();
   }
   store_ = std::make_unique<FasterStore>(std::move(config_.faster));
+  // The cadence controller's dirty-byte signal comes from this shard's
+  // store (safe: store_ outlives the loops that sample it).
+  if (!config_.dpr.ckpt_signals) {
+    config_.dpr.ckpt_signals = [this] { return CollectCkptSignals(); };
+  }
   if (config_.mode == RecoverabilityMode::kDpr) {
     config_.dpr.worker_id = config_.id;
-    if (!config_.dpr.ckpt_signals) {
-      // Feed the cadence controller live signals from this shard's store
-      // and the box-wide obs gauges (safe: store_ outlives dpr_worker_).
-      config_.dpr.ckpt_signals = [this] { return CollectCkptSignals(); };
-    }
     dpr_worker_ = std::make_unique<DprWorker>(store_.get(), config_.dpr);
+  } else if (config_.mode == RecoverabilityMode::kEventual) {
+    eventual_loop_ = std::make_unique<CkptLoop>(
+        config_.dpr.checkpoint_interval_us, config_.dpr.ckpt_signals,
+        [this] { return EventualCheckpoint(); });
   }
 }
 
 CkptSignals DFasterWorker::CollectCkptSignals() const {
-  struct SignalGauges {
-    Gauge* exception_list;
-    Gauge* sched_pending;
-  };
-  static const SignalGauges g = [] {
-    MetricsRegistry& r = MetricsRegistry::Default();
-    return SignalGauges{r.gauge("dpr.session.exception_list"),
-                        r.gauge("storage.sched.pending")};
-  }();
   CkptSignals s;
   const LogAddress tail = store_->tail_address();
   const LogAddress ro = store_->read_only_address();
@@ -83,10 +77,16 @@ CkptSignals DFasterWorker::CollectCkptSignals() const {
     // (FinishCompaction's commit barrier, cross-worker Vmax catch-up).
     s.dirty_bytes = 1;
   }
-  s.committed_watermark =
-      dpr_worker_ != nullptr ? dpr_worker_->persisted_watermark() : 0;
-  s.exception_list_len = g.exception_list->value();
-  s.storage_queue_depth = g.sched_pending->value();
+  return s;
+}
+
+Status DFasterWorker::EventualCheckpoint() {
+  batch_latch_.LockExclusive();
+  Version token;
+  Status s = store_->PerformCheckpoint(store_->CurrentVersion() + 1, nullptr,
+                                       &token,
+                                       CheckpointHints{.index_image = true});
+  batch_latch_.UnlockExclusive();
   return s;
 }
 
@@ -94,12 +94,8 @@ DFasterWorker::~DFasterWorker() { Stop(); }
 
 Status DFasterWorker::Start(std::unique_ptr<RpcServer> server) {
   stop_.store(false, std::memory_order_release);
-  if (dpr_worker_ != nullptr) {
-    DPR_RETURN_NOT_OK(dpr_worker_->Start());
-  } else if (config_.mode == RecoverabilityMode::kEventual &&
-             config_.dpr.checkpoint_interval_us > 0) {
-    eventual_timer_ = std::thread([this] { EventualTimerLoop(); });
-  }
+  if (dpr_worker_ != nullptr) DPR_RETURN_NOT_OK(dpr_worker_->Start());
+  if (eventual_loop_ != nullptr) eventual_loop_->Start();
   if (server != nullptr) {
     server_ = std::move(server);
     DPR_RETURN_NOT_OK(server_->Start(
@@ -115,34 +111,8 @@ void DFasterWorker::Stop() {
   if (stop_.exchange(true)) return;
   if (server_ != nullptr) server_->Stop();
   if (dpr_worker_ != nullptr) dpr_worker_->Stop();
-  if (eventual_timer_.joinable()) eventual_timer_.join();
+  if (eventual_loop_ != nullptr) eventual_loop_->Stop();
   store_->WaitForCheckpoints();
-}
-
-void DFasterWorker::EventualTimerLoop() {
-  // "No DPR": checkpoint on a local timer without coordination or
-  // reporting. Cadence still comes from the controller — uncoordinated
-  // does not mean unscheduled, and idle kEventual shards skip fsyncs too.
-  CkptCadenceController controller(config_.dpr.ckpt_policy,
-                                   config_.dpr.checkpoint_interval_us);
-  uint64_t delay_us = config_.dpr.checkpoint_interval_us;
-  while (!stop_.load(std::memory_order_acquire)) {
-    SleepMicros(delay_us);
-    if (stop_.load(std::memory_order_acquire)) break;
-    const CkptDecision decision =
-        controller.Decide(CollectCkptSignals(), NowMicros());
-    delay_us = decision.next_delay_us;
-    if (decision.action == CkptAction::kSkip) continue;
-    Version token;
-    Status s = store_->PerformCheckpoint(
-        store_->CurrentVersion() + 1, nullptr, &token,
-        CheckpointHints{
-            .index_image = controller.policy().adaptive,
-            .delta = decision.action == CkptAction::kDelta});
-    if (!s.ok() && !s.IsBusy()) {
-      DPR_WARN("eventual checkpoint: %s", s.ToString().c_str());
-    }
-  }
 }
 
 bool DFasterWorker::OwnsPartition(uint32_t partition) const {
@@ -400,11 +370,14 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
                                          bool check_ownership) {
   if (dpr_worker_ == nullptr) {
     // kNone / kEventual: no admission control, no commit tracking.
-    RunOps(request, store_->CurrentVersion(), response, check_ownership,
+    batch_latch_.LockShared();
+    const Version version = store_->CurrentVersion();
+    RunOps(request, version, response, check_ownership,
            /*forward_deps=*/nullptr);
+    batch_latch_.UnlockShared();
     response->header.status = DprResponseHeader::BatchStatus::kOk;
     response->header.world_line = kInitialWorldLine;
-    response->header.executed_version = store_->CurrentVersion();
+    response->header.executed_version = version;
     // No finder: the cut is this shard's own durable prefix, sent always.
     response->header.cut = {{config_.id, store_->LargestDurableToken()}};
     return;

@@ -3,9 +3,10 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "ckpt/cadence.h"
+#include "common/latch.h"
 #include "dfaster/migration_channel.h"
 #include "dfaster/protocol.h"
 #include "dpr/worker.h"
@@ -140,10 +141,11 @@ class DFasterWorker {
                              KvBatchResponse* response);
   void ExecuteBatchInternal(const KvBatchRequest& request,
                             KvBatchResponse* response, bool check_ownership);
-  void EventualTimerLoop();
-  /// Samples the live cadence signals for this shard: store dirty bytes,
-  /// DPR watermark, exception-list and fsync-scheduler gauges.
+  /// Samples the cadence signal for this shard: its store's dirty bytes.
   CkptSignals CollectCkptSignals() const;
+  /// kEventual checkpoint: taken under the exclusive batch latch, without
+  /// coordination or reporting.
+  Status EventualCheckpoint();
 
   DFasterWorkerConfig config_;
   std::unique_ptr<FasterStore> store_;
@@ -167,9 +169,15 @@ class DFasterWorker {
   // are const after construction).
   std::vector<std::unique_ptr<SealState>> seals_;
 
-  // kEventual mode: uncoordinated checkpoint timer.
-  std::thread eventual_timer_;
-  // relaxed flag: timer loop-exit signal; thread join is the barrier.
+  // kNone / kEventual: batches hold this shared, and the kEventual
+  // checkpoint takes it exclusively, so no batch is mid-flight while the
+  // store draws the checkpoint boundary (FasterStore's PerformCheckpoint
+  // contract; kDpr batches hold DprWorker's version latch instead).
+  SharedSpinLatch batch_latch_{LockRank::kWorkerVersionLatch,
+                               "dfaster.batch_latch"};
+  // kEventual mode: uncoordinated periodic checkpoints.
+  std::unique_ptr<CkptLoop> eventual_loop_;
+  // relaxed flag: makes Stop() idempotent; the joins are the barrier.
   std::atomic<bool> stop_{true};
 };
 

@@ -16,6 +16,9 @@ namespace dpr {
 
 namespace {
 
+// Reports per kReportBatch RPC.
+constexpr size_t kMaxBatchSize = 256;
+
 // Retry causes are split by status taxonomy so a chaos run can tell "the
 // coordinator was slow" (timeouts) from "the link was flapping" (transient).
 struct RemoteMetrics {
@@ -322,7 +325,7 @@ Status RemoteDprFinder::FlushPending() const {
       // One batch carries one world-line (reports spanning a recovery are
       // split; the stale half gets rejected server-side).
       const WorldLine wl = pending_.front().world_line;
-      while (!pending_.empty() && batch.size() < options_.max_batch_size &&
+      while (!pending_.empty() && batch.size() < kMaxBatchSize &&
              pending_.front().world_line == wl) {
         batch.push_back(std::move(pending_.front()));
         pending_.pop_front();
@@ -401,7 +404,7 @@ void RemoteDprFinder::FlusherLoop() {
       queue_cv_.WaitFor(
           queue_mu_, std::chrono::microseconds(options_.flush_interval_us),
           [this]() REQUIRES(queue_mu_) {
-            return stop_ || pending_.size() >= options_.max_batch_size;
+            return stop_ || pending_.size() >= kMaxBatchSize;
           });
       stopping = stop_;
     }
@@ -472,7 +475,7 @@ Status RemoteDprFinder::ReportPersistedVersion(WorldLine world_line,
   Metrics().pending_depth->Set(static_cast<int64_t>(depth));
   // The timer flushes small queues; a full batch is worth waking the
   // flusher for immediately.
-  if (depth >= options_.max_batch_size) queue_cv_.NotifyOne();
+  if (depth >= kMaxBatchSize) queue_cv_.NotifyOne();
   return Status::OK();
 }
 

@@ -40,11 +40,9 @@ class DprFinderServer {
 };
 
 struct RemoteDprFinderOptions {
-  /// Background flush cadence; a flush also fires as soon as
-  /// `max_batch_size` reports are pending.
+  /// Background flush cadence; a flush also fires as soon as a full batch
+  /// (256 reports, one kReportBatch RPC) is pending.
   uint64_t flush_interval_us = 2'000;
-  /// Reports per kReportBatch RPC.
-  size_t max_batch_size = 256;
   /// How long reads may serve from the cached snapshot before refreshing
   /// it; the flusher refreshes once per pass past this age, so it also
   /// bounds how late a cut advance reaches this process's workers. Commits

@@ -27,18 +27,15 @@ namespace dpr {
 /// any version that executed operations becomes a token before the worker's
 /// row can advance past it — see DESIGN.md). The store's current version then
 /// resumes strictly above any pre-rollback version.
-/// Advice the cadence controller attaches to a checkpoint request. Hints
-/// are best-effort: a store that only knows full fold-overs ignores them,
-/// and a store asked for a delta with no usable base persists a full image
-/// instead. Correctness never depends on a hint being honored.
+/// Advice the checkpoint tick loop attaches to a checkpoint request. A store
+/// without index images ignores it; correctness never depends on it.
 struct CheckpointHints {
   /// Persist a hash-index image with the checkpoint meta record so a
-  /// restore can skip the full log scan (FasterStore: WAL record types
-  /// kMetaFullIndex / kMetaDelta).
+  /// restore can skip the full log scan. The store picks a full image or a
+  /// delta over its newest durable image (FasterStore: WAL record types
+  /// kMetaFullIndex / kMetaDelta). Barrier checkpoints (version
+  /// fast-forwards, migration seals) leave it unset.
   bool index_image = false;
-  /// Persist only the index buckets dirtied since the newest durable
-  /// image checkpoint (the chain base) instead of a full image.
-  bool delta = false;
 };
 
 class StateObject {
@@ -49,9 +46,7 @@ class StateObject {
 
   /// Begins a checkpoint; returns the token (the pre-advance version) via
   /// `out_token`. Returns Busy if a checkpoint/rollback is in flight.
-  /// `hints` come from the cadence controller; a store without incremental
-  /// support ignores them, and `CheckpointHints{}` asks for a plain full
-  /// checkpoint.
+  /// `CheckpointHints{}` asks for an image-less checkpoint.
   virtual Status PerformCheckpoint(Version target_version,
                                    PersistCallback on_persistent,
                                    Version* out_token,

@@ -1,6 +1,6 @@
 #include "dpr/worker.h"
 
-#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/clock.h"
@@ -64,7 +64,11 @@ void AdmissionBackoff(int attempt) {
 DprWorker::DprWorker(StateObject* state_object,
                      const DprWorkerOptions& options)
     : state_object_(state_object),
-      options_(options) {
+      options_(options),
+      ckpt_loop_(options_.checkpoint_interval_us, options_.ckpt_signals,
+                 [this] {
+                   return TryCommit(0, CheckpointHints{.index_image = true});
+                 }) {
   DPR_CHECK(state_object_ != nullptr);
   DPR_CHECK(options_.finder != nullptr);
   DPR_CHECK(options_.worker_id != kInvalidWorker);
@@ -76,65 +80,11 @@ Status DprWorker::Start() {
   world_line_.store(options_.finder->CurrentWorldLine(),
                     std::memory_order_release);
   DPR_RETURN_NOT_OK(options_.finder->AddWorker(options_.worker_id, 0));
-  stop_.store(false, std::memory_order_release);
-  if (options_.checkpoint_interval_us > 0) {
-    timer_ = std::thread([this] { TimerLoop(); });
-  }
+  ckpt_loop_.Start();
   return Status::OK();
 }
 
-void DprWorker::Stop() {
-  {
-    MutexLock guard(timer_mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  timer_cv_.NotifyAll();
-  if (timer_.joinable()) timer_.join();
-}
-
-void DprWorker::TimerLoop() {
-  // Cadence is owned by the controller (src/ckpt/): every tick samples the
-  // live signals, asks for a decision, and sleeps whatever the controller
-  // returns — checkpoint_interval_us only seeds the first wait and bounds
-  // the controller's cadence. Commits reach sessions through the finder's
-  // published cut, not through this loop.
-  // dprlint: allowed(ckpt-interval) this IS the controller-driven loop.
-  CkptCadenceController controller(options_.ckpt_policy,
-                                   options_.checkpoint_interval_us);
-  uint64_t delay_us = options_.checkpoint_interval_us;
-  while (true) {
-    {
-      // Interruptible wait: Stop() flips stop_ under timer_mu_ and notifies,
-      // so shutdown returns immediately instead of sleeping out the interval.
-      MutexLock lock(timer_mu_);
-      timer_cv_.WaitFor(
-          timer_mu_, std::chrono::microseconds(delay_us),
-          [this] { return stop_.load(std::memory_order_acquire); });
-      if (stop_.load(std::memory_order_acquire)) return;
-    }
-    // Work runs outside timer_mu_ so Stop() never blocks on a checkpoint.
-    CkptSignals signals;
-    if (options_.ckpt_signals) {
-      signals = options_.ckpt_signals();
-    } else {
-      // No sampler: assume always-dirty so the controller never skips.
-      signals.dirty_bytes = 1;
-      signals.committed_watermark = persisted_watermark();
-    }
-    const CkptDecision decision = controller.Decide(signals, NowMicros());
-    delay_us = decision.next_delay_us;
-    if (decision.action != CkptAction::kSkip) {
-      const bool delta = decision.action == CkptAction::kDelta;
-      Status s = TryCommit(
-          0, CheckpointHints{.index_image = controller.policy().adaptive,
-                             .delta = delta});
-      if (!s.ok() && !s.IsRetryable()) {
-        DPR_WARN("worker %u commit: %s", options_.worker_id,
-                 s.ToString().c_str());
-      }
-    }
-  }
-}
+void DprWorker::Stop() { ckpt_loop_.Stop(); }
 
 Status DprWorker::BeginBatch(const DprRequestHeader& header,
                              Version* out_version) {

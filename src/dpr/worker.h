@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <functional>
-#include <thread>
 
 #include "ckpt/cadence.h"
 #include "common/latch.h"
@@ -20,17 +19,12 @@ namespace dpr {
 struct DprWorkerOptions {
   WorkerId worker_id = kInvalidWorker;
   DprFinder* finder = nullptr;
-  /// Period of the background commit timer; 0 disables it (manual TryCommit
-  /// only, as tests prefer).
+  /// RPO ceiling of the checkpoint tick loop (src/ckpt/); 0 disables the
+  /// loop (manual TryCommit only, as tests prefer).
   uint64_t checkpoint_interval_us = 100000;
-  /// Checkpoint cadence policy (src/ckpt/). Its interval bounds derive from
-  /// checkpoint_interval_us, which stays the RPO ceiling; set
-  /// adaptive=false for the historical fixed-interval full fold-overs.
-  CkptPolicy ckpt_policy;
-  /// Signal sampler polled before every cadence decision (dirty bytes,
-  /// exception-list occupancy, fsync queue depth). Unset: the controller
-  /// assumes the store is always dirty — no idle skips, cadence at the RPO
-  /// ceiling — so signal-less workers keep checkpointing unconditionally.
+  /// Dirty-byte sampler polled before every cadence decision. Unset: the
+  /// controller assumes the store is always dirty — no idle skips, cadence
+  /// at the RPO ceiling — so signal-less workers keep checkpointing.
   std::function<CkptSignals()> ckpt_signals;
 };
 
@@ -42,8 +36,9 @@ struct DprWorkerOptions {
 ///  * merge the batch's dependency set into the version it executes in, and
 ///  * hold the shared version latch so an entire batch lands in one version
 ///    (checkpoints take it exclusively, briefly, to draw the boundary).
-/// A background timer triggers Commit() periodically; persistence callbacks
-/// report (version, deps) to the DprFinder off the critical path. Responses
+/// The checkpoint tick loop (CkptLoop) commits periodically, each tick with
+/// an index image; persistence callbacks report (version, deps) to the
+/// DprFinder off the critical path. Responses
 /// carry the finder's latest published cut to sessions whose last-seen
 /// epoch differs, so a commit reaches sessions as soon as the cut advances.
 ///
@@ -82,9 +77,9 @@ class DprWorker {
 
   /// Triggers a commit now. target 0 means current+1 (with Vmax
   /// fast-forward when enabled). Returns Busy if the store is already
-  /// checkpointing; that is benign (the timer will retry). `hints` are
-  /// forwarded to the store (see CheckpointHints); the default asks for
-  /// the store's legacy full fold-over.
+  /// checkpointing; that is benign (the tick loop will retry). `hints` are
+  /// forwarded to the store; the default is an image-less barrier
+  /// checkpoint, and only the tick loop asks for an index image.
   Status TryCommit(Version target_version = 0,
                    const CheckpointHints& hints = CheckpointHints{});
 
@@ -112,7 +107,6 @@ class DprWorker {
   }
 
  private:
-  void TimerLoop();
   Status RollbackInternal(WorldLine new_world_line, Version safe_version,
                           bool crash);
   void OnCheckpointPersistent(WorldLine world_line, Version token);
@@ -139,14 +133,8 @@ class DprWorker {
   /// itself rides the RPC, not this cell.
   std::atomic<uint64_t> last_reported_{kInvalidVersion};
 
-  /// Commit-timer thread, woken early by Stop() so shutdown does not wait
-  /// out a full checkpoint interval.
-  std::thread timer_;
-  Mutex timer_mu_{LockRank::kWorkerTimer, "worker.timer"};
-  CondVar timer_cv_;
-  /// relaxed-set under timer_mu_, acquire-checked by the timer predicate;
-  /// the CondVar wakeup is the actual handoff.
-  std::atomic<bool> stop_{true};
+  /// Periodic image checkpoints (started by Start(), stopped by Stop()).
+  CkptLoop ckpt_loop_;
 };
 
 }  // namespace dpr

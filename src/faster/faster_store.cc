@@ -26,6 +26,10 @@ constexpr uint8_t kMetaBegin = 3;  // durable log-begin advance (compaction)
 constexpr uint8_t kMetaFullIndex = 4;
 constexpr uint8_t kMetaDelta = 5;
 constexpr size_t kMaxValueSize = 4096;
+// A delta chain (a full image plus the deltas over it) never grows past
+// this many links: the next image after a full chain is full, which bounds
+// both a chain restore's image reads and the meta WAL a chain pins.
+constexpr uint32_t kMaxChainLinks = 16;
 
 struct StoreMetrics {
   Counter* checkpoints_stamped;
@@ -42,8 +46,33 @@ struct StoreMetrics {
   Counter* ckpt_index_bytes;         // meta-WAL bytes for checkpoint records
   Counter* ckpt_chain_restores;      // restores served from an image chain
   Counter* ckpt_scan_restores;       // restores that fell back to a log scan
-  Gauge* ckpt_chain_length;          // links installed by the last restore
+  ShardedHistogram* ckpt_chain_length;  // images installed per chain restore
 };
+
+// The one log walk: visits every record in [from, to) as visit(pos, rec),
+// skipping the zeroed remainder at the end of each page (too short for a
+// header, or never written). `Log` is LogAllocator or const LogAllocator, so
+// `rec` is mutable exactly when the log is. A template, so each caller's
+// visitor inlines into the loop.
+template <typename Log, typename Visit>
+void ForEachRecord(Log& log, LogAddress from, LogAddress to, Visit&& visit) {
+  const uint64_t page_mask = log.page_size() - 1;
+  LogAddress pos = from;
+  while (pos < to) {
+    if (log.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
+      pos = (pos | page_mask) + 1;
+      continue;
+    }
+    auto* rec = log.RecordAt(pos);
+    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
+        rec->LoadFlags() == 0) {
+      pos = (pos | page_mask) + 1;
+      continue;
+    }
+    visit(pos, rec);
+    pos += rec->size();
+  }
+}
 
 const StoreMetrics& Metrics() {
   static const StoreMetrics m = [] {
@@ -61,7 +90,7 @@ const StoreMetrics& Metrics() {
                         r.counter("ckpt.index_bytes_persisted"),
                         r.counter("ckpt.chain_restores"),
                         r.counter("ckpt.scan_restores"),
-                        r.gauge("ckpt.chain_length")};
+                        r.histogram("ckpt.chain_length")};
   }();
   return m;
 }
@@ -320,6 +349,14 @@ Status FasterStore::PerformCheckpoint(Version target_version,
                                       PersistCallback on_persist,
                                       Version* out_token,
                                       const CheckpointHints& hints) {
+  return StampCheckpoint(target_version, std::move(on_persist), out_token,
+                         hints.index_image, /*force_full=*/false);
+}
+
+Status FasterStore::StampCheckpoint(Version target_version,
+                                    PersistCallback on_persist,
+                                    Version* out_token, bool index_image,
+                                    bool force_full) {
   if (crashed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("store crashed");
   }
@@ -349,9 +386,8 @@ Status FasterStore::PerformCheckpoint(Version target_version,
   {
     MutexLock guard(flush_mu_);
     flush_queue_.push_back(FlushRequest{
-        token, boundary, std::move(on_persist), enqueue_us,
-        hints.index_image, hints.delta,
-        record_count_.load(std::memory_order_relaxed)});
+        token, boundary, std::move(on_persist), enqueue_us, index_image,
+        force_full, record_count_.load(std::memory_order_relaxed)});
     Metrics().flush_queue_depth->Set(
         static_cast<int64_t>(flush_queue_.size()));
   }
@@ -445,19 +481,24 @@ void FasterStore::FlushLoop() {
     uint64_t meta_bytes = 0;
     Version base = kInvalidVersion;
     uint64_t image_offset = 0;
+    uint32_t links = 0;
     if (s.ok()) {
       if (req.index_image) {
-        // The base is chosen here, at flush time, against the *durable*
-        // checkpoint set: a failed earlier flush simply widens the delta
-        // (dirtiness is judged per entry against the base's boundary,
-        // which is valid for any durable image base — entry addresses
-        // only grow).
+        // Full or delta is decided here, at flush time, against the
+        // *durable* checkpoint set: a failed earlier flush simply widens the
+        // delta (dirtiness is judged per entry against the base's boundary,
+        // which is valid for any durable image base — entry addresses only
+        // grow).
         LogAddress base_boundary = kNullAddress;
-        if (req.delta && !force_full_next_.load(std::memory_order_acquire)) {
+        links = 1;
+        if (!req.force_full &&
+            !force_full_next_.load(std::memory_order_acquire)) {
           MutexLock guard(checkpoints_mu_);
-          base = LargestImageBaseLocked();
+          base = DeltaBaseLocked();
           if (base != kInvalidVersion) {
-            base_boundary = checkpoints_.at(base).boundary;
+            const CkptEntry& b = checkpoints_.at(base);
+            base_boundary = b.boundary;
+            links = b.links + 1;
           }
         }
         const std::string rec = EncodeIndexMetaRecord(req, base, base_boundary);
@@ -472,8 +513,9 @@ void FasterStore::FlushLoop() {
     if (s.ok()) {
       {
         MutexLock guard(checkpoints_mu_);
-        checkpoints_[req.token] =
-            CkptEntry{req.boundary, base, req.index_image, image_offset};
+        checkpoints_[req.token] = CkptEntry{req.boundary, base,
+                                            req.index_image, image_offset,
+                                            links};
       }
       if (req.index_image && base == kInvalidVersion) {
         force_full_next_.store(false, std::memory_order_release);
@@ -527,11 +569,13 @@ void FasterStore::FlushLoop() {
   }
 }
 
-// Largest durable checkpoint carrying an index image: the only valid delta
-// base (dirtiness is judged against what that image already covers).
-Version FasterStore::LargestImageBaseLocked() const {
+// Only the largest durable checkpoint carrying an index image is a valid
+// delta base (dirtiness is judged against what that image already covers),
+// and only while its chain is shorter than kMaxChainLinks.
+Version FasterStore::DeltaBaseLocked() const {
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (it->second.has_index) return it->first;
+    if (!it->second.has_index) continue;
+    return it->second.links < kMaxChainLinks ? it->first : kInvalidVersion;
   }
   return kInvalidVersion;
 }
@@ -651,27 +695,15 @@ void FasterStore::WaitForCheckpoints() {
 
 void FasterStore::Scan(
     const std::function<void(uint64_t, Slice)>& visitor) const {
-  const LogAddress end = log_.tail();
-  const uint64_t page_mask = log_.page_size() - 1;
-  LogAddress pos = begin_.load(std::memory_order_acquire);
-  while (pos < end) {
-    if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-      pos = (pos | page_mask) + 1;
-      continue;
-    }
-    const RecordHeader* rec = log_.RecordAt(pos);
-    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-        rec->LoadFlags() == 0) {
-      pos = (pos | page_mask) + 1;
-      continue;
-    }
-    // Emit only if this record is the newest visible one for its key.
-    if (!rec->pad() && !rec->tombstone() && Visible(rec) &&
-        FindRecord(rec->key, nullptr) == pos) {
-      visitor(rec->key, Slice(rec->value(), rec->value_size));
-    }
-    pos += rec->size();
-  }
+  ForEachRecord(log_, begin_.load(std::memory_order_acquire), log_.tail(),
+                [&](LogAddress pos, const RecordHeader* rec) {
+                  // Emit only if this record is the newest visible one for
+                  // its key.
+                  if (!rec->pad() && !rec->tombstone() && Visible(rec) &&
+                      FindRecord(rec->key, nullptr) == pos) {
+                    visitor(rec->key, Slice(rec->value(), rec->value_size));
+                  }
+                });
 }
 
 Status FasterStore::StartCompaction(Version safe_token,
@@ -692,41 +724,26 @@ Status FasterStore::StartCompaction(Version safe_token,
   // Copy every live record in [begin, until) to the tail. Copies are
   // ordinary writes in the current version: if they are later rolled back,
   // the originals are still present (begin has not moved yet).
-  const uint64_t page_mask = log_.page_size() - 1;
-  LogAddress pos = begin;
-  while (pos < until) {
-    if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-      pos = (pos | page_mask) + 1;
-      continue;
-    }
-    RecordHeader* rec = log_.RecordAt(pos);
-    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-        rec->LoadFlags() == 0) {
-      pos = (pos | page_mask) + 1;
-      continue;
-    }
+  ForEachRecord(log_, begin, until, [&](LogAddress pos, RecordHeader* rec) {
     const uint64_t key = rec->key;
-    if (!rec->pad() && !rec->tombstone() && Visible(rec)) {
-      // Conditional copy-to-tail: give up if a newer record for the key
-      // appears (a concurrent writer superseded the value being copied).
-      for (;;) {
-        LogAddress head;
-        if (FindRecord(key, &head) != pos) break;  // superseded or deleted
-        const uint64_t v = version_.load(std::memory_order_acquire);
-        LogAddress expected = head;
-        const LogAddress copy =
-            AppendRecord(key, Slice(rec->value(), rec->value_size),
-                         /*tombstone=*/false, expected,
-                         static_cast<uint32_t>(v));
-        if (index_.CasHead(key, &expected, copy)) {
-          record_count_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        log_.RecordAt(copy)->SetFlag(RecordHeader::kInvalid);
+    if (rec->pad() || rec->tombstone() || !Visible(rec)) return;
+    // Conditional copy-to-tail: give up if a newer record for the key
+    // appears (a concurrent writer superseded the value being copied).
+    for (;;) {
+      LogAddress head;
+      if (FindRecord(key, &head) != pos) break;  // superseded or deleted
+      const uint64_t v = version_.load(std::memory_order_acquire);
+      LogAddress expected = head;
+      const LogAddress copy =
+          AppendRecord(key, Slice(rec->value(), rec->value_size),
+                       /*tombstone=*/false, expected, static_cast<uint32_t>(v));
+      if (index_.CasHead(key, &expected, copy)) {
+        record_count_.fetch_add(1, std::memory_order_relaxed);
+        break;
       }
+      log_.RecordAt(copy)->SetFlag(RecordHeader::kInvalid);
     }
-    pos += rec->size();
-  }
+  });
   // Checkpoint the copies; `token` is the compaction checkpoint. Forced
   // full-with-image: FinishCompaction drops every older checkpoint, so this
   // token becomes the terminating base for all post-compaction delta chains
@@ -734,8 +751,8 @@ Status FasterStore::StartCompaction(Version safe_token,
   Status s;
   Version token = kInvalidVersion;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    s = PerformCheckpoint(CurrentVersion() + 1, nullptr, &token,
-                          CheckpointHints{.index_image = true, .delta = false});
+    s = StampCheckpoint(CurrentVersion() + 1, nullptr, &token,
+                        /*index_image=*/true, /*force_full=*/true);
     if (!s.IsBusy()) break;
     WaitForCheckpoints();  // a timer-triggered checkpoint was in flight
   }
@@ -852,24 +869,14 @@ Status FasterStore::InMemoryRollback(Version token, LogAddress boundary,
   // PURGE: mark every lost record invalid so the ignore window can be lifted.
   rollback_state_.store(static_cast<int>(RollbackState::kPurge),
                         std::memory_order_release);
-  LogAddress pos = std::max(boundary, begin_.load(std::memory_order_acquire));
-  const uint64_t page_mask = log_.page_size() - 1;
-  while (pos < purge_end) {
-    if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-      pos = (pos | page_mask) + 1;  // zeroed page remainder
-      continue;
-    }
-    RecordHeader* rec = log_.RecordAt(pos);
-    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-        rec->LoadFlags() == 0) {
-      pos = (pos | page_mask) + 1;  // zeroed page remainder
-      continue;
-    }
-    if (rec->version > token && rec->version <= v_old) {
-      rec->SetFlag(RecordHeader::kInvalid);
-    }
-    pos += rec->size();
-  }
+  const LogAddress purge_from =
+      std::max(boundary, begin_.load(std::memory_order_acquire));
+  ForEachRecord(log_, purge_from, purge_end,
+                [&](LogAddress, RecordHeader* rec) {
+                  if (rec->version > token && rec->version <= v_old) {
+                    rec->SetFlag(RecordHeader::kInvalid);
+                  }
+                });
 
   // If part of the purged range had already been flushed, rewrite it so the
   // invalid marks are durable — otherwise a later crash-recovery of a
@@ -878,10 +885,18 @@ Status FasterStore::InMemoryRollback(Version token, LogAddress boundary,
   if (flushed > boundary) {
     DPR_RETURN_NOT_OK(FlushRange(boundary, flushed));
   }
+  // Nothing pre-rollback may be updated in place anymore.
+  read_only_address_.store(purge_end, std::memory_order_release);
+  return FinishRestore(token, boundary, cover_boundary);
+}
 
-  // Forget rolled-back checkpoints (durably), and cancel any in-flight
-  // compaction whose checkpoint was itself rolled back (its copies are now
-  // invalid; the originals below begin remain authoritative).
+Status FasterStore::FinishRestore(Version token, LogAddress boundary,
+                                  LogAddress cover_boundary) {
+  // Forget rolled-back checkpoints durably: their boundaries point above the
+  // restored tail, into a region future flushes rewrite, so a later restore
+  // picking one up would parse garbage. Cancel any in-flight compaction
+  // whose checkpoint was itself rolled back (its copies are now invalid;
+  // the originals below begin remain authoritative).
   {
     MutexLock guard(checkpoints_mu_);
     for (auto it = checkpoints_.upper_bound(token);
@@ -906,15 +921,13 @@ Status FasterStore::InMemoryRollback(Version token, LogAddress boundary,
     DPR_RETURN_NOT_OK(
         AppendCheckpointMeta(kMetaCheckpoint, token, cover_boundary));
   }
-
   // A delta chain must never span a rollback: the registered mid-gap entry
   // is image-less, and invalid marks changed buckets behind every base.
   force_full_next_.store(true, std::memory_order_release);
-
-  // Nothing pre-rollback may be updated in place anymore.
-  read_only_address_.store(purge_end, std::memory_order_release);
   // Back to REST: the invalid flags now carry the information the ignore
-  // window provided.
+  // window provided. This also clears a rollback machine that a failed
+  // in-memory rollback left mid-THROW/PURGE before a crash escalated it to
+  // a cold restore.
   ignore_high_.store(0, std::memory_order_release);
   ignore_low_.store(0, std::memory_order_release);
   rollback_state_.store(static_cast<int>(RollbackState::kRest),
@@ -945,8 +958,8 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   // whole prefix, so the walk only marks the (token, anchor] overshoot
   // invalid. Otherwise the newest image checkpoint at or below the token
   // covers the prefix below its boundary, and the walk installs the records
-  // above it. With no image at all (only legacy or rollback entries), the
-  // walk rebuilds the index from the log's begin.
+  // above it. With no image at all (only image-less or mid-gap entries),
+  // the walk rebuilds the index from the log's begin.
   std::vector<uint64_t> chain;
   Version image = kInvalidVersion;
   LogAddress image_boundary = kNullAddress;
@@ -964,7 +977,7 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   if (image != kInvalidVersion &&
       InstallChainImages(chain, &chain_count).ok()) {
     Metrics().ckpt_chain_restores->Add();
-    Metrics().ckpt_chain_length->Set(static_cast<int64_t>(chain.size()));
+    Metrics().ckpt_chain_length->Record(chain.size());
     install_from =
         image == anchor ? cover_boundary : std::max(image_boundary, begin);
     walk_from = std::min(install_from, std::max(boundary, begin));
@@ -989,33 +1002,20 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
     }
     batched = 0;
   };
-  const uint64_t page_mask = log_.page_size() - 1;
   uint64_t installed = 0;
   uint64_t uncounted = 0;  // image-counted records the walk invalidated
-  pos = walk_from;
-  while (pos < cover_boundary) {
-    if (log_.page_size() - (pos & page_mask) < sizeof(RecordHeader)) {
-      pos = (pos | page_mask) + 1;  // zeroed page remainder
-      continue;
-    }
-    RecordHeader* rec = log_.RecordAt(pos);
-    if (rec->key == 0 && rec->version == 0 && rec->value_size == 0 &&
-        rec->LoadFlags() == 0) {
-      pos = (pos | page_mask) + 1;  // zeroed page remainder
-      continue;
-    }
-    if (!rec->pad() && !rec->invalid()) {
-      if (rec->version > token) {
-        rec->SetFlag(RecordHeader::kInvalid);
-        if (pos < install_from) ++uncounted;
-      } else if (pos >= install_from) {
-        batch[batched++] = {rec->key, pos};
-        if (batched == kBatch) install();
-        ++installed;
-      }
-    }
-    pos += rec->size();
-  }
+  ForEachRecord(log_, walk_from, cover_boundary,
+                [&](LogAddress at, RecordHeader* rec) {
+                  if (rec->pad() || rec->invalid()) return;
+                  if (rec->version > token) {
+                    rec->SetFlag(RecordHeader::kInvalid);
+                    if (at < install_from) ++uncounted;
+                  } else if (at >= install_from) {
+                    batch[batched++] = {rec->key, at};
+                    if (batched == kBatch) install();
+                    ++installed;
+                  }
+                });
   install();
   record_count_.store(
       chain_count > uncounted ? chain_count - uncounted + installed
@@ -1032,35 +1032,7 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   flushed_until_.store(cover_boundary, std::memory_order_release);
   read_only_address_.store(cover_boundary, std::memory_order_release);
   version_.store(token + 1, std::memory_order_release);
-  // Forget rolled-back checkpoints durably: their boundaries point above the
-  // restored tail, into a region future flushes rewrite, so a later restore
-  // picking one up would parse garbage. The mid-gap restore point itself
-  // becomes a checkpoint (its prefix is durable below cover, overshoot marks
-  // included).
-  {
-    MutexLock guard(checkpoints_mu_);
-    for (auto it = checkpoints_.upper_bound(token);
-         it != checkpoints_.end();) {
-      it = checkpoints_.erase(it);
-    }
-    if (cover_boundary > boundary) checkpoints_[token] = CkptEntry{cover_boundary};
-  }
-  DPR_RETURN_NOT_OK(AppendCheckpointMeta(kMetaRollback, token, boundary));
-  if (cover_boundary > boundary) {
-    DPR_RETURN_NOT_OK(
-        AppendCheckpointMeta(kMetaCheckpoint, token, cover_boundary));
-  }
-  // Post-rollback delta chains must restart from a fresh full image: the
-  // mid-gap entry above is image-less and the WAL replay state machine
-  // erases images past the rollback point.
-  force_full_next_.store(true, std::memory_order_release);
-  // The rebuilt state carries no pending purge — clear the rollback machine
-  // even if a failed in-memory rollback left it mid-THROW/PURGE before the
-  // crash escalated to a cold restore.
-  ignore_high_.store(0, std::memory_order_release);
-  ignore_low_.store(0, std::memory_order_release);
-  rollback_state_.store(static_cast<int>(RollbackState::kRest),
-                        std::memory_order_release);
+  DPR_RETURN_NOT_OK(FinishRestore(token, boundary, cover_boundary));
   crashed_.store(false, std::memory_order_release);
   return Status::OK();
 }
@@ -1091,11 +1063,16 @@ void FasterStore::SimulateCrash() {
         checkpoints_[token] = CkptEntry{boundary};
       } else if (type == kMetaFullIndex) {
         checkpoints_[token] =
-            CkptEntry{boundary, kInvalidVersion, true, offset};
+            CkptEntry{boundary, kInvalidVersion, true, offset, 1};
       } else if (type == kMetaDelta) {
         uint64_t base;
         if (!dec.GetFixed64(&base)) return;
-        checkpoints_[token] = CkptEntry{boundary, base, true, offset};
+        // A delta whose base is gone cannot restore; counting its chain as
+        // full makes the next image a fresh full one.
+        const auto b = checkpoints_.find(base);
+        const uint32_t links =
+            b != checkpoints_.end() ? b->second.links + 1 : kMaxChainLinks;
+        checkpoints_[token] = CkptEntry{boundary, base, true, offset, links};
       } else if (type == kMetaRollback) {
         for (auto it = checkpoints_.upper_bound(token);
              it != checkpoints_.end();) {

@@ -50,10 +50,11 @@ struct FasterOptions {
 /// Checkpoint/version protocol (StateObject contract): operations execute in
 /// the current version; PerformCheckpoint(target) stamps the boundary — a
 /// metadata-only step — and flushes the log prefix asynchronously on the
-/// background flush thread. Callers (DprWorker) must guarantee no operation
-/// is mid-flight across the PerformCheckpoint call itself (the worker's
-/// version latch does); everything else — flushing, committing, rolling
-/// back with concurrent readers — is non-blocking.
+/// background flush thread. Callers must guarantee no operation is
+/// mid-flight across the PerformCheckpoint call itself (DprWorker's version
+/// latch does, and DFasterWorker's batch latch in kEventual mode);
+/// everything else — flushing, committing, rolling back with concurrent
+/// readers — is non-blocking.
 class FasterStore : public StateObject {
  public:
   explicit FasterStore(FasterOptions options);
@@ -91,13 +92,14 @@ class FasterStore : public StateObject {
   std::unique_ptr<Session> NewSession();
 
   // --- StateObject (libDPR) interface ---
-  /// With default hints this is a full fold-over: no hash-index image rides
-  /// in the meta WAL, and ColdRecover rebuilds the index from an older image
-  /// plus a scan of the log above it (or from the whole log).
-  /// With hints.index_image the flush thread captures a hash-index image —
-  /// full, or dirty-entries-only when hints.delta and a durable image base
-  /// exists — and persists it inside the checkpoint meta record, enabling
-  /// chain restores that skip the full log scan.
+  /// With default hints this is an image-less fold-over: ColdRecover
+  /// rebuilds the index from an older image plus a scan of the log above
+  /// it (or from the whole log). With hints.index_image the flush thread
+  /// captures a hash-index image and persists it inside the checkpoint meta
+  /// record, enabling chain restores that skip the full log scan. The flush
+  /// thread picks the image: a delta over the newest durable image, or a
+  /// full image when there is none, after a rollback or compaction, or when
+  /// that image's chain already has kMaxChainLinks links.
   Status PerformCheckpoint(Version target_version, PersistCallback on_persist,
                            Version* out_token,
                            const CheckpointHints& hints) override;
@@ -153,10 +155,13 @@ class FasterStore : public StateObject {
     PersistCallback callback;
     /// Enqueue time, for the stamp→durable checkpoint-latency histogram.
     uint64_t enqueue_us = 0;
-    /// CheckpointHints carried to the flush thread, which captures the
-    /// image (the base is chosen at flush time, against durable state).
+    /// CheckpointHints::index_image, carried to the flush thread, which
+    /// captures the image (full or delta is chosen at flush time, against
+    /// durable state).
     bool index_image = false;
-    bool delta = false;
+    /// Store-internal: the image must be full (a compaction checkpoint,
+    /// which becomes the base of every later chain).
+    bool force_full = false;
     /// Record count at the stamp, persisted with the image so a chain
     /// restore can reinstate the counter without scanning.
     uint64_t record_count = 0;
@@ -164,17 +169,23 @@ class FasterStore : public StateObject {
 
   /// One durable checkpoint. `base` links a delta image to the newest
   /// durable image checkpoint it was diffed against (kInvalidVersion for
-  /// full images and image-less legacy checkpoints); `has_index` says an
-  /// index image for this token sits in the meta WAL at `image_offset`,
-  /// making the token eligible as a delta base and as a chain-restore
-  /// anchor.
+  /// full images and image-less checkpoints); `has_index` says an index
+  /// image for this token sits in the meta WAL at `image_offset`, making
+  /// the token eligible as a delta base and as a chain-restore anchor.
+  /// `links` counts the images a restore from this token installs (1 for a
+  /// full image, 0 without an image).
   struct CkptEntry {
     LogAddress boundary = 0;
     Version base = kInvalidVersion;
     bool has_index = false;
     uint64_t image_offset = 0;
+    uint32_t links = 0;
   };
 
+  // PerformCheckpoint with the store-internal full-image demand.
+  Status StampCheckpoint(Version target_version, PersistCallback on_persist,
+                         Version* out_token, bool index_image,
+                         bool force_full);
   Status ReadInternal(uint64_t key, std::string* out_str, uint64_t* out_int);
   Status UpsertInternal(uint64_t key, Slice value);
   // Walks `key`'s chain; returns the first visible matching record address
@@ -202,6 +213,12 @@ class FasterStore : public StateObject {
                      LogAddress cover_boundary, Version anchor);
   Status InMemoryRollback(Version token, LogAddress boundary,
                           LogAddress cover_boundary);
+  // The steps both restore paths end with: durably forget checkpoints (and
+  // pending compactions) above `token`, register a mid-gap restore point at
+  // `cover_boundary` when it differs from `boundary`, force the next image
+  // full, and return the rollback machine to REST.
+  Status FinishRestore(Version token, LogAddress boundary,
+                       LogAddress cover_boundary);
   Status AppendCheckpointMeta(uint8_t type, Version token,
                               LogAddress boundary);
 
@@ -212,8 +229,9 @@ class FasterStore : public StateObject {
   // flush boundary (kNullAddress for a full image).
   std::string EncodeIndexMetaRecord(const FlushRequest& req, Version base,
                                     LogAddress base_boundary);
-  // Largest durable token carrying an index image, or kInvalidVersion.
-  Version LargestImageBaseLocked() const REQUIRES(checkpoints_mu_);
+  // The delta base for a new image: the largest durable image whose chain
+  // has room for one more link, else kInvalidVersion (write a full image).
+  Version DeltaBaseLocked() const REQUIRES(checkpoints_mu_);
   // Resolves the delta chain ending at `token` into the meta-WAL offsets of
   // its image records (ascending, base first). Fails (false) when any link
   // lacks an image or left the durable set.

@@ -462,21 +462,19 @@ class ChaosRunner {
         }
         return MigrateRange(e.a, e.b, e.step, /*barrier=*/true);
       case K::kDeltaCheckpoint:
-        // A delta checkpoint followed immediately by a crash: the recovery
-        // cut may land on the delta, forcing RestoreCheckpoint to walk the
-        // chain back to its full base (or fall back to the log scan when the
-        // chain is broken — both must reproduce the same store).
-        DPR_RETURN_NOT_OK(Commit(e.a, CheckpointHints{.index_image = true,
-                                                      .delta = true}));
+        // An image checkpoint (a delta unless the store's chain is full or
+        // was reset) followed immediately by a crash: the recovery cut may
+        // land on the delta, forcing RestoreCheckpoint to walk the chain
+        // back to its full base (or fall back to the log scan when the chain
+        // is broken — both must reproduce the same store).
+        DPR_RETURN_NOT_OK(Commit(e.a));
         return Recover({e.a});
       case K::kCheckpointStorm: {
         // Back-to-back checkpoints racing the workload: grows a long delta
-        // chain (every 4th full) with flush requests piling onto the flush
-        // thread. Busy admissions just mean two storm ticks collided.
-        for (int i = 0; i < 8; ++i) {
-          DPR_RETURN_NOT_OK(Commit(
-              e.a, CheckpointHints{.index_image = true, .delta = i % 4 != 3}));
-        }
+        // chain (the store starts a fresh full image every 16 links) with
+        // flush requests piling onto the flush thread. Busy admissions just
+        // mean two storm ticks collided.
+        for (int i = 0; i < 8; ++i) DPR_RETURN_NOT_OK(Commit(e.a));
         return Status::OK();
       }
       case K::kMigrateDuringRollback:
@@ -628,16 +626,9 @@ class ChaosRunner {
   }
 
   Status Commit(WorkerId w) {
-    // Workload-driven commits rotate through the image modes (every 4th
-    // persisted as a full image, deltas in between) so every crash event in
-    // the schedule lands on some chain position.
-    const uint64_t n = commit_counter_++;
-    return Commit(w, CheckpointHints{.index_image = true,
-                                     .delta = n % 4 != 0});
-  }
-
-  Status Commit(WorkerId w, const CheckpointHints& hints) {
-    Status s = workers_[w]->TryCommit(0, hints);
+    // Image checkpoints, as the tick loop takes them: the store chains
+    // deltas on a full image, so crash events land on every chain position.
+    Status s = workers_[w]->TryCommit(0, CheckpointHints{.index_image = true});
     if (!s.ok() && !s.IsBusy() && !s.IsRetryable()) {
       return Violation("TryCommit: " + s.ToString());
     }
@@ -845,7 +836,6 @@ class ChaosRunner {
   std::map<std::pair<uint32_t, uint64_t>, std::vector<ValueWrite>> history_;
   std::vector<PendingOp> pendings_;
   uint64_t value_counter_ = 0;
-  uint64_t commit_counter_ = 0;
 };
 
 }  // namespace

@@ -55,13 +55,13 @@ struct ChaosEvent {
                               // barrier: the world-line fence must abandon
                               // the move and the installed (uncommitted)
                               // records must roll back at b
-    kDeltaCheckpoint,      // commit a delta (index-image) checkpoint on a,
-                           // then crash a: recovery must restore over the
-                           // delta chain, not just the newest full image
-    kCheckpointStorm,      // burst of rapid checkpoints on a, alternating
-                           // full and delta images, racing the workload —
-                           // long chains, back-to-back flushes, and the
-                           // cadence paths under pressure
+    kDeltaCheckpoint,      // commit an index-image checkpoint on a (the
+                           // store chains it as a delta), then crash a:
+                           // recovery must restore over the delta chain,
+                           // not just the newest full image
+    kCheckpointStorm,      // burst of rapid image checkpoints on a, racing
+                           // the workload — long chains, back-to-back
+                           // flushes, and the cadence paths under pressure
   };
   Kind kind = Kind::kCrashWorker;
   uint32_t step = 0;

@@ -112,7 +112,6 @@ Status DFasterCluster::StartWorker(WorkerId id, bool start_empty) {
   config.faster.fsync_scheduler = fsync_sched_.get();
   config.dpr.finder = plane();
   config.dpr.checkpoint_interval_us = options_.checkpoint_interval_us;
-  config.dpr.ckpt_policy = options_.ckpt;
   auto worker = std::make_unique<DFasterWorker>(std::move(config));
 
   std::unique_ptr<RpcServer> server;
@@ -404,7 +403,6 @@ Status DRedisCluster::Start() {
         proxy_options.dpr.finder = finder_.get();
         proxy_options.dpr.checkpoint_interval_us =
             options_.checkpoint_interval_us;
-        proxy_options.dpr.ckpt_policy = options_.ckpt;
         auto proxy = std::make_unique<DRedisProxy>(
             proxy_options, net_->Connect(store_server->address()),
             net_->CreateServer("dredis" + std::to_string(i)), store.get());

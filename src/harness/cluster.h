@@ -29,13 +29,10 @@ struct ClusterOptions {
   uint32_t num_workers = 2;
   RecoverabilityMode mode = RecoverabilityMode::kDpr;
   StorageBackend backend = StorageBackend::kNull;
+  /// RPO ceiling of each shard's checkpoint tick loop (src/ckpt/): hot
+  /// shards checkpoint more often (down to a quarter of it) and idle shards
+  /// skip the I/O; each store picks a full or delta index image.
   uint64_t checkpoint_interval_us = 100000;  // paper default: 100 ms
-  /// Per-shard cadence policy (src/ckpt/): adaptive by default — hot
-  /// shards checkpoint more often than the interval above (down to its
-  /// quarter), idle shards skip the I/O entirely, and every 16th persisted
-  /// checkpoint is a full index image with deltas in between. Set
-  /// CkptPolicy::FixedInterval() for the historical fixed fold-overs.
-  CkptPolicy ckpt;
   FinderKind finder = FinderKind::kApprox;   // paper's eval default (§7.1)
   uint64_t finder_interval_us = 10000;
   TransportKind transport = TransportKind::kInMemory;
@@ -160,9 +157,6 @@ struct RedisClusterOptions {
   uint32_t num_shards = 2;
   RedisDeployment deployment = RedisDeployment::kDpr;
   uint64_t checkpoint_interval_us = 100000;
-  /// Cadence policy for the D-Redis proxies' DPR workers (see
-  /// ClusterOptions::ckpt; the RESP store ignores index-image hints).
-  CkptPolicy ckpt;
   uint64_t finder_interval_us = 10000;
   bool aof_sync = false;  // appendfsync=always (synchronous recoverability)
 };

@@ -7,31 +7,8 @@
 #include <vector>
 
 #include "common/coding.h"
-#include "common/slice.h"
-#include "common/status.h"
-#include "storage/device.h"
 
 namespace dpr {
-
-class GroupCommitScheduler;
-
-/// Helpers for whole-blob checkpoint images: a fixed header (magic, version
-/// token, length, CRC) followed by the serialized store snapshot. A blob is
-/// valid only if fully written and checksummed, so a crash during Commit()
-/// leaves the previous checkpoint intact (callers alternate between blob
-/// slots or separate devices per version).
-struct CheckpointBlob {
-  /// Writes payload-then-header and makes the blob durable. With a
-  /// `scheduler`, the sealing fsync registers as a group-commit waiter so
-  /// blobs from shards sharing a device coalesce into one fsync.
-  static Status Write(Device* device, uint64_t offset, uint64_t version_token,
-                      Slice payload, GroupCommitScheduler* scheduler = nullptr);
-
-  /// Reads and validates the blob at `offset`; on success fills `payload` and
-  /// `version_token`. Returns NotFound if there is no valid blob.
-  static Status Read(Device* device, uint64_t offset, std::string* payload,
-                     uint64_t* version_token);
-};
 
 /// Serialized hash-index image riding inside a checkpoint meta record: a
 /// pair count followed by (bucket, entry word) pairs, the word packing the

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "common/random.h"
 #include "fault/fault_plane.h"
 #include "harness/cluster.h"
+#include "obs/metrics.h"
 
 namespace dpr {
 namespace {
@@ -34,8 +36,37 @@ void RunSeed(uint64_t seed) {
   EXPECT_GT(report.ops, 0u) << "seed " << seed << " admitted no operations";
 }
 
+// Chain restores so far, split by anchor: a full image (one link
+// installed) or a delta (two or more).
+struct AnchorCounts {
+  uint64_t full = 0;
+  uint64_t delta = 0;
+};
+
+AnchorCounts ChainRestoresByAnchor() {
+  const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
+  const auto it = snap.histograms.find("ckpt.chain_length");
+  if (it == snap.histograms.end()) return {};
+  const uint64_t full = it->second.bucket_count(Histogram::BucketFor(1));
+  return {full, it->second.count() - full};
+}
+
+// Each shard's schedules crash workers whose newest image is a full image
+// and workers anchored on a delta, so both restore paths run.
 void RunSeedRange(uint64_t lo, uint64_t hi) {
+  const AnchorCounts before = ChainRestoresByAnchor();
   for (uint64_t seed = lo; seed <= hi; ++seed) RunSeed(seed);
+  const AnchorCounts after = ChainRestoresByAnchor();
+  const uint64_t full = after.full - before.full;
+  const uint64_t delta = after.delta - before.delta;
+  printf("seeds %llu-%llu: %llu chain restores from a full anchor, %llu "
+         "from a delta anchor\n",
+         static_cast<unsigned long long>(lo),
+         static_cast<unsigned long long>(hi),
+         static_cast<unsigned long long>(full),
+         static_cast<unsigned long long>(delta));
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(delta, 0u);
 }
 
 // 200 seeds, sharded so a failure narrows the range (and each shard stays

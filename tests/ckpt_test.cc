@@ -1,7 +1,8 @@
 // Checkpoint plane (`ctest -L ckpt`): the cadence controller's decision
-// logic, delta-checkpoint chains through crash/restore, covering restores
-// over a chain gap, compaction interplay, and the flush-failure regression
-// (a failed checkpoint flush must never wedge the pipeline).
+// logic, the store's full/delta choice, delta-checkpoint chains through
+// crash/restore, covering restores over a chain gap, compaction interplay,
+// and the flush-failure regression (a failed checkpoint flush must never
+// wedge the pipeline).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,55 +23,17 @@ namespace {
 
 constexpr uint64_t kBaseUs = 100000;
 
-TEST(CkptCadenceTest, FixedIntervalNeverSkipsNeverAdapts) {
-  CkptCadenceController c(CkptPolicy::FixedInterval(), kBaseUs);
-  uint64_t now = 1000;
-  for (int i = 0; i < 5; ++i) {
-    // Idle and hot signals alike: always a full checkpoint at the base
-    // interval — byte-compatible with the historical fixed timer.
-    CkptSignals s;
-    s.dirty_bytes = (i % 2 == 0) ? 0 : (64u << 20);
-    const CkptDecision d = c.Decide(s, now);
-    EXPECT_EQ(d.action, CkptAction::kFull);
-    EXPECT_EQ(d.next_delay_us, 100000u);
-    now += d.next_delay_us;
-  }
-}
-
 TEST(CkptCadenceTest, FirstCheckpointIssuesEvenWhenIdle) {
-  CkptCadenceController c(CkptPolicy{}, kBaseUs);
+  CkptCadenceController c(kBaseUs);
   // An idle shard still gets one initial checkpoint (the finder needs a
   // first reported version before the cut can ever cover this worker)...
   const CkptDecision first = c.Decide(CkptSignals{}, 1000);
-  EXPECT_EQ(first.action, CkptAction::kFull);
+  EXPECT_EQ(first.action, CkptAction::kCheckpoint);
   // ...and only then starts skipping, at the RPO ceiling.
   for (int i = 0; i < 3; ++i) {
     const CkptDecision d = c.Decide(CkptSignals{}, 1000 + (i + 1) * 100000);
     EXPECT_EQ(d.action, CkptAction::kSkip);
     EXPECT_EQ(d.next_delay_us, 100000u);
-  }
-}
-
-TEST(CkptCadenceTest, FullEveryRotation) {
-  constexpr CkptAction F = CkptAction::kFull;
-  constexpr CkptAction D = CkptAction::kDelta;
-  // full_every == 0 means "every checkpoint full", like 1.
-  const std::map<uint32_t, std::vector<CkptAction>> cases = {
-      {4, {F, D, D, D, F, D, D, D, F}}, {0, {F, F, F, F, F, F, F, F, F}}};
-  for (const auto& [full_every, want] : cases) {
-    CkptPolicy p;
-    p.full_every = full_every;
-    CkptCadenceController c(p, kBaseUs);
-    uint64_t now = 1000;
-    std::vector<CkptAction> actions;
-    for (int i = 0; i < 9; ++i) {
-      CkptSignals s;
-      s.dirty_bytes = 4096;
-      const CkptDecision d = c.Decide(s, now);
-      actions.push_back(d.action);
-      now += d.next_delay_us;
-    }
-    EXPECT_EQ(actions, want) << "full_every=" << full_every;
   }
 }
 
@@ -80,108 +43,30 @@ TEST(CkptCadenceTest, HotShardClampsToMinInterval) {
   const std::map<uint64_t, uint64_t> cases = {
       {100000, 25000}, {2000, 1000}, {500, 1000}};
   for (const auto& [base_us, floor_us] : cases) {
-    CkptCadenceController c(CkptPolicy{}, base_us);
+    CkptCadenceController c(base_us);
     uint64_t now = 1000000;
     CkptDecision d{};
     for (int i = 0; i < 30; ++i) {
       // 16 MiB of fresh log every 10ms: the rate-derived interval
       // (1 MiB target / ~1678 B/us) is far below the floor.
-      CkptSignals s;
-      s.dirty_bytes = 16u << 20;
-      s.committed_watermark = static_cast<uint64_t>(i);  // cut keeps moving
-      d = c.Decide(s, now);
+      d = c.Decide(CkptSignals{.dirty_bytes = 16u << 20}, now);
       now += 10000;
     }
     EXPECT_EQ(d.next_delay_us, floor_us) << "base_us=" << base_us;
-    EXPECT_NE(d.action, CkptAction::kSkip);
+    EXPECT_EQ(d.action, CkptAction::kCheckpoint);
   }
 }
 
 TEST(CkptCadenceTest, TrickleIngestStretchesToRpoCeiling) {
-  CkptCadenceController c(CkptPolicy{}, kBaseUs);
+  CkptCadenceController c(kBaseUs);
   uint64_t now = 1000000;
   CkptDecision d{};
   for (int i = 0; i < 10; ++i) {
-    CkptSignals s;
-    s.dirty_bytes = 16;  // a few bytes per 100ms: interval wants to be huge
-    s.committed_watermark = static_cast<uint64_t>(i);
-    d = c.Decide(s, now);
+    // A few bytes per 100ms: the interval wants to be huge.
+    d = c.Decide(CkptSignals{.dirty_bytes = 16}, now);
     now += 100000;
   }
   EXPECT_EQ(d.next_delay_us, 100000u) << "never stretches past the RPO";
-}
-
-TEST(CkptCadenceTest, ExceptionListPressureHalvesInterval) {
-  CkptCadenceController c(CkptPolicy{}, kBaseUs);
-  uint64_t now = 1000000;
-  CkptDecision calm{};
-  for (int i = 0; i < 40; ++i) {
-    // Settle the rate-derived interval around 40ms, inside the clamps, so
-    // the halving is observable (a ceiling-clamped interval stays clamped).
-    CkptSignals s;
-    s.dirty_bytes = 1u << 20;
-    s.committed_watermark = static_cast<uint64_t>(i);
-    calm = c.Decide(s, now);
-    now += 40000;
-  }
-  ASSERT_GT(calm.next_delay_us, 25000u);
-  ASSERT_LT(calm.next_delay_us, 100000u);
-  CkptSignals pressured;
-  pressured.dirty_bytes = 1u << 20;
-  pressured.committed_watermark = 1000;
-  pressured.exception_list_len = 65;  // above the default threshold of 64
-  const CkptDecision d = c.Decide(pressured, now);
-  EXPECT_LT(d.next_delay_us, calm.next_delay_us * 7 / 10);
-}
-
-TEST(CkptCadenceTest, StorageBacklogStretchesInterval) {
-  CkptCadenceController c(CkptPolicy{}, kBaseUs);
-  uint64_t now = 1000000;
-  CkptDecision calm{};
-  for (int i = 0; i < 40; ++i) {
-    // ~26 B/us: the rate-derived interval settles around 40ms, between
-    // the clamps, so both pressure directions are observable.
-    CkptSignals s;
-    s.dirty_bytes = 1u << 20;
-    s.committed_watermark = static_cast<uint64_t>(i);
-    calm = c.Decide(s, now);
-    now += 40000;
-  }
-  ASSERT_GT(calm.next_delay_us, 25000u);
-  ASSERT_LT(calm.next_delay_us, 100000u);
-  CkptSignals congested;
-  congested.dirty_bytes = 1u << 20;
-  congested.committed_watermark = 1000;
-  congested.storage_queue_depth = 17;  // above the default threshold of 16
-  const CkptDecision d = c.Decide(congested, now);
-  // A congested fsync scheduler doubles the interval (EWMA drift aside).
-  EXPECT_GT(d.next_delay_us, calm.next_delay_us + calm.next_delay_us / 2);
-}
-
-TEST(CkptCadenceTest, StaleCutTightensCadence) {
-  CkptCadenceController c(CkptPolicy{}, kBaseUs);
-  uint64_t now = 1000000;
-  CkptDecision calm{};
-  for (int i = 0; i < 40; ++i) {
-    CkptSignals s;
-    s.dirty_bytes = 1u << 20;
-    s.committed_watermark = static_cast<uint64_t>(i);  // cut keeps moving
-    calm = c.Decide(s, now);
-    now += 40000;
-  }
-  ASSERT_GT(calm.next_delay_us, 25000u);
-  ASSERT_LT(calm.next_delay_us, 100000u);
-  // Freeze the watermark and keep ticking: once it has been stale for more
-  // than 4x the RPO ceiling (400ms), the controller halves the interval.
-  CkptSignals stuck;
-  stuck.dirty_bytes = 1u << 20;
-  stuck.committed_watermark = 1000;
-  CkptDecision d{};
-  for (int i = 0; i < 12; ++i) {
-    d = c.Decide(stuck, now);
-    now += 40000;
-  }
-  EXPECT_LT(d.next_delay_us, calm.next_delay_us * 7 / 10);
 }
 
 // ------------------------------------------------------- delta-chain store
@@ -202,13 +87,14 @@ std::unique_ptr<FasterStore> NewStore(bool faulty_log = false,
   return std::make_unique<FasterStore>(std::move(options));
 }
 
-Version Checkpoint(FasterStore* store, bool image, bool delta,
+// An image checkpoint is a full or delta image at the store's choice.
+Version Checkpoint(FasterStore* store, bool image,
                    bool expect_durable = true) {
   Version token = kInvalidVersion;
   std::atomic<bool> durable{false};
   Status s = store->PerformCheckpoint(
       store->CurrentVersion() + 1, [&](Version) { durable.store(true); },
-      &token, CheckpointHints{.index_image = image, .delta = delta});
+      &token, CheckpointHints{.index_image = image});
   EXPECT_TRUE(s.ok()) << s.ToString();
   store->WaitForCheckpoints();
   EXPECT_EQ(durable.load(), expect_durable);
@@ -231,12 +117,12 @@ TEST(DeltaCheckpointTest, ChainRestoreReproducesEveryVersion) {
   for (uint64_t k = 0; k < 100; ++k) {
     ASSERT_TRUE(session->Upsert(k, 1000 + k).ok());
   }
-  const Version t1 = Checkpoint(store.get(), /*image=*/true, /*delta=*/false);
+  const Version t1 = Checkpoint(store.get(), /*image=*/true);
   // v2: overwrite a subset, delta on t1.
   for (uint64_t k = 0; k < 20; ++k) {
     ASSERT_TRUE(session->Upsert(k, 2000 + k).ok());
   }
-  const Version t2 = Checkpoint(store.get(), true, true);
+  const Version t2 = Checkpoint(store.get(), true);
   // v3: another subset and some fresh keys, delta on t2.
   for (uint64_t k = 10; k < 30; ++k) {
     ASSERT_TRUE(session->Upsert(k, 3000 + k).ok());
@@ -244,7 +130,7 @@ TEST(DeltaCheckpointTest, ChainRestoreReproducesEveryVersion) {
   for (uint64_t k = 100; k < 110; ++k) {
     ASSERT_TRUE(session->Upsert(k, 3000 + k).ok());
   }
-  const Version t3 = Checkpoint(store.get(), true, true);
+  const Version t3 = Checkpoint(store.get(), true);
   ASSERT_LT(t1, t2);
   ASSERT_LT(t2, t3);
   // Un-checkpointed writes that must vanish.
@@ -287,15 +173,15 @@ TEST(DeltaCheckpointTest, RestoreAtMidChainToken) {
   for (uint64_t k = 0; k < 50; ++k) {
     ASSERT_TRUE(session->Upsert(k, 100 + k).ok());
   }
-  Checkpoint(store.get(), true, false);
+  Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(session->Upsert(k, 200 + k).ok());
   }
-  const Version t2 = Checkpoint(store.get(), true, true);
+  const Version t2 = Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 50; ++k) {
     ASSERT_TRUE(session->Upsert(k, 300 + k).ok());
   }
-  Checkpoint(store.get(), true, true);
+  Checkpoint(store.get(), true);
   session.reset();
 
   store->SimulateCrash();
@@ -320,11 +206,11 @@ TEST(DeltaCheckpointTest, CoveringRestoreOverChainGap) {
   for (uint64_t k = 0; k < 40; ++k) {
     ASSERT_TRUE(session->Upsert(k, 100 + k).ok());
   }
-  Checkpoint(store.get(), true, false);
+  Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 40; ++k) {
     ASSERT_TRUE(session->Upsert(k, 200 + k).ok());
   }
-  const Version t2 = Checkpoint(store.get(), true, true);
+  const Version t2 = Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 40; ++k) {
     ASSERT_TRUE(session->Upsert(k, 300 + k).ok());
   }
@@ -332,14 +218,14 @@ TEST(DeltaCheckpointTest, CoveringRestoreOverChainGap) {
   FaultPlane::Instance().Arm({.point = faults::kDevWriteFail,
                               .scope = kFaultScope,
                               .max_fires = 64});
-  const Version t3 = Checkpoint(store.get(), true, true,
+  const Version t3 = Checkpoint(store.get(), true,
                                 /*expect_durable=*/false);
   FaultPlane::Instance().Disarm(faults::kDevWriteFail);
   ASSERT_EQ(store->LargestDurableToken(), t2);
   for (uint64_t k = 0; k < 40; ++k) {
     ASSERT_TRUE(session->Upsert(k, 400 + k).ok());
   }
-  const Version t4 = Checkpoint(store.get(), true, true);
+  const Version t4 = Checkpoint(store.get(), true);
   ASSERT_EQ(store->LargestDurableToken(), t4);
   session.reset();
 
@@ -365,8 +251,7 @@ TEST(DeltaCheckpointTest, LegacyCheckpointsStillScanRestore) {
   for (uint64_t k = 0; k < 30; ++k) {
     ASSERT_TRUE(session->Upsert(k, 5 + k).ok());
   }
-  const Version t1 = Checkpoint(store.get(), /*image=*/false,
-                                /*delta=*/false);
+  const Version t1 = Checkpoint(store.get(), /*image=*/false);
   session.reset();
 
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
@@ -390,11 +275,11 @@ TEST(DeltaCheckpointTest, CrashBeforeFinishCompactionKeepsChainRestorable) {
   for (uint64_t k = 0; k < 60; ++k) {
     ASSERT_TRUE(session->Upsert(k, 10 + k).ok());
   }
-  const Version t1 = Checkpoint(store.get(), true, false);
+  const Version t1 = Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 60; ++k) {
     ASSERT_TRUE(session->Upsert(k, 20 + k).ok());
   }
-  const Version t2 = Checkpoint(store.get(), true, true);
+  const Version t2 = Checkpoint(store.get(), true);
   // Compaction starts (copies live records, takes its forced-full
   // checkpoint) but the crash lands before FinishCompaction: nothing has
   // been reclaimed yet and every checkpoint must still restore.
@@ -421,11 +306,11 @@ TEST(DeltaCheckpointTest, ChainFromCompactionBaseAfterFinish) {
   for (uint64_t k = 0; k < 60; ++k) {
     ASSERT_TRUE(session->Upsert(k, 10 + k).ok());
   }
-  const Version t1 = Checkpoint(store.get(), true, false);
+  const Version t1 = Checkpoint(store.get(), true);
   for (uint64_t k = 0; k < 30; ++k) {
     ASSERT_TRUE(session->Upsert(k, 20 + k).ok());
   }
-  Checkpoint(store.get(), true, true);
+  Checkpoint(store.get(), true);
   Version ct = kInvalidVersion;
   ASSERT_TRUE(store->StartCompaction(t1, &ct).ok());
   store->WaitForCheckpoints();
@@ -435,7 +320,7 @@ TEST(DeltaCheckpointTest, ChainFromCompactionBaseAfterFinish) {
   for (uint64_t k = 30; k < 60; ++k) {
     ASSERT_TRUE(session->Upsert(k, 30 + k).ok());
   }
-  const Version t3 = Checkpoint(store.get(), true, true);
+  const Version t3 = Checkpoint(store.get(), true);
   session.reset();
 
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
@@ -492,18 +377,18 @@ TEST(DeltaCheckpointTest, OverflowChainRestoresAtEveryWalTruncation) {
       }
     };
     write(0, 200, 1);
-    states[Checkpoint(&store, /*image=*/true, /*delta=*/false)] = live;
+    states[Checkpoint(&store, /*image=*/true)] = live;
     write(0, 50, 2);
-    states[Checkpoint(&store, true, true)] = live;
+    states[Checkpoint(&store, true)] = live;
     write(200, kKeys, 3);
     write(100, 120, 3);
-    states[Checkpoint(&store, true, true)] = live;
+    states[Checkpoint(&store, true)] = live;
     write(120, 140, 4);
-    states[Checkpoint(&store, /*image=*/false, false)] = live;
+    states[Checkpoint(&store, /*image=*/false)] = live;
     write(0, 10, 5);
-    states[Checkpoint(&store, true, true)] = live;
+    states[Checkpoint(&store, true)] = live;
     write(150, 170, 6);
-    states[Checkpoint(&store, false, false)] = live;
+    states[Checkpoint(&store, false)] = live;
     write(0, kKeys, 7);  // never checkpointed
   }
   states[kInvalidVersion] = {};
@@ -546,6 +431,79 @@ TEST(DeltaCheckpointTest, OverflowChainRestoresAtEveryWalTruncation) {
       << "every restart with a durable image must restore from its chain";
 }
 
+TEST(DeltaCheckpointTest, StoreStartsAFreshFullImageEverySixteenLinks) {
+  // Full or delta is the store's choice alone: 17 image checkpoints persist
+  // as a full image, 15 deltas over it, then a fresh full image once the
+  // chain has 16 links. A restart restores each token from its own chain.
+  constexpr uint64_t kCheckpoints = 17;
+  MemoryDevice log;
+  MemoryDevice meta;
+  std::vector<Version> tokens;
+  std::map<Version, std::map<uint64_t, uint64_t>> states;
+  {
+    FasterOptions options;
+    options.index_buckets = 1 << 10;
+    options.log_device = std::make_unique<DeviceSlice>(&log, 0);
+    options.meta_device = std::make_unique<DeviceSlice>(&meta, 0);
+    FasterStore store(std::move(options));
+    auto session = store.NewSession();
+    std::map<uint64_t, uint64_t> live;
+    std::string kinds;
+    for (uint64_t i = 0; i < kCheckpoints; ++i) {
+      // Overlapping key ranges: each checkpoint rewrites half of the last
+      // one's keys and adds as many new ones.
+      for (uint64_t k = 4 * i; k < 4 * i + 8; ++k) {
+        ASSERT_TRUE(session->Upsert(k, 1000 * i + k).ok());
+        live[k] = 1000 * i + k;
+      }
+      const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+      const Version t = Checkpoint(&store, /*image=*/true);
+      const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+      const uint64_t full = CounterDelta(before, after, "ckpt.full");
+      const uint64_t delta = CounterDelta(before, after, "ckpt.delta");
+      ASSERT_EQ(full + delta, 1u) << "checkpoint " << i;
+      kinds += full == 1 ? 'F' : 'D';
+      tokens.push_back(t);
+      states[t] = live;
+    }
+    EXPECT_EQ(kinds, "F" + std::string(15, 'D') + "F");
+  }
+
+  for (uint64_t i = 0; i < kCheckpoints; ++i) {
+    const Version token = tokens[i];
+    FasterOptions options;
+    options.index_buckets = 1 << 10;
+    options.log_device = DurablePrefix(&log, log.Size());
+    options.meta_device = DurablePrefix(&meta, meta.Size());
+    FasterStore store(std::move(options));
+    store.SimulateCrash();  // replays the meta WAL as a restart would
+    const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+    Version restored = kInvalidVersion;
+    ASSERT_TRUE(store.RestoreCheckpoint(token, &restored).ok()) << i;
+    ASSERT_EQ(restored, token);
+    const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+    EXPECT_EQ(CounterDelta(before, after, "ckpt.chain_restores"), 1u) << i;
+    // The restore installs the chain up to its token: i + 1 images inside
+    // the first chain, one for the fresh full image.
+    const uint64_t links = i < 16 ? i + 1 : 1;
+    EXPECT_EQ(after.histograms.at("ckpt.chain_length").sum() -
+                  before.histograms.at("ckpt.chain_length").sum(),
+              links)
+        << i;
+    auto reader = store.NewSession();
+    for (uint64_t k = 0; k < 4 * kCheckpoints + 4; ++k) {
+      uint64_t v = 0;
+      const auto it = states.at(token).find(k);
+      if (it == states.at(token).end()) {
+        ASSERT_TRUE(reader->Read(k, &v).IsNotFound()) << i << " key " << k;
+      } else {
+        ASSERT_TRUE(reader->Read(k, &v).ok()) << i << " key " << k;
+        ASSERT_EQ(v, it->second) << i << " key " << k;
+      }
+    }
+  }
+}
+
 // ------------------------------------------- flush-failure regression (bug)
 
 TEST(FlushFailureTest, FailedFlushDoesNotWedgePipeline) {
@@ -570,7 +528,7 @@ TEST(FlushFailureTest, FailedFlushDoesNotWedgePipeline) {
                   ->PerformCheckpoint(
                       store->CurrentVersion() + 1,
                       [&](Version) { calls.fetch_add(1); }, &t1,
-                      CheckpointHints{.index_image = true, .delta = false})
+                      CheckpointHints{.index_image = true})
                   .ok());
   store->WaitForCheckpoints();  // (d) must return despite the failure
   FaultPlane::Instance().Disarm(faults::kDevWriteFail);
@@ -579,7 +537,7 @@ TEST(FlushFailureTest, FailedFlushDoesNotWedgePipeline) {
 
   // (c) the pipeline is not wedged: the next checkpoint goes through.
   ASSERT_TRUE(session->Upsert(1, uint64_t{99}).ok());
-  const Version t2 = Checkpoint(store.get(), true, false);
+  const Version t2 = Checkpoint(store.get(), true);
   EXPECT_GT(t2, t1);
   EXPECT_EQ(store->LargestDurableToken(), t2);
   const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -139,6 +140,54 @@ TEST(DFasterClusterTest, EventualAndNoneModesServeOps) {
     for (uint64_t k = 0; k < 64; ++k) session->Upsert(k, k);
     ASSERT_TRUE(session->WaitForAll().ok());
     EXPECT_EQ(session->ops_failed(), 0u);
+  }
+}
+
+TEST(DFasterClusterTest, EventualCheckpointsEveryMillisecondKeepBatchesOut) {
+  // kEventual checkpoints tick every 1 ms while two threads stream batches
+  // into 4 KiB log pages, so a page fills every ~100 upserts. Each
+  // checkpoint draws its boundary under the exclusive batch latch: no batch
+  // is mid-append, so every record below the boundary is complete and its
+  // page exists when the flush thread copies it.
+  DFasterWorkerConfig config;
+  config.mode = RecoverabilityMode::kEventual;
+  config.faster.page_bits = 12;
+  config.faster.index_buckets = 1 << 10;
+  config.dpr.checkpoint_interval_us = 1000;
+  DFasterWorker worker(std::move(config));
+  ASSERT_TRUE(worker.Start(nullptr).ok());
+  constexpr uint64_t kKeysPerThread = 512;
+  std::vector<std::map<uint64_t, uint64_t>> last(2);
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const Stopwatch timer;
+      for (uint64_t round = 1; timer.ElapsedMillis() < 300; ++round) {
+        KvBatchRequest request;
+        for (uint64_t i = 0; i < 8; ++i) {
+          const uint64_t key = t * kKeysPerThread + (round * 8 + i) %
+                                                        kKeysPerThread;
+          request.ops.push_back(KvOp{KvOp::Type::kUpsert, key, round});
+          last[t][key] = round;
+        }
+        KvBatchResponse response;
+        worker.ExecuteBatch(request, &response);
+        for (const KvOpResult& r : response.results) {
+          ASSERT_EQ(r.result, KvResult::kOk);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  worker.Stop();
+  EXPECT_NE(worker.store()->LargestDurableToken(), kInvalidVersion);
+  auto session = worker.store()->NewSession();
+  for (const auto& keys : last) {
+    for (const auto& [key, value] : keys) {
+      uint64_t v = 0;
+      ASSERT_TRUE(session->Read(key, &v).ok()) << key;
+      EXPECT_EQ(v, value) << key;
+    }
   }
 }
 

@@ -479,7 +479,7 @@ TEST(CkptGaugeTest, FlushQueueDepthZeroAfterFailedFlush) {
   ASSERT_TRUE(store
                   .PerformCheckpoint(
                       store.CurrentVersion() + 1, nullptr, nullptr,
-                      CheckpointHints{.index_image = true, .delta = false})
+                      CheckpointHints{.index_image = true})
                   .ok());
   store.WaitForCheckpoints();
   FaultPlane::Instance().DisarmAll();
@@ -499,23 +499,24 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
   options.meta_device = std::make_unique<MemoryDevice>();
   FasterStore store(std::move(options));
   auto session = store.NewSession();
-  auto checkpoint = [&](bool delta) {
+  // The store picks the image: the first is full, the next two deltas.
+  auto checkpoint = [&] {
     ASSERT_TRUE(store
-                    .PerformCheckpoint(
-                        store.CurrentVersion() + 1, nullptr, nullptr,
-                        CheckpointHints{.index_image = true, .delta = delta})
+                    .PerformCheckpoint(store.CurrentVersion() + 1, nullptr,
+                                       nullptr,
+                                       CheckpointHints{.index_image = true})
                     .ok());
     store.WaitForCheckpoints();
   };
   for (uint64_t k = 0; k < 64; ++k) {
     ASSERT_TRUE(session->Upsert(k, k).ok());
   }
-  checkpoint(/*delta=*/false);
+  checkpoint();
   for (uint64_t k = 0; k < 8; ++k) {
     ASSERT_TRUE(session->Upsert(k, 100 + k).ok());
   }
-  checkpoint(/*delta=*/true);
-  checkpoint(/*delta=*/true);  // nothing dirtied: an empty delta, still valid
+  checkpoint();
+  checkpoint();  // nothing dirtied: an empty delta, still valid
 
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("ckpt.full"), 1u);
@@ -531,17 +532,15 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
 TEST(CkptGaugeTest, CadenceControllerPublishesDecisions) {
   auto& reg = MetricsRegistry::Default();
   reg.ResetForTest();
-  CkptCadenceController controller(CkptPolicy{}, 100000);
-  CkptSignals dirty;
-  dirty.dirty_bytes = 4096;
-  (void)controller.Decide(dirty, 1000);             // initial full
+  CkptCadenceController controller(100000);
+  const CkptSignals dirty{.dirty_bytes = 4096};
+  (void)controller.Decide(dirty, 1000);             // initial checkpoint
   (void)controller.Decide(CkptSignals{}, 101000);   // idle: skip
-  (void)controller.Decide(dirty, 201000);           // delta
+  (void)controller.Decide(dirty, 201000);           // checkpoint
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("ckpt.controller.decisions"), 3u);
-  EXPECT_EQ(snap.counters.at("ckpt.controller.fulls"), 1u);
   EXPECT_EQ(snap.counters.at("ckpt.controller.skips"), 1u);
-  EXPECT_EQ(snap.counters.at("ckpt.controller.deltas"), 1u);
+  EXPECT_EQ(snap.gauges.at("ckpt.controller.dirty_bytes"), 4096);
   EXPECT_GT(snap.gauges.at("ckpt.controller.interval_us"), 0);
   reg.ResetForTest();
 }

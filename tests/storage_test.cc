@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/clock.h"
-#include "storage/checkpoint_file.h"
 #include "storage/device.h"
 #include "storage/wal.h"
 
@@ -177,32 +176,6 @@ TEST(WalTest, ResetDiscardsEverything) {
   int count = 0;
   ASSERT_TRUE(wal.Replay([&](uint64_t, Slice) { count++; }).ok());
   EXPECT_EQ(count, 0);
-}
-
-TEST(CheckpointBlobTest, RoundTripWithToken) {
-  MemoryDevice dev;
-  ASSERT_TRUE(CheckpointBlob::Write(&dev, 0, 42, "snapshot bytes").ok());
-  std::string payload;
-  uint64_t token = 0;
-  ASSERT_TRUE(CheckpointBlob::Read(&dev, 0, &payload, &token).ok());
-  EXPECT_EQ(payload, "snapshot bytes");
-  EXPECT_EQ(token, 42u);
-}
-
-TEST(CheckpointBlobTest, MissingBlobIsNotFound) {
-  MemoryDevice dev;
-  std::string payload;
-  EXPECT_TRUE(CheckpointBlob::Read(&dev, 0, &payload, nullptr).IsNotFound());
-}
-
-TEST(CheckpointBlobTest, CorruptionDetected) {
-  MemoryDevice dev;
-  ASSERT_TRUE(CheckpointBlob::Write(&dev, 0, 7, "payload").ok());
-  char byte = 'Z';
-  ASSERT_TRUE(SyncIo::Write(&dev, 30, &byte, 1).ok());  // inside the payload
-  std::string payload;
-  Status s = CheckpointBlob::Read(&dev, 0, &payload, nullptr);
-  EXPECT_EQ(s.code(), Status::Code::kCorruption);
 }
 
 }  // namespace

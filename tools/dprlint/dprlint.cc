@@ -32,8 +32,8 @@ const std::vector<CheckInfo> kRegistry = {
      "retired blocking Device member shim (.WriteAt/.ReadAt); use "
      "SyncIo::Write/Read or the async Submit* API"},
     {"ckpt-interval",
-     "fixed-interval checkpoint timer loop; drive cadence through "
-     "CkptCadenceController (src/ckpt/)"},
+     "fixed-interval checkpoint timer loop; run checkpoints from the "
+     "CkptLoop tick loop (src/ckpt/)"},
     {"lock-blocking",
      "blocking call (SyncIo::*, SleepMicros, sleep_for, CondVar wait on a "
      "different mutex, Executor::Submit) while a lock guard is live"},
@@ -574,7 +574,7 @@ void CheckDeviceShim(const FileCtx& f, std::vector<Finding>* out) {
 }
 
 void CheckCkptInterval(const FileCtx& f, std::vector<Finding>* out) {
-  if (HasSegment(f.path, "ckpt")) return;  // the cadence controller itself
+  if (HasSegment(f.path, "ckpt")) return;  // the tick loop itself
   if (!EndsWith(f.path, ".cc")) return;
   // Only files that drive checkpoints can host a rogue timer loop.
   bool drives = false;
@@ -617,7 +617,7 @@ void CheckCkptInterval(const FileCtx& f, std::vector<Finding>* out) {
     if (mentions_interval) {
       Report(f, out, "ckpt-interval", f.code[i].line, f.code[i].col,
              "fixed checkpoint_interval sleep in a checkpoint-driving file; "
-             "cadence belongs to CkptCadenceController");
+             "cadence belongs to CkptLoop's controller");
     }
   }
 }
