@@ -5,14 +5,16 @@
 // storage (checkpoint persist ~50 ms) degrades sharply once the interval
 // approaches the persist time (thrashing at <= 50 ms).
 // A second section benches the storage plane itself: N WAL-style shards
-// packed onto one physical device (DeviceSlice), appending and fsyncing
-// through the old per-shard path vs. the group-commit scheduler, under both
-// I/O engines. Reports fsync counts, waiters coalesced, and the append
-// stamp->durable latency distribution.
+// packed onto one physical device (DeviceSlice), each waiting for
+// durability after every append through a private device fsync vs.
+// SyncIo::Fsync's group commit, under both I/O engines. Reports fsync
+// counts, waiters coalesced, and the append stamp->durable latency
+// distribution.
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,16 +27,25 @@
 #include "obs/metrics.h"
 #include "storage/async_io.h"
 #include "storage/device.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 namespace {
 
 // ------------------------------------------------------ storage-plane bench
 
+/// One device fsync of `dev` alone, waited for: durability with no group
+/// commit, the baseline arm.
+Status PrivateFsync(Device* dev) {
+  std::promise<Status> done;
+  // dprlint: allowed(fsync-bypass) the baseline arm measures one private
+  // fsync per append against SyncIo::Fsync's group commit.
+  dev->SubmitFsync([&done](Status s) { done.set_value(std::move(s)); });
+  return done.get_future().get();
+}
+
 struct ShardLoadResult {
   uint64_t fsyncs = 0;     // device fsyncs actually issued
-  uint64_t coalesced = 0;  // waiters absorbed into an already-pending group
+  uint64_t coalesced = 0;  // waiters answered by an fsync shared with another
   uint64_t appends = 0;
   double seconds = 0;
   Histogram durable_us;  // per-append stamp->durable latency
@@ -46,8 +57,8 @@ struct ShardLoadResult {
 
 /// `shards` writer threads share one FileDevice through DeviceSlice views,
 /// each appending 256-byte records and waiting for durability after every
-/// append — either with a private per-shard fsync (the old sync path) or as
-/// group-commit waiters on the shared scheduler.
+/// append — either with a private fsync per append or through
+/// SyncIo::Fsync, whose waiters on the shared base form groups.
 ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
                              uint32_t shards, uint32_t appends_per_shard) {
   const std::string path =
@@ -56,7 +67,6 @@ ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
   std::unique_ptr<FileDevice> base;
   Status s = FileDevice::Open(path, /*reset=*/true, &base, engine);
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-  GroupCommitScheduler sched;
   constexpr uint64_t kSliceBytes = 16ull << 20;
   std::vector<std::unique_ptr<DeviceSlice>> slices;
   for (uint32_t i = 0; i < shards; ++i) {
@@ -80,7 +90,7 @@ ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
         offset += sizeof(record);
         const uint64_t stamp = NowMicros();
         Status fs =
-            group_commit ? sched.SyncNow(slice) : SyncIo::Fsync(slice);
+            group_commit ? SyncIo::Fsync(slice) : PrivateFsync(slice);
         DPR_CHECK_MSG(fs.ok(), "%s", fs.ToString().c_str());
         per_thread[i].Record(NowMicros() - stamp);
       }
@@ -90,13 +100,14 @@ ShardLoadResult RunShardLoad(IoEngineKind engine_kind, bool group_commit,
   result.seconds = (NowMicros() - t_start) / 1e6;
   result.appends = static_cast<uint64_t>(shards) * appends_per_shard;
   for (const auto& h : per_thread) result.durable_us.Merge(h);
-  // The old path issues exactly one device fsync per append; the scheduler
+  // The private arm issues exactly one device fsync per append; group commit
   // counts its own in the registry.
   MetricsSnapshot delta = MetricsRegistry::Default().Snapshot();
   delta.SubtractCounters(before);
   result.fsyncs =
       group_commit ? delta.counters["storage.sched.fsyncs"] : result.appends;
-  result.coalesced = delta.counters["storage.sched.coalesced"];
+  result.coalesced =
+      group_commit ? delta.counters["storage.sched.coalesced"] : 0;
   base.reset();
   remove(path.c_str());
   return result;

@@ -83,14 +83,15 @@ enum class LockRank : int {
   kFinderPublish = 24,  // finder's last published cut (leaf: held only to
                         // copy it in or out)
   kFault = 40,          // FaultPlane probe table
-  kStorageIoWait = 44,  // stack SyncWaiter in Device blocking shims (taken by
+  kStorageIoWait = 44,  // stack SyncWaiter of SyncIo::Write/Read (taken by
                         // completion callbacks under any storage lock)
   kStorageEngine = 46,  // IoEngine submission queues / SQ tail (leaf-most
                         // storage lock: devices submit while holding kStorage)
   kStorage = 50,        // Device (leaf below consumers, above the engine)
-  kStorageSched = 52,   // GroupCommitScheduler waiter table (taken by WAL /
-                        // flush paths holding kStorageWal or kMetadata; may
-                        // itself take kStorage via Device::SubmitFsync)
+  kStorageGroupCommit = 52,  // a sync root's group-commit state (taken by
+                             // SyncIo::Fsync under kStorageWal or kMetadata,
+                             // and by its completion; released before the
+                             // leader calls Device::SubmitFsync)
   kStorageWal = 55,     // WriteAheadLog tail (held across device writes)
   kExecutor = 58,       // shared request executor queue (submitted to while
                         // holding transport locks, never the reverse)

@@ -53,14 +53,12 @@ const RemoteMetrics& Metrics() {
   return m;
 }
 
+// Retired single-report and single-read methods keep their numbers (3, 5-7)
+// unused, so an old client's request is rejected as unknown.
 enum Method : uint8_t {
   kAddWorker = 1,
   kRemoveWorker = 2,
-  kReport = 3,
   kComputeCut = 4,
-  kGetCut = 5,
-  kMaxPersisted = 6,
-  kWorldLine = 7,
   kBeginRecovery = 8,
   kEndRecovery = 9,
   kReportBatch = 10,
@@ -98,8 +96,12 @@ void DprFinderServer::Handle(Slice request, std::string* response) {
     response->push_back(static_cast<char>(Status::Code::kTransient));
     return;
   }
+  if (request.empty()) {
+    response->push_back(static_cast<char>(Status::Code::kInvalidArgument));
+    return;
+  }
   Decoder dec(Slice(request.data() + 1, request.size() - 1));
-  uint8_t method = request.empty() ? 0 : static_cast<uint8_t>(request.data()[0]);
+  const uint8_t method = static_cast<uint8_t>(request.data()[0]);
   Status status;
   std::string payload;
   switch (method) {
@@ -117,20 +119,6 @@ void DprFinderServer::Handle(Slice request, std::string* response) {
       uint32_t w;
       status = dec.GetFixed32(&w) ? finder_->RemoveWorker(w)
                                   : Status::InvalidArgument("bad Remove");
-      break;
-    }
-    case kReport: {
-      uint64_t wl;
-      uint32_t w;
-      uint64_t v;
-      DprCut deps;
-      if (dec.GetFixed64(&wl) && dec.GetFixed32(&w) && dec.GetFixed64(&v) &&
-          DecodeCut(&dec, &deps)) {
-        status = finder_->ReportPersistedVersion(wl, WorkerVersion{w, v},
-                                                 deps);
-      } else {
-        status = Status::InvalidArgument("bad Report");
-      }
       break;
     }
     case kReportBatch: {
@@ -170,20 +158,6 @@ void DprFinderServer::Handle(Slice request, std::string* response) {
     }
     case kComputeCut:
       status = finder_->ComputeCut();
-      break;
-    case kGetCut: {
-      WorldLine wl;
-      DprCut cut;
-      finder_->GetCut(&wl, &cut);
-      PutFixed64(&payload, wl);
-      EncodeCut(&payload, cut);
-      break;
-    }
-    case kMaxPersisted:
-      PutFixed64(&payload, finder_->MaxPersistedVersion());
-      break;
-    case kWorldLine:
-      PutFixed64(&payload, finder_->CurrentWorldLine());
       break;
     case kSnapshot: {
       // World-line, Vmax and the published cut in one round trip; clients

@@ -141,9 +141,9 @@ DprSession::CommitPoint DprSession::ComputePointLocked(
   // it; an unresolved (PENDING) segment is skipped per relaxed DPR — ops
   // after it cannot depend on it, so the prefix may exclude it.
   uint64_t frontier = reported_prefix_;
-  // Strict CPR/DPR is a zero cap: an unresolved operation gates everything
+  // A zero cap is strict CPR/DPR: an unresolved operation gates everything
   // after it, so operations commit in start order with no exception list.
-  const uint64_t cap = options_.strict ? 0 : options_.exception_list_cap;
+  const uint64_t cap = options_.exception_list_cap;
   uint64_t skipped = 0;
   for (const auto& seg : segments_) {
     if (seg.resolved) {

@@ -14,16 +14,14 @@ namespace dpr {
 
 /// Client-side session policies, swept by chaos schedules.
 struct SessionOptions {
-  /// Strict CPR/DPR ordering (§5.4): the commit point never passes over an
-  /// unresolved PENDING operation, so recovered prefixes have no exception
-  /// list (at the cost of blocking commits on stragglers). Default is
-  /// relaxed DPR, the FASTER default. Equivalent to exception_list_cap = 0.
-  bool strict = false;
-
-  /// Relaxed DPR only: the largest number of unresolved operations the
-  /// committed prefix may skip over. Once the scan has skipped this many,
-  /// the prefix stops advancing until they resolve — bounding the exception
-  /// list the application must reconcile after a failure.
+  /// The largest number of unresolved operations the committed prefix may
+  /// skip over. Once the scan has skipped this many, the prefix stops
+  /// advancing until they resolve — bounding the exception list the
+  /// application must reconcile after a failure. The default is unbounded
+  /// relaxed DPR, the FASTER default; 0 is strict CPR/DPR ordering (§5.4):
+  /// the commit point never passes over an unresolved PENDING operation, so
+  /// recovered prefixes have no exception list (at the cost of blocking
+  /// commits on stragglers).
   uint64_t exception_list_cap = ~0ull;
 
   /// What to do with a response carrying an OLDER world-line than the
@@ -63,7 +61,6 @@ class DprSession {
   explicit DprSession(uint64_t session_id, SessionOptions options = {});
 
   uint64_t session_id() const { return session_id_; }
-  bool strict() const { return options_.strict; }
   const SessionOptions& options() const { return options_; }
 
   /// Header to attach to the next outgoing batch.

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "storage/checkpoint_file.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 
@@ -103,8 +102,7 @@ FasterStore::FasterStore(FasterOptions options)
       index_(options_.index_buckets),
       meta_wal_(options_.meta_device != nullptr
                     ? std::move(options_.meta_device)
-                    : std::make_unique<MemoryDevice>(),
-                options_.fsync_scheduler) {
+                    : std::make_unique<MemoryDevice>()) {
   if (options_.log_device == nullptr) {
     options_.log_device = std::make_unique<MemoryDevice>();
   }
@@ -442,9 +440,6 @@ Status FasterStore::FlushRange(LogAddress from, LogAddress to) {
     MutexLock guard(state->mu);
     while (state->outstanding > 0) state->cv.Wait(state->mu);
     DPR_RETURN_NOT_OK(state->first_error);
-  }
-  if (options_.fsync_scheduler != nullptr) {
-    return options_.fsync_scheduler->SyncNow(options_.log_device.get());
   }
   return SyncIo::Fsync(options_.log_device.get());
 }

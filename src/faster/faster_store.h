@@ -35,10 +35,6 @@ struct FasterOptions {
   std::unique_ptr<Device> log_device;
   /// Small device holding the checkpoint-metadata WAL.
   std::unique_ptr<Device> meta_device;
-  /// Optional per-box group-commit fsync scheduler (not owned; must outlive
-  /// the store). When set, checkpoint-flush and meta-WAL fsyncs register as
-  /// durability waiters there, coalescing with other shards on the device.
-  GroupCommitScheduler* fsync_scheduler = nullptr;
 };
 
 /// FASTER-style single-node key-value store (paper §5.1): a latch-free hash

@@ -61,9 +61,12 @@ ChaosSchedule ChaosSchedule::Generate(const ChaosOptions& options) {
         FinderLink::kInMemory, FinderLink::kTcpEpoll, FinderLink::kTcpUring};
     s.finder_link = kLinks[rng.Uniform(3)];
   }
-  s.strict_sessions = rng.Bernoulli(0.25);
+  // A strict draw is a zero cap; the cap is still drawn after it, so the
+  // draws that follow (the fault events) are the same for every seed.
+  const bool strict = rng.Bernoulli(0.25);
   static constexpr uint64_t kCaps[] = {~0ull, ~0ull, ~0ull, 1, 2, 8};
   s.exception_list_cap = kCaps[rng.Uniform(6)];
+  if (strict) s.exception_list_cap = 0;
 
   using K = ChaosEvent::Kind;
   std::vector<K> kinds = {K::kCrashWorker,  K::kCrashWorker,
@@ -117,8 +120,7 @@ std::string ChaosSchedule::ToString() const {
                                                             : "inmem";
   std::string out = "seed=" + std::to_string(seed) + " finder=" + fk +
                     " remote=" + (remote_finder ? "1" : "0") +
-                    " link=" + link +
-                    " strict=" + (strict_sessions ? "1" : "0") + " cap=";
+                    " link=" + link + " cap=";
   out += exception_list_cap == ~0ull ? std::string("inf")
                                      : std::to_string(exception_list_cap);
   out += " events=[";
@@ -248,7 +250,6 @@ class ChaosRunner {
       manager_->RegisterWorker(workers_.back().get());
     }
     SessionOptions so;
-    so.strict = schedule_.strict_sessions;
     so.exception_list_cap = schedule_.exception_list_cap;
     for (uint32_t i = 0; i < options_.sessions; ++i) {
       sessions_.push_back(std::make_unique<DprSession>(i + 1, so));

@@ -92,7 +92,6 @@ struct ChaosSchedule {
   /// batching RemoteDprFinder over the transport in `finder_link`.
   bool remote_finder = false;
   FinderLink finder_link = FinderLink::kInMemory;
-  bool strict_sessions = false;
   uint64_t exception_list_cap = ~0ull;
   std::vector<ChaosEvent> events;  // sorted by (step, kind, a, b)
 

@@ -20,16 +20,11 @@ DFasterCluster::~DFasterCluster() { Stop(); }
 Status DFasterCluster::Start() {
   net_ = std::make_unique<InMemoryNetwork>();
 
-  // One group-commit fsync scheduler per box: all shards' durability waits
-  // funnel through it, so fsyncs on devices that share a sync root coalesce.
-  fsync_sched_ = std::make_unique<GroupCommitScheduler>();
-
   metadata_ = std::make_unique<MetadataStore>(
       MakeDevice(options_.backend == StorageBackend::kNull
                      ? StorageBackend::kNull
                      : StorageBackend::kLocal,
-                 options_.storage_dir, "metadata.wal"),
-      fsync_sched_.get());
+                 options_.storage_dir, "metadata.wal"));
   DPR_RETURN_NOT_OK(metadata_->Recover());
   finder_ = MakeDprFinder(
       {.kind = options_.finder, .metadata = metadata_.get()});
@@ -109,7 +104,6 @@ Status DFasterCluster::StartWorker(WorkerId id, bool start_empty) {
                      ? StorageBackend::kNull
                      : StorageBackend::kLocal,
                  options_.storage_dir, name + ".meta");
-  config.faster.fsync_scheduler = fsync_sched_.get();
   config.dpr.finder = plane();
   config.dpr.checkpoint_interval_us = options_.checkpoint_interval_us;
   auto worker = std::make_unique<DFasterWorker>(std::move(config));
@@ -365,10 +359,9 @@ DRedisCluster::~DRedisCluster() { Stop(); }
 Status DRedisCluster::Start() {
   net_ = std::make_unique<InMemoryNetwork>();
 
-  fsync_sched_ = std::make_unique<GroupCommitScheduler>();
   if (options_.deployment == RedisDeployment::kDpr) {
     metadata_ = std::make_unique<MetadataStore>(
-        std::make_unique<MemoryDevice>(), fsync_sched_.get());
+        std::make_unique<MemoryDevice>());
     DPR_RETURN_NOT_OK(metadata_->Recover());
     finder_ = MakeDprFinder(
         {.kind = FinderKind::kApprox, .metadata = metadata_.get()});
@@ -378,7 +371,6 @@ Status DRedisCluster::Start() {
   for (uint32_t i = 0; i < options_.num_shards; ++i) {
     RespStoreOptions store_options;
     store_options.aof_enabled = options_.aof_sync;
-    store_options.fsync_scheduler = fsync_sched_.get();
     auto store = std::make_unique<RespStore>(std::move(store_options));
     auto store_server = std::make_unique<RespStoreServer>(
         store.get(), net_->CreateServer("redis" + std::to_string(i)));

@@ -19,7 +19,6 @@
 #include "net/inmemory_net.h"
 #include "net/tcp_net.h"
 #include "storage/device.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 
@@ -127,9 +126,6 @@ class DFasterCluster {
   std::unique_ptr<RpcConnection> ConnectTo(const std::string& address);
 
   ClusterOptions options_;
-  // Box-wide group-commit fsync scheduler. Declared before every consumer
-  // (metadata store, workers) so it is destroyed after all of them.
-  std::unique_ptr<GroupCommitScheduler> fsync_sched_;
   std::unique_ptr<InMemoryNetwork> net_;
   std::unique_ptr<MetadataStore> metadata_;
   std::unique_ptr<DprFinder> finder_;
@@ -183,8 +179,6 @@ class DRedisCluster {
 
  private:
   RedisClusterOptions options_;
-  // Destroyed after the metadata store and every RespStore (member order).
-  std::unique_ptr<GroupCommitScheduler> fsync_sched_;
   std::unique_ptr<InMemoryNetwork> net_;
   std::unique_ptr<MetadataStore> metadata_;
   std::unique_ptr<DprFinder> finder_;

@@ -58,9 +58,8 @@ const char* MemberStateName(MemberState state) {
   return "unknown";
 }
 
-MetadataStore::MetadataStore(std::unique_ptr<Device> wal_device,
-                             GroupCommitScheduler* scheduler)
-    : wal_(std::move(wal_device), scheduler) {}
+MetadataStore::MetadataStore(std::unique_ptr<Device> wal_device)
+    : wal_(std::move(wal_device)) {}
 
 Status MetadataStore::Recover() {
   MutexLock guard(mu_);

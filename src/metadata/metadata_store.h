@@ -49,11 +49,9 @@ struct MigrationRow {
 /// suffix, then replays). All methods are thread-safe.
 class MetadataStore {
  public:
-  /// With a `scheduler`, mutation fsyncs register as group-commit waiters on
-  /// the WAL device instead of each issuing a private fsync, so concurrent
-  /// metadata mutations (and anything else sharing the device) coalesce.
-  explicit MetadataStore(std::unique_ptr<Device> wal_device,
-                         GroupCommitScheduler* scheduler = nullptr);
+  /// Mutation fsyncs go through SyncIo::Fsync, so concurrent mutations (and
+  /// anything else sharing the WAL device's sync root) coalesce.
+  explicit MetadataStore(std::unique_ptr<Device> wal_device);
 
   /// Rebuilds tables from the WAL. Call once after construction (and after
   /// SimulateCrash, which invokes it internally).

@@ -4,7 +4,6 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 
@@ -125,11 +124,8 @@ Status RespStore::AppendAof(const RespCommand& command) {
   DPR_RETURN_NOT_OK(SyncIo::Write(options_.aof_device.get(),
                                   options_.aof_device->Size(), rec.data(),
                                   rec.size()));
-  // appendfsync=always; under a group-commit scheduler concurrent AOF
-  // appends across shards sharing a device coalesce into one fsync.
-  if (options_.fsync_scheduler != nullptr) {
-    return options_.fsync_scheduler->SyncNow(options_.aof_device.get());
-  }
+  // appendfsync=always; concurrent AOF appends coalesce into one fsync per
+  // group (SyncIo::Fsync).
   return SyncIo::Fsync(options_.aof_device.get());
 }
 

@@ -53,9 +53,6 @@ struct RespStoreOptions {
   /// "synchronous recoverability" comparison (paper §7.6).
   std::unique_ptr<Device> aof_device;
   bool aof_enabled = false;
-  /// Optional per-box group-commit scheduler (not owned; must outlive the
-  /// store): AOF fsyncs from shards sharing a device coalesce.
-  GroupCommitScheduler* fsync_scheduler = nullptr;
 };
 
 /// Unmodified-cache-store stand-in for Redis (paper §6): a single-threaded

@@ -15,6 +15,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "fault/fault_plane.h"
+#include "obs/metrics.h"
 
 namespace dpr {
 
@@ -63,10 +64,78 @@ Status SyncIo::Read(Device* device, uint64_t offset, void* buf, size_t n) {
   return waiter.Wait();
 }
 
+// ------------------------------------------------------------- group commit
+
+namespace {
+
+struct GroupCommitMetrics {
+  Counter* requests;
+  Counter* fsyncs;
+  Counter* coalesced;
+  ShardedHistogram* wait_us;
+
+  static GroupCommitMetrics& Get() {
+    static GroupCommitMetrics m = [] {
+      auto& reg = MetricsRegistry::Default();
+      return GroupCommitMetrics{reg.counter("storage.sched.requests"),
+                                reg.counter("storage.sched.fsyncs"),
+                                reg.counter("storage.sched.coalesced"),
+                                reg.histogram("storage.sched.wait_us")};
+    }();
+    return m;
+  }
+};
+
+}  // namespace
+
+/// The waiters one device fsync answers. Shared by its waiters, which read
+/// `status` after the leader that submitted the fsync may have returned.
+struct Device::FsyncGroup {
+  uint64_t first_request_us = 0;
+  uint64_t waiters = 0;
+  bool done = false;
+  Status status;
+};
+
 Status SyncIo::Fsync(Device* device) {
-  SyncWaiter waiter;
-  device->SubmitFsync(waiter.Callback());
-  return waiter.Wait();
+  Device* root = device->SyncRoot();
+  GroupCommitMetrics& m = GroupCommitMetrics::Get();
+  std::shared_ptr<Device::FsyncGroup> group;
+  {
+    MutexLock lock(root->group_mu_);
+    m.requests->Add(1);
+    if (root->next_group_ == nullptr) {
+      root->next_group_ = std::make_shared<Device::FsyncGroup>();
+      root->next_group_->first_request_us = NowMicros();
+    }
+    group = root->next_group_;
+    ++group->waiters;
+    // Only the in-flight fsync's completion clears fsync_in_flight_, and a
+    // group is submitted only by setting it, so a group that is not done
+    // when nothing is in flight has not been submitted: this waiter leads.
+    while (!group->done && root->fsync_in_flight_) {
+      root->group_cv_.Wait(root->group_mu_);
+    }
+    if (group->done) return group->status;
+    root->fsync_in_flight_ = true;
+    root->next_group_.reset();  // later callers form the next group
+    m.fsyncs->Add(1);
+    m.coalesced->Add(group->waiters - 1);
+    m.wait_us->Record(NowMicros() - group->first_request_us);
+  }
+  // Submitted on the leader's own thread with no lock held: a device that
+  // stalls its submitter (LatencyDevice, slow-fsync faults) stalls only this
+  // root's waiters.
+  root->SubmitFsync([root, group](Status s) {
+    MutexLock lock(root->group_mu_);
+    group->status = std::move(s);
+    group->done = true;
+    root->fsync_in_flight_ = false;
+    root->group_cv_.NotifyAll();
+  });
+  MutexLock lock(root->group_mu_);
+  while (!group->done) root->group_cv_.Wait(root->group_mu_);
+  return group->status;
 }
 
 // ---------------------------------------------------------------- NullDevice

@@ -22,8 +22,8 @@ namespace dpr {
 /// on an I/O engine completion thread for file-backed ones. Completions may
 /// arrive out of order; callers must not submit concurrent overlapping writes
 /// to the same range. Implementations invoke callbacks with no device or
-/// engine locks held, so a callback may re-enter the storage plane (e.g. the
-/// group-commit scheduler's waiter fan-out does).
+/// engine locks held, so a callback may re-enter the storage plane (e.g.
+/// SyncIo::Fsync's completion takes the root's group-commit lock).
 ///
 /// There is deliberately no blocking member API: a call site that needs to
 /// wait goes through the explicit SyncIo helper below, so a blocking
@@ -62,19 +62,44 @@ class Device {
   /// Deletes all content (durable included); used to reset between runs.
   virtual void Truncate(uint64_t new_size) = 0;
 
-  /// Coalescing identity for the group-commit fsync scheduler: devices that
-  /// share physical durability (e.g. DeviceSlice views of one file) return
-  /// the same root, so one fsync on the root covers them all. Fault wrappers
-  /// return themselves to keep injection probes on the coalesced path.
+  /// Group-commit identity for SyncIo::Fsync: devices that share physical
+  /// durability (e.g. DeviceSlice views of one file) return the same root,
+  /// so one fsync on the root covers them all. Fault wrappers return
+  /// themselves to keep injection probes on the coalesced path.
   virtual Device* SyncRoot() { return this; }
+
+ private:
+  friend struct SyncIo;
+  struct FsyncGroup;
+
+  // Group-commit state, used only while this device is a SyncRoot(): the
+  // fsync in flight, if any, and the group of waiters that will share the
+  // next one.
+  Mutex group_mu_{LockRank::kStorageGroupCommit, "storage.group_commit"};
+  CondVar group_cv_;
+  bool fsync_in_flight_ GUARDED_BY(group_mu_) = false;
+  std::shared_ptr<FsyncGroup> next_group_ GUARDED_BY(group_mu_);
 };
 
-/// Explicit synchronous rendezvous over the async Device API, for the call
-/// sites where blocking is the point: WAL replay, checkpoint recovery, tests,
-/// and tools. This replaces the old implicit Device::WriteAt/ReadAt/Flush
-/// member shims — the wait now reads as a SyncIo call at the site, and
-/// dprlint's `device-shim` check rejects new `.WriteAt(` / `.ReadAt(`
-/// member calls so the blocking style cannot reappear under another name.
+/// Blocking rendezvous over the async Device API, for the call sites where
+/// waiting is the point: every durability point (WAL sync, checkpoint flush,
+/// AOF), WAL replay, checkpoint recovery, tests and tools. The wait reads as
+/// a SyncIo call at the site, and dprlint's `device-shim` check rejects
+/// `.WriteAt(` / `.ReadAt(` member calls so a hidden blocking style cannot
+/// come back.
+///
+/// Fsync is group commit (DESIGN.md §4h). Waiters coalesce on
+/// `device->SyncRoot()`: the first waiter of a group submits the fsync on
+/// its own thread, and waiters that arrive while it is in flight form the
+/// next group, which one of them submits once it completes. A waiter is
+/// answered only by an fsync submitted at or after its call, and each root
+/// has at most one fsync in flight, so a slow device (cloud latency,
+/// slow-fsync fault) delays only its own waiters. dprlint's `fsync-bypass`
+/// check flags direct SubmitFsync calls outside src/storage/. Counted in
+/// `storage.sched.requests` (calls), `storage.sched.fsyncs` (device fsyncs),
+/// `storage.sched.coalesced` (calls answered by an fsync that also answered
+/// an earlier call, so requests == fsyncs + coalesced) and
+/// `storage.sched.wait_us` (a group's first call to its submission).
 struct SyncIo {
   static Status Write(Device* device, uint64_t offset, const void* data,
                       size_t n);
@@ -180,8 +205,8 @@ class FileDevice : public Device {
 /// (the paper's Azure Premium SSD backend where checkpoint persistence takes
 /// ~50 ms, 2-3x local SSD). SubmitFsync stalls the submitting thread for
 /// `flush_latency_us` plus `per_mb_us` for each MiB written since the
-/// previous fsync — under the group-commit scheduler that stalls only this
-/// device's dispatch, exactly like a slow physical device.
+/// previous fsync. Under SyncIo::Fsync that thread is the group's leader, so
+/// the stall delays only this device's waiters, like a slow physical device.
 class LatencyDevice : public Device {
  public:
   LatencyDevice(std::unique_ptr<Device> base, uint64_t flush_latency_us,
@@ -235,10 +260,10 @@ class FaultDevice : public Device {
 /// Non-owning fixed-origin view of a shared base device, used to pack many
 /// shard logs into one physical file so their fsyncs coalesce (the bench's
 /// multi-shard-per-device configuration). Size() is the view's own completed
-/// high-water mark; SyncRoot() forwards to the base so the group-commit
-/// scheduler folds all slices of a file into one fsync. Truncate only resets
-/// the view's watermark (a shared base cannot be cut); SimulateCrash crashes
-/// the whole base device.
+/// high-water mark; SyncRoot() forwards to the base so SyncIo::Fsync folds
+/// concurrent waiters on all slices of a file into one fsync. Truncate only
+/// resets the view's watermark (a shared base cannot be cut); SimulateCrash
+/// crashes the whole base device.
 class DeviceSlice : public Device {
  public:
   DeviceSlice(Device* base, uint64_t origin);

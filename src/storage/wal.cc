@@ -2,14 +2,13 @@
 
 // dprlint: allowed-file(lock-blocking) the WAL serializes appends by design:
 // LockRank::kStorageWal is documented as held across device writes, and
-// group commit (the part worth overlapping) lives in GroupCommitScheduler.
+// group commit (the part worth overlapping) lives in SyncIo::Fsync.
 
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 
@@ -17,11 +16,8 @@ namespace {
 constexpr size_t kHeaderSize = 8;  // u32 length + u32 crc
 }  // namespace
 
-WriteAheadLog::WriteAheadLog(std::unique_ptr<Device> device,
-                             GroupCommitScheduler* scheduler)
-    : device_(std::move(device)),
-      scheduler_(scheduler),
-      tail_(device_->Size()) {}
+WriteAheadLog::WriteAheadLog(std::unique_ptr<Device> device)
+    : device_(std::move(device)), tail_(device_->Size()) {}
 
 Status WriteAheadLog::Append(Slice record, uint64_t* offset) {
   MutexLock guard(mu_);
@@ -39,18 +35,7 @@ Status WriteAheadLog::Append(Slice record, uint64_t* offset) {
   return Status::OK();
 }
 
-Status WriteAheadLog::Sync() {
-  if (scheduler_ != nullptr) return scheduler_->SyncNow(device_.get());
-  return SyncIo::Fsync(device_.get());
-}
-
-void WriteAheadLog::SyncAsync(IoCallback done) {
-  if (scheduler_ != nullptr) {
-    scheduler_->RequestSync(device_.get(), std::move(done));
-    return;
-  }
-  device_->SubmitFsync(std::move(done));
-}
+Status WriteAheadLog::Sync() { return SyncIo::Fsync(device_.get()); }
 
 Status WriteAheadLog::Replay(
     const std::function<void(uint64_t, Slice)>& visitor) {

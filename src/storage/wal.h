@@ -13,21 +13,16 @@
 
 namespace dpr {
 
-class GroupCommitScheduler;
-
 /// Append-only write-ahead log over a Device. Records are length-prefixed and
 /// CRC32C-checksummed; replay stops cleanly at the first torn or missing
 /// record, so a crash mid-append loses at most the unsynced suffix.
 ///
-/// Thread-safe: appends are serialized internally. Group commit is the
-/// caller's policy — batch appends, then call Sync() once. When constructed
-/// with a GroupCommitScheduler, Sync()/SyncAsync() register durability
-/// waiters there instead of issuing a private fsync, so logs sharing a
-/// device (or a DeviceSlice of one) coalesce into one fsync per group.
+/// Thread-safe: appends are serialized internally. Sync() is SyncIo::Fsync,
+/// so concurrent syncs of logs sharing a device (or DeviceSlices of one)
+/// coalesce into one fsync per group.
 class WriteAheadLog {
  public:
-  explicit WriteAheadLog(std::unique_ptr<Device> device,
-                         GroupCommitScheduler* scheduler = nullptr);
+  explicit WriteAheadLog(std::unique_ptr<Device> device);
 
   /// Appends one record; returns its starting offset. Durable after the next
   /// successful Sync().
@@ -35,10 +30,6 @@ class WriteAheadLog {
 
   /// Makes all appended records durable.
   Status Sync();
-
-  /// Async variant: `done` fires once all records appended before this call
-  /// are durable (via the scheduler's next fsync group when attached).
-  void SyncAsync(IoCallback done);
 
   /// Invokes `visitor(offset, record)` for each intact record in order.
   /// Returns OK even if the log ends in a torn record (that suffix is
@@ -59,7 +50,6 @@ class WriteAheadLog {
 
  private:
   std::unique_ptr<Device> device_;
-  GroupCommitScheduler* scheduler_;  // optional, not owned
   Mutex mu_{LockRank::kStorageWal, "storage.wal"};
   uint64_t tail_ GUARDED_BY(mu_) = 0;
 };

@@ -133,6 +133,26 @@ sed -i 's|// dprlint: allowed-file.*||' "$TMP/storage/engine.cc"
 expect_clean
 rm -rf "$TMP/storage"
 
+echo "--- fsync-bypass fires on a direct SubmitFsync call outside storage/"
+cat > "$TMP/fsync.cc" <<'EOF'
+struct Device;
+void Flush(Device* dev) {
+  dev->SubmitFsync({});  // seeded violation
+}
+EOF
+expect_finding fsync-bypass
+
+echo "--- fsync-bypass honors the justified opt-out marker"
+cat > "$TMP/fsync.cc" <<'EOF'
+struct Device;
+void Flush(Device* dev) {
+  // dprlint: allowed(fsync-bypass) measures the raw device fsync.
+  dev->SubmitFsync({});
+}
+EOF
+expect_clean
+rm -f "$TMP/fsync.cc"
+
 echo "--- device-shim fires on a retired blocking Device member call"
 cat > "$TMP/shim.cc" <<'EOF'
 template <typename D> void Use(D* dev) {

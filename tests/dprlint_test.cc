@@ -144,6 +144,32 @@ TEST(RawCalls, StorageIoOutsideStorageDir) {
   EXPECT_TRUE(Lint("src/storage/device.cc", src).empty());
 }
 
+TEST(FsyncBypass, FlagsCallsButNotOverridesOutsideStorage) {
+  const std::string call =
+      "void F(Device* d, IoCallback cb) { d->SubmitFsync(cb); }\n";
+  EXPECT_EQ(Checks(Lint("src/faster/store.cc", call)),
+            std::vector<std::string>{"fsync-bypass"});
+  EXPECT_TRUE(Has(Lint("bench/b.cc",
+                       "void F(Device& d) { d.SubmitFsync({}); }\n"),
+                  "fsync-bypass"));
+  // Devices and SyncIo live under storage/: exempt.
+  EXPECT_TRUE(Lint("src/storage/device.cc", call).empty());
+  // Overrides and out-of-line definitions are not calls.
+  EXPECT_TRUE(Lint("tests/t.cc",
+                   "struct G : Device {\n"
+                   "  void SubmitFsync(IoCallback done) override;\n"
+                   "};\n"
+                   "void G::SubmitFsync(IoCallback done) {}\n")
+                  .empty());
+  // A justified marker sanctions a test's call.
+  EXPECT_TRUE(Lint("tests/t.cc",
+                   "void F(Device* d) {\n"
+                   "  // dprlint: allowed(fsync-bypass) pins the raw device.\n"
+                   "  d->SubmitFsync({});\n"
+                   "}\n")
+                  .empty());
+}
+
 TEST(DeviceShim, FlagsRetiredMemberCalls) {
   auto fs = Lint("a.cc", "void F(D* d) { d->WriteAt(0, \"x\", 1); }\n");
   EXPECT_EQ(Checks(fs), std::vector<std::string>{"device-shim"});
@@ -412,7 +438,8 @@ TEST(Output, RegistryListsEveryReportableCheck) {
   std::vector<std::string> ids;
   for (const CheckInfo& c : Registry()) ids.push_back(c.id);
   for (const char* id :
-       {"sync-prim", "net-raw-write", "storage-raw-io", "device-shim",
+       {"sync-prim", "net-raw-write", "storage-raw-io", "fsync-bypass",
+        "device-shim",
         "ckpt-interval", "lock-blocking", "status-discard", "atomic-comment",
         "atomic-relaxed", "callback-lock", "allow-syntax"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;

@@ -381,6 +381,26 @@ TEST_F(FinderServiceTest, SnapshotInvalidatedWhenRetriedFlushLands) {
   EXPECT_EQ(CutEntry(remote, 0), 2u);
 }
 
+TEST_F(FinderServiceTest, EmptyAndRetiredRequestsAreRejected) {
+  auto conn = net_.Connect("finder");
+  auto status_of = [&conn](Slice request) {
+    std::string response;
+    EXPECT_TRUE(conn->Call(request, &response).ok());
+    EXPECT_EQ(response.size(), 1u);
+    return response.empty() ? Status::Code::kOk
+                            : static_cast<Status::Code>(response[0]);
+  };
+  // An empty frame has no method byte; it must not be decoded.
+  EXPECT_EQ(status_of(Slice()), Status::Code::kInvalidArgument);
+  // The retired single-report and single-read methods are unknown now.
+  for (const char method : {'\x03', '\x05', '\x06', '\x07'}) {
+    EXPECT_EQ(status_of(Slice(&method, 1)), Status::Code::kInvalidArgument)
+        << "method " << static_cast<int>(method);
+  }
+  // The service still answers afterwards.
+  ASSERT_TRUE(remote_->AddWorker(0, 0).ok());
+}
+
 TEST(FinderServiceTcpTest, WorksOverRealSockets) {
   MetadataStore metadata(std::make_unique<MemoryDevice>());
   ASSERT_TRUE(metadata.Recover().ok());

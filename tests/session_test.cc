@@ -226,7 +226,7 @@ DprResponseHeader Committed(Version v) {
 }
 
 TEST(StrictDprSessionTest, PendingGatesThePrefix) {
-  DprSession session(1, {.strict = true});
+  DprSession session(1, {.exception_list_cap = 0});
   session.RecordBatch(0, 2, Committed(1));  // ops 0-1 committed
   const uint64_t p = session.IssuePending(1, 1);  // op 2 in flight
   session.RecordBatch(0, 2, Committed(1));  // ops 3-4 committed
@@ -241,8 +241,8 @@ TEST(StrictDprSessionTest, PendingGatesThePrefix) {
 }
 
 TEST(StrictDprSessionTest, RelaxedAndStrictAgreeWithoutPendings) {
-  DprSession strict(1, {.strict = true});
-  DprSession relaxed(2, {.strict = false});
+  DprSession strict(1, {.exception_list_cap = 0});
+  DprSession relaxed(2);
   for (int i = 0; i < 10; ++i) {
     strict.RecordBatch(i % 2, 3, Committed(1 + i / 4));
     relaxed.RecordBatch(i % 2, 3, Committed(1 + i / 4));
@@ -254,7 +254,7 @@ TEST(StrictDprSessionTest, RelaxedAndStrictAgreeWithoutPendings) {
 }
 
 TEST(StrictDprSessionTest, FailureHandlingRespectsStrictOrder) {
-  DprSession session(1, {.strict = true});
+  DprSession session(1, {.exception_list_cap = 0});
   session.RecordBatch(0, 2, Committed(1));
   session.IssuePending(1, 1);               // lost in flight
   session.RecordBatch(0, 2, Committed(1));  // after the pending op

@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "obs/metrics.h"
 #include "storage/async_io.h"
 #include "storage/device.h"
-#include "storage/fsync_scheduler.h"
 
 namespace dpr {
 namespace {
@@ -27,7 +27,7 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/dpr_storage_async_" + name;
 }
 
-/// A `storage.sched.*` counter; scheduler tests reset the registry first.
+/// A `storage.sched.*` group-commit counter; tests reset the registry first.
 uint64_t SchedCount(const std::string& name) {
   return MetricsRegistry::Default().Snapshot().counters["storage.sched." +
                                                         name];
@@ -94,7 +94,7 @@ class ReorderEngine : public IoEngine {
 };
 
 /// Device wrapper that holds fsync submissions until the test releases them,
-/// making group-commit dispatch rounds fully deterministic.
+/// making group-commit rounds fully deterministic.
 class GateDevice : public Device {
  public:
   explicit GateDevice(Device* base) : base_(base) {}
@@ -131,6 +131,8 @@ class GateDevice : public Device {
       done = std::move(held_.front());
       held_.pop_front();
     }
+    // dprlint: allowed(fsync-bypass) the gate is the device under test; it
+    // completes a held fsync on its base, below group commit.
     base_->SubmitFsync(std::move(done));
   }
 
@@ -186,6 +188,7 @@ TEST(AsyncFileDeviceTest, CrashHonorsOnlyCompletedFsyncGroups) {
   // Group 1 completes fully: write then fsync, in order.
   dev->SubmitWrite(0, "AAAA", 4, {});
   reorder->ReleaseReversed();
+  // dprlint: allowed(fsync-bypass) pins the raw device's fsync watermark.
   dev->SubmitFsync({});
   reorder->ReleaseReversed();
 
@@ -195,6 +198,7 @@ TEST(AsyncFileDeviceTest, CrashHonorsOnlyCompletedFsyncGroups) {
   std::atomic<bool> write_done{false};
   dev->SubmitWrite(4, "BBBB", 4,
                    [&write_done](Status) { write_done.store(true); });
+  // dprlint: allowed(fsync-bypass) pins the raw device's fsync watermark.
   dev->SubmitFsync({});
   reorder->ReleaseReversed();  // fsync first, then the write
   EXPECT_TRUE(write_done.load());
@@ -211,55 +215,150 @@ TEST(AsyncFileDeviceTest, CrashHonorsOnlyCompletedFsyncGroups) {
   remove(path.c_str());
 }
 
-TEST(GroupCommitSchedulerTest, CoalescesWaitersIntoOneFsync) {
+/// Polls `done` for up to `timeout_us`; true once it is set.
+bool WaitUntil(const std::atomic<bool>& done, uint64_t timeout_us) {
+  const uint64_t deadline = NowMicros() + timeout_us;
+  while (!done.load() && NowMicros() < deadline) SleepMicros(100);
+  return done.load();
+}
+
+TEST(GroupCommitTest, CoalescesWaitersIntoOneFsync) {
   MetricsRegistry::Default().ResetForTest();
   MemoryDevice base;
   GateDevice gate(&base);
-  GroupCommitScheduler sched;
 
   ASSERT_TRUE(SyncIo::Write(&gate, 0, "AAAA", 4).ok());
 
   std::atomic<int> fired{0};
-  auto waiter = [&fired](Status s) {
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    fired.fetch_add(1);
+  std::vector<std::thread> waiters;
+  auto add_waiter = [&] {
+    waiters.emplace_back([&gate, &fired] {
+      Status s = SyncIo::Fsync(&gate);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      fired.fetch_add(1);
+    });
   };
 
-  // First waiter: dispatched into fsync #1, which we hold in flight.
-  sched.RequestSync(&gate, waiter);
+  // First waiter: leads fsync #1, which the gate holds in flight.
+  add_waiter();
   gate.WaitForSubmits(1);
 
   // Five more waiters arrive while #1 is in flight: they must all join the
   // NEXT group, not the in-flight one.
   constexpr int kLateWaiters = 5;
-  for (int i = 0; i < kLateWaiters; ++i) sched.RequestSync(&gate, waiter);
-
-  gate.ReleaseOne();  // completes #1 -> waiter 1 fires, group 2 dispatches
-  gate.WaitForSubmits(2);
-  gate.ReleaseOne();  // completes #2 -> all five late waiters fire
-
-  for (int spins = 0; fired.load() < 1 + kLateWaiters && spins < 20000;
+  for (int i = 0; i < kLateWaiters; ++i) add_waiter();
+  for (int spins = 0; SchedCount("requests") < 1 + kLateWaiters &&
+                      spins < 20000;
        ++spins) {
     SleepMicros(100);
   }
+  ASSERT_EQ(SchedCount("requests"), 1u + kLateWaiters);
+  EXPECT_EQ(fired.load(), 0);
+
+  gate.ReleaseOne();  // completes #1 -> waiter 1 returns, one late waiter
+                      // leads group 2
+  gate.WaitForSubmits(2);
+  gate.ReleaseOne();  // completes #2 -> all five late waiters return
+  for (auto& t : waiters) t.join();
+
   EXPECT_EQ(fired.load(), 1 + kLateWaiters);
-  // Six durability requests were satisfied by exactly two device fsyncs.
+  // Six durability requests were satisfied by exactly two device fsyncs;
+  // only the four late waiters that shared #2 with its leader count as
+  // coalesced.
   EXPECT_EQ(gate.fsync_submits(), 2u);
   EXPECT_EQ(SchedCount("fsyncs"), 2u);
-  EXPECT_GE(SchedCount("coalesced"), static_cast<uint64_t>(kLateWaiters));
+  EXPECT_EQ(SchedCount("coalesced"), static_cast<uint64_t>(kLateWaiters - 1));
+  EXPECT_EQ(SchedCount("requests"),
+            SchedCount("fsyncs") + SchedCount("coalesced"));
 }
 
-TEST(GroupCommitSchedulerTest, SyncNowMakesDataDurable) {
+TEST(GroupCommitTest, FsyncMakesDataDurable) {
   MetricsRegistry::Default().ResetForTest();
   MemoryDevice dev;
-  GroupCommitScheduler sched;
   ASSERT_TRUE(SyncIo::Write(&dev, 0, "durable", 7).ok());
-  ASSERT_TRUE(sched.SyncNow(&dev).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
   dev.SimulateCrash();
   char buf[7];
   ASSERT_TRUE(SyncIo::Read(&dev, 0, buf, 7).ok());
   EXPECT_EQ(std::string(buf, 7), "durable");
-  EXPECT_GE(SchedCount("fsyncs"), 1u);
+  EXPECT_EQ(SchedCount("fsyncs"), 1u);
+  EXPECT_EQ(SchedCount("coalesced"), 0u);
+}
+
+/// Device whose SubmitFsync blocks the submitting thread until released, as
+/// LatencyDevice's modeled cloud persist does.
+class StallingFsyncDevice : public Device {
+ public:
+  void SubmitWrite(uint64_t offset, const void* data, size_t n,
+                   IoCallback done) override {
+    base_.SubmitWrite(offset, data, n, std::move(done));
+  }
+  void SubmitRead(uint64_t offset, void* buf, size_t n,
+                  IoCallback done) override {
+    base_.SubmitRead(offset, buf, n, std::move(done));
+  }
+  void SubmitFsync(IoCallback done) override {
+    {
+      MutexLock guard(mu_);
+      stalled_ = true;
+      cv_.NotifyAll();
+      while (!released_) cv_.Wait(mu_);
+    }
+    // dprlint: allowed(fsync-bypass) forwards the held fsync to its base.
+    base_.SubmitFsync(std::move(done));
+  }
+  uint64_t Size() const override { return base_.Size(); }
+  void SimulateCrash() override { base_.SimulateCrash(); }
+  void Truncate(uint64_t new_size) override { base_.Truncate(new_size); }
+
+  void WaitUntilStalled() {
+    MutexLock guard(mu_);
+    while (!stalled_) cv_.Wait(mu_);
+  }
+  void Release() {
+    MutexLock guard(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  MemoryDevice base_;
+  Mutex mu_{LockRank::kStorage, "test.stall"};
+  CondVar cv_;
+  bool stalled_ GUARDED_BY(mu_) = false;
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
+TEST(GroupCommitTest, StalledDeviceDoesNotBlockAnotherDevicesFsync) {
+  StallingFsyncDevice slow;
+  MemoryDevice fast;
+  ASSERT_TRUE(SyncIo::Write(&slow, 0, "slow", 4).ok());
+  ASSERT_TRUE(SyncIo::Write(&fast, 0, "fast", 4).ok());
+
+  std::atomic<bool> slow_done{false};
+  std::thread slow_waiter([&] {
+    EXPECT_TRUE(SyncIo::Fsync(&slow).ok());
+    slow_done.store(true);
+  });
+  slow.WaitUntilStalled();
+
+  // The slow device's fsync is held on its submitting thread; an fsync on
+  // another device must complete meanwhile.
+  std::atomic<bool> fast_done{false};
+  std::thread fast_waiter([&] {
+    EXPECT_TRUE(SyncIo::Fsync(&fast).ok());
+    fast_done.store(true);
+  });
+  EXPECT_TRUE(WaitUntil(fast_done, 5'000'000))
+      << "an fsync on one device waited for another device's stalled fsync";
+  EXPECT_FALSE(slow_done.load());
+
+  slow.Release();
+  fast_waiter.join();
+  slow_waiter.join();
+  EXPECT_TRUE(slow_done.load());
+  fast.SimulateCrash();
+  EXPECT_EQ(fast.Size(), 4u);
 }
 
 TEST(IoEngineTest, IoUringSetupFailureFallsBackToThreadPool) {
@@ -394,10 +493,9 @@ TEST(DeviceSliceTest, SlicesShareSyncRootAndBoundReads) {
   ASSERT_TRUE(SyncIo::Read(base.get(), 4096, buf, 4).ok());
   EXPECT_EQ(std::string(buf, 4), "bbbb");
 
-  // One SyncNow on either slice syncs the shared root.
+  // An fsync through either slice is one fsync of the shared root.
   MetricsRegistry::Default().ResetForTest();
-  GroupCommitScheduler sched;
-  ASSERT_TRUE(sched.SyncNow(&a).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&a).ok());
   EXPECT_EQ(SchedCount("fsyncs"), 1u);
 
   // Truncate resets only the view's watermark.

@@ -28,6 +28,9 @@ const std::vector<CheckInfo> kRegistry = {
     {"storage-raw-io",
      "raw block I/O syscall outside src/storage/; submit through the "
      "Device/IoEngine API"},
+    {"fsync-bypass",
+     "direct Device::SubmitFsync call outside src/storage/; durability "
+     "points call SyncIo::Fsync, which is group commit"},
     {"device-shim",
      "retired blocking Device member shim (.WriteAt/.ReadAt); use "
      "SyncIo::Write/Read or the async Submit* API"},
@@ -551,8 +554,26 @@ void CheckRawCalls(const FileCtx& f, std::vector<Finding>* out) {
       Report(f, out, "storage-raw-io", t.line, t.col,
              "raw " + t.text +
                  "(2) outside storage/ bypasses the IoEngine (submission "
-                 "metrics, fault probes, group-commit scheduler)");
+                 "metrics, fault probes) and SyncIo::Fsync's group commit");
     }
+  }
+}
+
+void CheckFsyncBypass(const FileCtx& f, std::vector<Finding>* out) {
+  if (HasSegment(f.path, "storage")) return;  // devices and SyncIo itself
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    const Token& t = f.code[i];
+    if (!IsIdent(&t, "SubmitFsync") || !IsPunct(Tok(f, i + 1), "(")) continue;
+    // A declaration or out-of-line definition follows a type or `::`; a
+    // call follows `.`/`->`, `return`, or other punctuation.
+    if (i > 0) {
+      const Token& p = f.code[i - 1];
+      if (IsPunct(&p, "::")) continue;
+      if (p.kind == Token::Kind::kIdent && p.text != "return") continue;
+    }
+    Report(f, out, "fsync-bypass", t.line, t.col,
+           "direct SubmitFsync call bypasses group commit; durability "
+           "points call SyncIo::Fsync");
   }
 }
 
@@ -986,6 +1007,7 @@ std::vector<Finding> Analyze(std::vector<FileCtx>& files) {
   for (FileCtx& f : files) {
     CheckSyncPrim(f, &findings);
     CheckRawCalls(f, &findings);
+    CheckFsyncBypass(f, &findings);
     CheckDeviceShim(f, &findings);
     CheckCkptInterval(f, &findings);
     CheckLockScopes(f, g, &findings);
