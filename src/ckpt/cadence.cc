@@ -16,6 +16,7 @@ struct CadenceMetrics {
   Counter* skips;
   Gauge* interval_us;
   Gauge* dirty_bytes;
+  Counter* kicks;
 };
 
 const CadenceMetrics& Metrics() {
@@ -24,7 +25,8 @@ const CadenceMetrics& Metrics() {
     return CadenceMetrics{r.counter("ckpt.controller.decisions"),
                           r.counter("ckpt.controller.skips"),
                           r.gauge("ckpt.controller.interval_us"),
-                          r.gauge("ckpt.controller.dirty_bytes")};
+                          r.gauge("ckpt.controller.dirty_bytes"),
+                          r.counter("ckpt.loop.kicks")};
   }();
   return m;
 }
@@ -37,6 +39,9 @@ constexpr double kRateAlpha = 0.3;
 // The controller aims for roughly this many newly dirtied log bytes per
 // checkpoint: interval ~= kTargetDirtyBytes / ingest_rate.
 constexpr uint64_t kTargetDirtyBytes = 1 << 20;
+
+// How often CkptLoop retries a checkpoint that answered Busy.
+constexpr uint64_t kBusyRetryUs = 1000;
 
 }  // namespace
 
@@ -119,26 +124,58 @@ void CkptLoop::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
+void CkptLoop::Kick() {
+  Metrics().kicks->Add();
+  {
+    MutexLock guard(mu_);
+    kicked_ = true;
+  }
+  cv_.NotifyAll();
+}
+
 void CkptLoop::Run() {
   // The configured interval only seeds the first wait and bounds the
   // controller's cadence; every later wait is the controller's decision.
   CkptCadenceController controller(interval_us_);
   uint64_t delay_us = interval_us_;
+  CkptDecision decision;
+  // Sleep left in which a Busy checkpoint is retried before a fresh
+  // decision; 0 when no checkpoint awaits a retry.
+  uint64_t retry_left_us = 0;
   while (true) {
+    bool kicked = false;
     {
       MutexLock lock(mu_);
-      if (cv_.WaitFor(mu_, std::chrono::microseconds(delay_us),
-                      [this]() REQUIRES(mu_) { return stop_; })) {
-        return;
+      cv_.WaitFor(mu_, std::chrono::microseconds(delay_us),
+                  [this]() REQUIRES(mu_) { return stop_ || kicked_; });
+      if (stop_) return;
+      kicked = std::exchange(kicked_, false);
+    }
+    if (retry_left_us == 0 || kicked) {
+      const CkptSignals signals =
+          signals_ ? signals_() : CkptSignals{.dirty_bytes = 1};
+      decision = controller.Decide(signals, NowMicros());
+      if (kicked) {
+        decision.next_delay_us =
+            std::min(decision.next_delay_us, controller.floor_us());
       }
+      delay_us = decision.next_delay_us;
+      retry_left_us = 0;
+      if (decision.action == CkptAction::kSkip) continue;
+      retry_left_us = decision.next_delay_us;
     }
     // The checkpoint runs outside mu_ so Stop() never waits on one.
-    const CkptSignals signals =
-        signals_ ? signals_() : CkptSignals{.dirty_bytes = 1};
-    const CkptDecision decision = controller.Decide(signals, NowMicros());
-    delay_us = decision.next_delay_us;
-    if (decision.action == CkptAction::kSkip) continue;
     const Status s = checkpoint_();
+    if (s.IsBusy()) {
+      // The previous checkpoint is still flushing: retry this decision as
+      // soon as it completes rather than a whole delay later. Once the
+      // delay is used up, the next tick decides afresh.
+      delay_us = std::min(kBusyRetryUs, retry_left_us);
+      retry_left_us -= delay_us;
+      continue;
+    }
+    retry_left_us = 0;
+    delay_us = decision.next_delay_us;
     if (!s.ok() && !s.IsRetryable()) {
       DPR_WARN("checkpoint tick: %s", s.ToString().c_str());
     }

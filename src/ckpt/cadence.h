@@ -52,6 +52,9 @@ class CkptCadenceController {
   /// timer tick; the controller assumes a non-skip decision is acted on.
   CkptDecision Decide(const CkptSignals& signals, uint64_t now_us);
 
+  /// The shortest delay Decide() returns for a dirty shard.
+  uint64_t floor_us() const { return floor_us_; }
+
  private:
   // Cadence floor for hot shards and ceiling while dirty data exists.
   const uint64_t floor_us_;
@@ -70,6 +73,16 @@ class CkptCadenceController {
 /// that sleeps whatever the controller returns, samples `signals`, and runs
 /// `checkpoint` unless the controller skips. Stop() wakes the sleep, so
 /// shutdown does not wait out an interval.
+///
+/// Kick() ends the sleep early, for the moments when the whole cluster
+/// waits on this shard's next checkpoint (the first batch after a
+/// recovery). A kicked tick still asks the controller, so an idle shard
+/// still skips, and the wait after it is at most the controller's floor: a
+/// batch that lands just after the kicked checkpoint waits one floor, not
+/// one interval. A checkpoint that answers Busy (the previous one is still
+/// flushing) is retried every millisecond for up to the decision's delay,
+/// without a fresh decision, so a flush slower than the cadence costs the
+/// flush, not another interval.
 class CkptLoop {
  public:
   /// `interval_us` 0 disables the loop (Start() starts no thread). An unset
@@ -85,6 +98,10 @@ class CkptLoop {
   void Start();
   /// Idempotent; returns once the thread has exited.
   void Stop();
+  /// Ends the current sleep now (see the class comment). Cheap and safe
+  /// from any thread; a kick while the loop is not sleeping makes the next
+  /// sleep end at once.
+  void Kick();
 
  private:
   void Run();
@@ -96,6 +113,7 @@ class CkptLoop {
   Mutex mu_{LockRank::kCkptLoop, "ckpt.loop"};
   CondVar cv_;
   bool stop_ GUARDED_BY(mu_) = false;
+  bool kicked_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace dpr

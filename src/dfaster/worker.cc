@@ -383,7 +383,8 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
     return;
   }
   Version version = kInvalidVersion;
-  Status admit = dpr_worker_->BeginBatch(request.header, &version);
+  Status admit = dpr_worker_->BeginBatch(request.header, &version,
+                                         /*has_ops=*/!request.ops.empty());
   if (!admit.ok()) {
     const auto status = admit.IsAborted()
                             ? DprResponseHeader::BatchStatus::kWorldLineShift

@@ -18,6 +18,7 @@ struct WorkerMetrics {
   Counter* checkpoints;
   Counter* rollbacks;
   Gauge* vmax_lag;
+  ShardedHistogram* post_recovery_stamp_us;
 };
 
 const WorkerMetrics& Metrics() {
@@ -28,7 +29,8 @@ const WorkerMetrics& Metrics() {
                          r.counter("dpr.worker.admission_timeouts"),
                          r.counter("dpr.worker.checkpoints"),
                          r.counter("dpr.worker.rollbacks"),
-                         r.gauge("dpr.worker.vmax_lag")};
+                         r.gauge("dpr.worker.vmax_lag"),
+                         r.histogram("dpr.worker.post_recovery_stamp_us")};
   }();
   return m;
 }
@@ -87,7 +89,7 @@ Status DprWorker::Start() {
 void DprWorker::Stop() { ckpt_loop_.Stop(); }
 
 Status DprWorker::BeginBatch(const DprRequestHeader& header,
-                             Version* out_version) {
+                             Version* out_version, bool has_ops) {
   for (int attempt = 0; attempt < kAdmissionMaxAttempts; ++attempt) {
     const WorldLine my_wl = world_line_.load(std::memory_order_acquire);
     if (header.world_line < my_wl) {
@@ -122,6 +124,11 @@ Status DprWorker::BeginBatch(const DprRequestHeader& header,
     // Record the batch's cross-worker dependencies against the version it
     // executes in. Striped by session — no global mutex on the hot path.
     deps_.Record(header.session_id, v, header.deps, options_.worker_id);
+    // Still under the shared latch: kCkptLoop ranks below it.
+    if (has_ops && kick_pending_.load(std::memory_order_relaxed) &&
+        kick_pending_.exchange(false, std::memory_order_relaxed)) {
+      ckpt_loop_.Kick();
+    }
     *out_version = v;
     Metrics().batches->Add();
     return Status::OK();  // caller executes the batch, then EndBatch()
@@ -179,6 +186,10 @@ Status DprWorker::TryCommit(Version target_version,
   Status s = state_object_->PerformCheckpoint(
       target, [this, wl](Version t) { OnCheckpointPersistent(wl, t); },
       &token, hints);
+  if (s.ok() && recovered_at_us_ != 0) {
+    Metrics().post_recovery_stamp_us->Record(NowMicros() - recovered_at_us_);
+    recovered_at_us_ = 0;
+  }
   version_latch_.UnlockExclusive();
   return s;
 }
@@ -236,6 +247,8 @@ Status DprWorker::RollbackInternal(WorldLine new_world_line,
     deps_.Clear();
     last_reported_.store(restored, std::memory_order_release);
     world_line_.store(new_world_line, std::memory_order_release);
+    kick_pending_.store(true, std::memory_order_relaxed);
+    recovered_at_us_ = NowMicros();
   }
   version_latch_.UnlockExclusive();
   in_recovery_.store(false, std::memory_order_release);

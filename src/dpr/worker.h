@@ -64,7 +64,12 @@ class DprWorker {
   ///  * Aborted   — client world-line is stale; respond kWorldLineShift.
   ///  * Transient — worker mid-recovery or behind the client's world-line;
   ///                respond kRetryLater.
-  Status BeginBatch(const DprRequestHeader& header, Version* out_version);
+  /// `has_ops` is false for an empty batch (a session's commit ping). The
+  /// first batch with ops admitted after a recovery kicks the checkpoint
+  /// loop: every session's commit waits on this worker's first
+  /// post-recovery checkpoint, so it should not wait out the cadence.
+  Status BeginBatch(const DprRequestHeader& header, Version* out_version,
+                    bool has_ops = true);
   void EndBatch();
 
   /// Fills the response header for `request`'s batch, which executed in
@@ -124,6 +129,14 @@ class DprWorker {
   /// recovery flag) must also observe the rollback it announces.
   std::atomic<uint64_t> world_line_{kInitialWorldLine};
   std::atomic<bool> in_recovery_{false};
+  /// Set by a successful rollback; the first batch with ops admitted after
+  /// it clears the flag and kicks ckpt_loop_. Relaxed: set under the
+  /// exclusive version latch and read under the shared one, which orders
+  /// them; the exchange lets only one concurrent batch kick.
+  std::atomic<bool> kick_pending_{false};
+  /// When the last rollback finished (0 once a checkpoint has been stamped
+  /// since), for dpr.worker.post_recovery_stamp_us.
+  uint64_t recovered_at_us_ GUARDED_BY(version_latch_) = 0;
 
   /// Dependency sets accumulated per (uncommitted) version, striped by
   /// session; merged only at checkpoint-persist time.

@@ -642,7 +642,7 @@ class ChaosRunner {
     DprSession& session = *sessions_[si];
     DprRequestHeader header = session.MakeHeader();
     Version version = kInvalidVersion;
-    if (workers_[w]->BeginBatch(header, &version).ok()) {
+    if (workers_[w]->BeginBatch(header, &version, /*has_ops=*/false).ok()) {
       workers_[w]->EndBatch();
       DprResponseHeader resp;
       workers_[w]->FillResponse(header, version,

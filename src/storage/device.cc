@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -169,6 +170,8 @@ void MemoryDevice::SubmitWrite(uint64_t offset, const void* data, size_t n,
     MutexLock guard(mu_);
     if (offset + n > volatile_.size()) volatile_.resize(offset + n, '\0');
     memcpy(volatile_.data() + offset, data, n);
+    dirty_lo_ = std::min(dirty_lo_, offset);
+    dirty_hi_ = std::max(dirty_hi_, offset + n);
   }
   if (done) done(Status::OK());
 }
@@ -190,7 +193,13 @@ void MemoryDevice::SubmitRead(uint64_t offset, void* buf, size_t n,
 void MemoryDevice::SubmitFsync(IoCallback done) {
   {
     MutexLock guard(mu_);
-    durable_ = volatile_;
+    durable_.resize(volatile_.size(), '\0');
+    if (dirty_lo_ < dirty_hi_) {
+      memcpy(durable_.data() + dirty_lo_, volatile_.data() + dirty_lo_,
+             dirty_hi_ - dirty_lo_);
+    }
+    dirty_lo_ = UINT64_MAX;
+    dirty_hi_ = 0;
   }
   if (done) done(Status::OK());
 }
@@ -203,6 +212,8 @@ uint64_t MemoryDevice::Size() const {
 void MemoryDevice::SimulateCrash() {
   MutexLock guard(mu_);
   volatile_ = durable_;
+  dirty_lo_ = UINT64_MAX;
+  dirty_hi_ = 0;
 }
 
 void MemoryDevice::Truncate(uint64_t new_size) {
@@ -210,6 +221,7 @@ void MemoryDevice::Truncate(uint64_t new_size) {
   volatile_.resize(new_size, '\0');
   durable_.resize(new_size < durable_.size() ? new_size : durable_.size(),
                   '\0');
+  dirty_hi_ = std::min(dirty_hi_, new_size);
 }
 
 // ---------------------------------------------------------------- FileDevice

@@ -151,6 +151,11 @@ class MemoryDevice : public Device {
   mutable Mutex mu_{LockRank::kStorage, "device.memory"};
   std::string volatile_ GUARDED_BY(mu_);  // contiguous image of all writes
   std::string durable_ GUARDED_BY(mu_);   // image as of the last fsync
+  // Bytes written since the last fsync lie in [dirty_lo_, dirty_hi_) (empty
+  // when lo >= hi), so an fsync copies only them. Outside the range the
+  // images agree, and volatile_ beyond durable_'s end holds zeros.
+  uint64_t dirty_lo_ GUARDED_BY(mu_) = UINT64_MAX;
+  uint64_t dirty_hi_ GUARDED_BY(mu_) = 0;
 };
 
 /// Real file-backed device. Writes, reads, and fsyncs are submitted to a

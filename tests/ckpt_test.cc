@@ -1,5 +1,5 @@
 // Checkpoint plane (`ctest -L ckpt`): the cadence controller's decision
-// logic, the store's full/delta choice, delta-checkpoint chains through
+// logic, the tick loop's kick and Busy retry, the store's full/delta choice, delta-checkpoint chains through
 // crash/restore, covering restores over a chain gap, compaction interplay,
 // and the flush-failure regression (a failed checkpoint flush must never
 // wedge the pipeline).
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "ckpt/cadence.h"
+#include "common/clock.h"
+#include "common/sync.h"
 #include "faster/faster_store.h"
 #include "fault/fault_plane.h"
 #include "obs/metrics.h"
@@ -560,6 +562,137 @@ TEST(FlushFailureTest, FailedFlushDoesNotWedgePipeline) {
     ASSERT_TRUE(reader->Read(k, &v).ok());
     EXPECT_EQ(v, 7 + k);
   }
+}
+
+// ---------------------------------------------------------------- tick loop
+
+// A CkptLoop checkpoint that records when it ran, and answers Busy (a
+// previous checkpoint still flushing) while `busy` is set.
+class TickRecorder {
+ public:
+  Status Checkpoint() {
+    if (busy.load()) {
+      busy_answers.fetch_add(1);
+      return Status::Busy("previous checkpoint still flushing");
+    }
+    MutexLock guard(mu_);
+    at_us_.push_back(NowMicros());
+    return Status::OK();
+  }
+
+  /// When the `n`th checkpoint ran, waiting up to `timeout_us` for it; 0 if
+  /// it did not.
+  uint64_t WaitFor(size_t n, uint64_t timeout_us) {
+    const uint64_t deadline = NowMicros() + timeout_us;
+    do {
+      {
+        MutexLock guard(mu_);
+        if (at_us_.size() >= n) return at_us_[n - 1];
+      }
+      SleepMicros(200);
+    } while (NowMicros() < deadline);
+    return 0;
+  }
+
+  size_t count() {
+    MutexLock guard(mu_);
+    return at_us_.size();
+  }
+
+  std::atomic<bool> busy{false};
+  std::atomic<int> busy_answers{0};
+
+ private:
+  Mutex mu_;
+  std::vector<uint64_t> at_us_ GUARDED_BY(mu_);
+};
+
+// Polls `done` every 200 us for up to `timeout_us`; returns its last value.
+template <typename Pred>
+bool Eventually(Pred done, uint64_t timeout_us) {
+  const uint64_t deadline = NowMicros() + timeout_us;
+  while (!done() && NowMicros() < deadline) SleepMicros(200);
+  return done();
+}
+
+TEST(CkptLoopTest, KickEndsTheSleepButAnIdleShardStillSkips) {
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  TickRecorder rec;
+  std::atomic<int> samples{0};
+  CkptLoop loop(
+      /*interval_us=*/1000000,
+      [&] {
+        samples.fetch_add(1);
+        return CkptSignals{};  // idle
+      },
+      [&] { return rec.Checkpoint(); });
+  loop.Start();
+  SleepMicros(20000);
+  const uint64_t kick_us = NowMicros();
+  loop.Kick();
+  const uint64_t first = rec.WaitFor(1, 500000);
+  ASSERT_NE(first, 0u) << "a kick must end the 1 s sleep";
+  EXPECT_LT(first - kick_us, 50000u);
+  // The controller's first decision always checkpoints; after it, an idle
+  // shard skips even when kicked.
+  loop.Kick();
+  ASSERT_TRUE(Eventually([&] { return samples.load() >= 2; }, 500000));
+  SleepMicros(20000);
+  EXPECT_EQ(rec.count(), 1u);
+  loop.Stop();
+  EXPECT_EQ(CounterDelta(before, MetricsRegistry::Default().Snapshot(),
+                         "ckpt.loop.kicks"),
+            2u);
+}
+
+TEST(CkptLoopTest, WaitAfterAKickedTickIsAtMostTheFloor) {
+  TickRecorder rec;
+  // 400 ms interval, so a 100 ms floor. Unset signals read as always dirty,
+  // which at one byte per tick keeps the cadence at the 400 ms ceiling.
+  CkptLoop loop(/*interval_us=*/400000, nullptr,
+                [&] { return rec.Checkpoint(); });
+  loop.Start();
+  loop.Kick();
+  const uint64_t t1 = rec.WaitFor(1, 300000);
+  const uint64_t t2 = rec.WaitFor(2, 600000);
+  const uint64_t t3 = rec.WaitFor(3, 1000000);
+  loop.Stop();
+  ASSERT_NE(t1, 0u);
+  ASSERT_NE(t2, 0u);
+  ASSERT_NE(t3, 0u);
+  EXPECT_LT(t2 - t1, 250000u) << "the tick after a kick waits the floor";
+  EXPECT_GT(t3 - t2, 250000u) << "later ticks are back at the cadence";
+}
+
+TEST(CkptLoopTest, BusyCheckpointIsRetriedOnceTheFlushCompletes) {
+  TickRecorder rec;
+  rec.busy = true;
+  CkptLoop loop(/*interval_us=*/400000, nullptr,
+                [&] { return rec.Checkpoint(); });
+  loop.Start();
+  // The first tick (400 ms in) finds the previous checkpoint flushing.
+  ASSERT_TRUE(Eventually([&] { return rec.busy_answers.load() > 0; },
+                         1000000));
+  SleepMicros(30000);
+  const uint64_t flushed_us = NowMicros();
+  rec.busy = false;
+  const uint64_t t = rec.WaitFor(1, 1000000);
+  loop.Stop();
+  ASSERT_NE(t, 0u);
+  EXPECT_LT(t - flushed_us, 100000u)
+      << "retried once the flush completed, not a 400 ms tick later";
+}
+
+TEST(CkptLoopTest, StopWakesALongSleep) {
+  TickRecorder rec;
+  CkptLoop loop(/*interval_us=*/10000000, nullptr,
+                [&] { return rec.Checkpoint(); });
+  loop.Start();
+  SleepMicros(10000);
+  const uint64_t stop_us = NowMicros();
+  loop.Stop();
+  EXPECT_LT(NowMicros() - stop_us, 1000000u);
+  EXPECT_EQ(rec.count(), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "common/sync.h"
 #include "dfaster/protocol.h"
 #include "harness/cluster.h"
+#include "obs/metrics.h"
 
 namespace dpr {
 namespace {
@@ -305,6 +306,48 @@ TEST(DFasterFailureTest, PrefixConsistencyAfterCrash) {
   EXPECT_GE(v1.load(), 30u);
   EXPECT_TRUE(v0.load() == v1.load() || v0.load() == v1.load() + 1)
       << "v0=" << v0.load() << " v1=" << v1.load();
+}
+
+TEST(DFasterFailureTest, CommitsResumeOneCheckpointAfterRecovery) {
+  // With a 2 s interval every worker's next cadence tick is far off after
+  // a failure. The first batch a worker admits on the new world-line kicks
+  // its checkpoint loop, so commits resume within one checkpoint.
+  ClusterOptions options = SmallCluster(2);
+  options.checkpoint_interval_us = 2000000;
+  DFasterCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient(/*batch=*/1, /*window=*/4);
+  auto session = client->NewSession(10);
+  uint64_t key_on_0 = 0;
+  while (YcsbWorkload::ShardOf(key_on_0, 2) != 0) key_on_0++;
+  uint64_t key_on_1 = 0;
+  while (YcsbWorkload::ShardOf(key_on_1, 2) != 1) key_on_1++;
+  session->Upsert(key_on_0, 1);
+  session->Upsert(key_on_1, 1);
+  // Returns just after both workers' first ticks, 2 s in.
+  ASSERT_TRUE(session->WaitForCommit(20000).ok());
+
+  const auto stamps = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
+    const auto it = snap.histograms.find("dpr.worker.post_recovery_stamp_us");
+    return it == snap.histograms.end() ? uint64_t{0} : it->second.count();
+  };
+  const uint64_t stamps_before = stamps();
+  ASSERT_TRUE(cluster.InjectFailure({0}).ok());
+  session->Read(key_on_0, nullptr);
+  session->Read(key_on_1, nullptr);
+  (void)session->WaitForAll();
+  ASSERT_TRUE(session->needs_failure_handling());
+  ASSERT_TRUE(session->RecoverFromFailure(nullptr).ok());
+  // One shard after the other: if the crashed worker's kicked checkpoint
+  // followed the survivor's, Vmax would jump it past the survivor's open
+  // version, and the approximate finder's cut would wait for its next tick.
+  session->Upsert(key_on_0, 2);
+  ASSERT_TRUE(session->WaitForAll().ok());
+  session->Upsert(key_on_1, 2);
+  EXPECT_TRUE(session->WaitForCommit(400).ok());
+  // Both workers rolled back and stamped a checkpoint since.
+  EXPECT_EQ(stamps() - stamps_before, 2u);
 }
 
 TEST(DFasterFailureTest, NestedFailuresHandledAsSequences) {

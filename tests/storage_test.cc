@@ -47,6 +47,72 @@ TEST(MemoryDeviceTest, OverwriteBeforeFlushSurvivesOnlyAfterFlush) {
   EXPECT_EQ(std::string(buf, 4), "aaaa");
 }
 
+// Reads the whole device as a string.
+std::string Contents(Device* dev) {
+  std::string out(dev->Size(), '?');
+  EXPECT_TRUE(SyncIo::Read(dev, 0, out.data(), out.size()).ok());
+  return out;
+}
+
+TEST(MemoryDeviceTest, OverwriteInsideDurablePrefixSurvivesItsFsync) {
+  MemoryDevice dev;
+  ASSERT_TRUE(SyncIo::Write(&dev, 0, "0123456789abcdef", 16).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  // An fsync after an overwrite in the middle of the durable prefix makes
+  // exactly the overwrite durable; a later unsynced one is lost.
+  ASSERT_TRUE(SyncIo::Write(&dev, 4, "WXYZ", 4).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  ASSERT_TRUE(SyncIo::Write(&dev, 10, "--", 2).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), "0123WXYZ89abcdef");
+}
+
+TEST(MemoryDeviceTest, TruncateThenWrite) {
+  MemoryDevice dev;
+  ASSERT_TRUE(SyncIo::Write(&dev, 0, "AAAAAAAAAAAA", 12).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  // Truncation is immediate on both images; a write past the new end
+  // leaves a zero gap, and an fsync makes gap and write durable.
+  dev.Truncate(4);
+  ASSERT_TRUE(SyncIo::Write(&dev, 8, "BBBB", 4).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), std::string("AAAA\0\0\0\0BBBB", 12));
+
+  // Truncating into an unsynced write keeps only its surviving part, which
+  // the next fsync makes durable.
+  ASSERT_TRUE(SyncIo::Write(&dev, 12, "CCCCCCCC", 8).ok());
+  dev.Truncate(16);
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), std::string("AAAA\0\0\0\0BBBBCCCC", 16));
+
+  // Truncating below an unsynced write drops it entirely.
+  ASSERT_TRUE(SyncIo::Write(&dev, 16, "DDDD", 4).ok());
+  dev.Truncate(2);
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), "AA");
+}
+
+TEST(MemoryDeviceTest, UnsyncedTailIsLost) {
+  MemoryDevice dev;
+  ASSERT_TRUE(SyncIo::Write(&dev, 0, "aaaa", 4).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  ASSERT_TRUE(SyncIo::Write(&dev, 4, "bbbb", 4).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  ASSERT_TRUE(SyncIo::Write(&dev, 8, "cccc", 4).ok());
+  ASSERT_TRUE(SyncIo::Write(&dev, 1, "X", 1).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), "aaaabbbb");
+  // The crash forgot the lost writes: the next fsync persists only what
+  // was written after it.
+  ASSERT_TRUE(SyncIo::Write(&dev, 8, "dd", 2).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&dev).ok());
+  dev.SimulateCrash();
+  EXPECT_EQ(Contents(&dev), "aaaabbbbdd");
+}
+
 TEST(FileDeviceTest, PersistsAcrossReopen) {
   const std::string path = TempPath("file_reopen");
   {
