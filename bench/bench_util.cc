@@ -307,7 +307,8 @@ DriverResult RunYcsbDriver(DFasterCluster* cluster,
 std::vector<TimelineSample> RunTimelineDriver(
     DFasterCluster* cluster, const DriverOptions& options,
     uint64_t interval_ms,
-    const std::vector<std::pair<double, std::function<void()>>>& events) {
+    const std::vector<std::pair<double, std::function<void()>>>& events,
+    uint64_t event_interval_ms) {
   if (options.preload) {
     Preload(cluster, options.workload, options.batch_size, options.window);
   }
@@ -332,12 +333,24 @@ std::vector<TimelineSample> RunTimelineDriver(
   double last_t = 0.0;
   const Stopwatch timer;
   const double total_seconds = options.duration_ms / 1000.0;
+  const auto near_event = [&](double t) {
+    for (const auto& event : events) {
+      if (t >= event.first - interval_ms / 1000.0 && t < event.first + 0.5) {
+        return true;
+      }
+    }
+    return false;
+  };
   while (timer.ElapsedSeconds() < total_seconds) {
-    SleepMicros(interval_ms * 1000);
+    const bool fine =
+        event_interval_ms != 0 && near_event(timer.ElapsedSeconds());
+    SleepMicros((fine ? event_interval_ms : interval_ms) * 1000);
     double t = timer.ElapsedSeconds();
+    uint32_t fired = 0;
     while (next_event < events.size() && events[next_event].first <= t) {
       events[next_event].second();
       ++next_event;
+      ++fired;
     }
     // Re-stamp after the events: a callback that blocks (an inline recovery)
     // must widen this sample's dt, not get charged to the old window.
@@ -356,7 +369,7 @@ std::vector<TimelineSample> RunTimelineDriver(
     samples.push_back(TimelineSample{
         t, (completed - last_completed) / dt / 1e6,
         (committed - last_committed) / dt / 1e6,
-        (aborted - last_aborted) / dt / 1e6});
+        (aborted - last_aborted) / dt / 1e6, fired});
     last_t = t;
     last_completed = completed;
     last_committed = committed;

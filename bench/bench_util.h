@@ -62,15 +62,20 @@ struct TimelineSample {
   double completed_mops;
   double committed_mops;
   double aborted_mops;
+  /// Events that ran inside this sample (just before its end was stamped).
+  uint32_t events = 0;
 };
 
 /// Runs the driver while sampling throughput every `interval_ms`, invoking
 /// `at` (if set) once at each scheduled event time (seconds) — used to
-/// inject failures mid-run.
+/// inject failures mid-run. A nonzero `event_interval_ms` samples that
+/// often from one `interval_ms` before each event until 0.5 s after it, so
+/// a stall shorter than `interval_ms` shows in the timeline.
 std::vector<TimelineSample> RunTimelineDriver(
     DFasterCluster* cluster, const DriverOptions& options,
     uint64_t interval_ms,
-    const std::vector<std::pair<double, std::function<void()>>>& events);
+    const std::vector<std::pair<double, std::function<void()>>>& events,
+    uint64_t event_interval_ms = 0);
 
 /// Preloads all keys of the workload's key space with value = key.
 void Preload(DFasterCluster* cluster, const YcsbOptions& workload,

@@ -14,16 +14,28 @@
 namespace dpr {
 
 namespace {
-// Checkpoint-metadata WAL record types.
+// Checkpoint-metadata WAL record types (DESIGN.md §4j):
+//   kMetaCheckpoint: type, token, boundary (an image-less checkpoint)
+//   kMetaRollback:   type, token, boundary
+//   kMetaBegin:      type, token, boundary (log-begin advance, compaction)
+//   kMetaFullIndex:  type, token, boundary, body offset
+//   kMetaDelta:      type, token, boundary, base_token, body offset
+//   kMetaImageBody:  type, record_count, IndexImage (a delta lists only the
+//                    entries dirtied since base_token)
+// An image checkpoint appends its body, then the descriptor (full or
+// delta) naming the body's offset, and one Sync covers both. A crash replay
+// reads only records up to kMetaReplayCap bytes, so it registers every
+// descriptor and skips the image bodies unread; a restore reads and
+// CRC-checks just the bodies of the chain it installs.
 constexpr uint8_t kMetaCheckpoint = 1;
 constexpr uint8_t kMetaRollback = 2;
-constexpr uint8_t kMetaBegin = 3;  // durable log-begin advance (compaction)
-// Checkpoint records carrying a hash-index image (DESIGN.md §4j):
-//   kMetaFullIndex: type, token, boundary, record_count, IndexImage
-//   kMetaDelta:     type, token, boundary, base_token, record_count,
-//                   IndexImage (only entries dirtied since base_token)
+constexpr uint8_t kMetaBegin = 3;
 constexpr uint8_t kMetaFullIndex = 4;
 constexpr uint8_t kMetaDelta = 5;
+constexpr uint8_t kMetaImageBody = 6;
+// Every record but an image body fits (a delta descriptor is 33 bytes); a
+// body under the cap (a handful of pairs) is read and ignored.
+constexpr uint32_t kMetaReplayCap = 48;
 constexpr size_t kMaxValueSize = 4096;
 // A delta chain (a full image plus the deltas over it) never grows past
 // this many links: the next image after a full chain is full, which bounds
@@ -46,7 +58,20 @@ struct StoreMetrics {
   Counter* ckpt_chain_restores;      // restores served from an image chain
   Counter* ckpt_scan_restores;       // restores that fell back to a log scan
   ShardedHistogram* ckpt_chain_length;  // images installed per chain restore
+  // faster.restore.*: the stages of one cold restore.
+  ShardedHistogram* restore_meta_replay_us;     // SimulateCrash's WAL replay
+  ShardedHistogram* restore_log_load_us;        // durable log prefix read
+  ShardedHistogram* restore_image_install_us;   // chain images, helper thread
+  ShardedHistogram* restore_total_us;           // replay + ColdRecover
 };
+
+// type, token, boundary: how every meta-WAL record but an image body starts.
+std::string MetaRecord(uint8_t type, Version token, LogAddress boundary) {
+  std::string rec(1, static_cast<char>(type));
+  PutFixed64(&rec, token);
+  PutFixed64(&rec, boundary);
+  return rec;
+}
 
 // The one log walk: visits every record in [from, to) as visit(pos, rec),
 // skipping the zeroed remainder at the end of each page (too short for a
@@ -89,7 +114,11 @@ const StoreMetrics& Metrics() {
                         r.counter("ckpt.index_bytes_persisted"),
                         r.counter("ckpt.chain_restores"),
                         r.counter("ckpt.scan_restores"),
-                        r.histogram("ckpt.chain_length")};
+                        r.histogram("ckpt.chain_length"),
+                        r.histogram("faster.restore.meta_replay_us"),
+                        r.histogram("faster.restore.log_load_us"),
+                        r.histogram("faster.restore.image_install_us"),
+                        r.histogram("faster.restore.total_us")};
   }();
   return m;
 }
@@ -446,10 +475,7 @@ Status FasterStore::FlushRange(LogAddress from, LogAddress to) {
 
 Status FasterStore::AppendCheckpointMeta(uint8_t type, Version token,
                                          LogAddress boundary) {
-  std::string rec(1, static_cast<char>(type));
-  PutFixed64(&rec, token);
-  PutFixed64(&rec, boundary);
-  DPR_RETURN_NOT_OK(meta_wal_.Append(rec));
+  DPR_RETURN_NOT_OK(meta_wal_.Append(MetaRecord(type, token, boundary)));
   return meta_wal_.Sync();
 }
 
@@ -496,9 +522,17 @@ void FasterStore::FlushLoop() {
             links = b.links + 1;
           }
         }
-        const std::string rec = EncodeIndexMetaRecord(req, base, base_boundary);
-        meta_bytes = rec.size();
-        s = meta_wal_.Append(rec, &image_offset);
+        const std::string body = EncodeImageBody(req, base_boundary);
+        s = meta_wal_.Append(body, &image_offset);
+        if (s.ok()) {
+          std::string desc = MetaRecord(
+              base == kInvalidVersion ? kMetaFullIndex : kMetaDelta,
+              req.token, req.boundary);
+          if (base != kInvalidVersion) PutFixed64(&desc, base);
+          PutFixed64(&desc, image_offset);
+          meta_bytes = body.size() + desc.size();
+          s = meta_wal_.Append(desc);
+        }
         if (s.ok()) s = meta_wal_.Sync();
       } else {
         s = AppendCheckpointMeta(kMetaCheckpoint, req.token, req.boundary);
@@ -575,14 +609,9 @@ Version FasterStore::DeltaBaseLocked() const {
   return kInvalidVersion;
 }
 
-std::string FasterStore::EncodeIndexMetaRecord(const FlushRequest& req,
-                                               Version base,
-                                               LogAddress base_boundary) {
-  const bool delta = base != kInvalidVersion;
-  std::string rec(1, static_cast<char>(delta ? kMetaDelta : kMetaFullIndex));
-  PutFixed64(&rec, req.token);
-  PutFixed64(&rec, req.boundary);
-  if (delta) PutFixed64(&rec, base);
+std::string FasterStore::EncodeImageBody(const FlushRequest& req,
+                                         LogAddress base_boundary) {
+  std::string rec(1, static_cast<char>(kMetaImageBody));
   PutFixed64(&rec, req.record_count);
   // Capture the image under epoch protection: a concurrent FinishCompaction
   // may otherwise reclaim pages below a freshly advanced begin address while
@@ -653,20 +682,11 @@ Status FasterStore::InstallChainImages(const std::vector<uint64_t>& offsets,
     DPR_RETURN_NOT_OK(meta_wal_.ReadRecord(offset, &rec));
     Decoder dec{Slice(rec)};
     uint8_t type;
-    uint64_t token;
-    uint64_t boundary;
-    uint64_t base;
-    if (!dec.GetBytes(&type, 1) || !dec.GetFixed64(&token) ||
-        !dec.GetFixed64(&boundary) ||
-        (type == kMetaDelta && !dec.GetFixed64(&base)) ||
-        !dec.GetFixed64(&record_count)) {
-      return Status::Corruption("truncated chain image");
-    }
-    if (type != kMetaFullIndex && type != kMetaDelta) {
-      return Status::Corruption("chain link is not an image record");
+    if (!dec.GetBytes(&type, 1) || type != kMetaImageBody) {
+      return Status::Corruption("chain link is not an image body");
     }
     IndexImage image;
-    if (!image.ParseFrom(&dec)) {
+    if (!dec.GetFixed64(&record_count) || !image.ParseFrom(&dec)) {
       return Status::Corruption("truncated chain image");
     }
     for (const auto& [bucket, word] : image.pairs) {
@@ -932,22 +952,10 @@ Status FasterStore::FinishRestore(Version token, LogAddress boundary,
 
 Status FasterStore::ColdRecover(Version token, LogAddress boundary,
                                 LogAddress cover_boundary, Version anchor) {
+  const uint64_t start_us = NowMicros();
   log_.Clear();
   index_.Clear();
   record_count_.store(0, std::memory_order_relaxed);
-  log_.RestoreTo(cover_boundary);
-  // Bulk-load the durable log prefix, one log page at a time (Resolve()
-  // pointers are only contiguous within a page). A boundary at the begin
-  // address means no checkpoint ever flushed: restore to empty.
-  LogAddress pos = begin_.load(std::memory_order_acquire);
-  if (cover_boundary <= pos) pos = cover_boundary;
-  while (pos < cover_boundary) {
-    const uint64_t page_end = (pos | (log_.page_size() - 1)) + 1;
-    const uint64_t n = std::min<uint64_t>(page_end, cover_boundary) - pos;
-    DPR_RETURN_NOT_OK(
-        SyncIo::Read(options_.log_device.get(), pos, log_.Resolve(pos), n));
-    pos += n;
-  }
   // Install the newest usable index image, then walk the part of the
   // restored prefix it does not cover. The anchor's own chain covers the
   // whole prefix, so the walk only marks the (token, anchor] overshoot
@@ -958,19 +966,51 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   std::vector<uint64_t> chain;
   Version image = kInvalidVersion;
   LogAddress image_boundary = kNullAddress;
+  uint64_t replay_us = 0;
   {
     MutexLock guard(checkpoints_mu_);
     image = NewestImageLocked(token, anchor, &chain);
     if (image != kInvalidVersion) {
       image_boundary = checkpoints_.at(image).boundary;
     }
+    replay_us = crash_replay_us_;
   }
-  const LogAddress begin = begin_.load(std::memory_order_acquire);
+  // The install touches only the index and the meta WAL, the log load only
+  // the log: install on a helper thread while this one loads. (Async reads
+  // would not overlap them: io_uring serves page-cache reads inline, in the
+  // submitting thread.)
+  Status image_installed = Status::NotFound("no index image");
   uint64_t chain_count = 0;
+  std::jthread installer;  // joins on every path out
+  if (image != kInvalidVersion) {
+    installer = std::jthread([&] {
+      const uint64_t install_start_us = NowMicros();
+      image_installed = InstallChainImages(chain, &chain_count);
+      Metrics().restore_image_install_us->Record(NowMicros() -
+                                                 install_start_us);
+    });
+  }
+  // Bulk-load the durable log prefix, one log page at a time (Resolve()
+  // pointers are only contiguous within a page). A boundary at the begin
+  // address means no checkpoint ever flushed: restore to empty.
+  const uint64_t load_start_us = NowMicros();
+  const LogAddress load_from =
+      std::min(begin_.load(std::memory_order_acquire), cover_boundary);
+  log_.RestoreTo(load_from, cover_boundary);
+  Status loaded;
+  for (LogAddress pos = load_from; pos < cover_boundary && loaded.ok();) {
+    const uint64_t page_end = (pos | (log_.page_size() - 1)) + 1;
+    const uint64_t n = std::min<uint64_t>(page_end, cover_boundary) - pos;
+    loaded = SyncIo::Read(options_.log_device.get(), pos, log_.Resolve(pos), n);
+    pos += n;
+  }
+  Metrics().restore_log_load_us->Record(NowMicros() - load_start_us);
+  if (installer.joinable()) installer.join();
+  DPR_RETURN_NOT_OK(loaded);
+  const LogAddress begin = begin_.load(std::memory_order_acquire);
   LogAddress install_from = begin;
   LogAddress walk_from = begin;
-  if (image != kInvalidVersion &&
-      InstallChainImages(chain, &chain_count).ok()) {
+  if (image_installed.ok()) {
     Metrics().ckpt_chain_restores->Add();
     Metrics().ckpt_chain_length->Record(chain.size());
     install_from =
@@ -1029,6 +1069,7 @@ Status FasterStore::ColdRecover(Version token, LogAddress boundary,
   version_.store(token + 1, std::memory_order_release);
   DPR_RETURN_NOT_OK(FinishRestore(token, boundary, cover_boundary));
   crashed_.store(false, std::memory_order_release);
+  Metrics().restore_total_us->Record(replay_us + NowMicros() - start_us);
   return Status::OK();
 }
 
@@ -1039,13 +1080,16 @@ void FasterStore::SimulateCrash() {
   meta_wal_.device()->SimulateCrash();
   log_.Clear();
   index_.Clear();
-  // Reload durable checkpoint metadata as a restarted process would.
+  // Reload durable checkpoint metadata as a restarted process would. Only
+  // the small records are read; image bodies stay on the device until a
+  // restore installs them.
   {
     MutexLock guard(checkpoints_mu_);
+    const uint64_t replay_start_us = NowMicros();
     checkpoints_.clear();
     pending_compactions_.clear();
     begin_.store(LogAllocator::kBeginAddress, std::memory_order_release);
-    Status s = meta_wal_.Replay([this](uint64_t offset, Slice record) {
+    Status s = meta_wal_.Replay([this](uint64_t, Slice record) {
       Decoder dec(record);
       uint8_t type;
       uint64_t token;
@@ -1056,18 +1100,22 @@ void FasterStore::SimulateCrash() {
       }
       if (type == kMetaCheckpoint) {
         checkpoints_[token] = CkptEntry{boundary};
-      } else if (type == kMetaFullIndex) {
-        checkpoints_[token] =
-            CkptEntry{boundary, kInvalidVersion, true, offset, 1};
-      } else if (type == kMetaDelta) {
-        uint64_t base;
-        if (!dec.GetFixed64(&base)) return;
+      } else if (type == kMetaFullIndex || type == kMetaDelta) {
+        uint64_t base = kInvalidVersion;
+        uint64_t body = 0;
+        if ((type == kMetaDelta && !dec.GetFixed64(&base)) ||
+            !dec.GetFixed64(&body)) {
+          return;
+        }
         // A delta whose base is gone cannot restore; counting its chain as
         // full makes the next image a fresh full one.
-        const auto b = checkpoints_.find(base);
-        const uint32_t links =
-            b != checkpoints_.end() ? b->second.links + 1 : kMaxChainLinks;
-        checkpoints_[token] = CkptEntry{boundary, base, true, offset, links};
+        uint32_t links = 1;
+        if (type == kMetaDelta) {
+          const auto b = checkpoints_.find(base);
+          links =
+              b != checkpoints_.end() ? b->second.links + 1 : kMaxChainLinks;
+        }
+        checkpoints_[token] = CkptEntry{boundary, base, true, body, links};
       } else if (type == kMetaRollback) {
         for (auto it = checkpoints_.upper_bound(token);
              it != checkpoints_.end();) {
@@ -1081,8 +1129,10 @@ void FasterStore::SimulateCrash() {
           it = checkpoints_.erase(it);
         }
       }
-    });
+    }, kMetaReplayCap);
     DPR_CHECK_MSG(s.ok(), "meta WAL replay: %s", s.ToString().c_str());
+    crash_replay_us_ = NowMicros() - replay_start_us;
+    Metrics().restore_meta_replay_us->Record(crash_replay_us_);
   }
 }
 

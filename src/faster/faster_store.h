@@ -165,9 +165,10 @@ class FasterStore : public StateObject {
 
   /// One durable checkpoint. `base` links a delta image to the newest
   /// durable image checkpoint it was diffed against (kInvalidVersion for
-  /// full images and image-less checkpoints); `has_index` says an index
-  /// image for this token sits in the meta WAL at `image_offset`, making
-  /// the token eligible as a delta base and as a chain-restore anchor.
+  /// full images and image-less checkpoints); `has_index` says the body
+  /// of an index image for this token sits in the meta WAL at
+  /// `image_offset`, making the token eligible as a delta base and as a
+  /// chain-restore anchor.
   /// `links` counts the images a restore from this token installs (1 for a
   /// full image, 0 without an image).
   struct CkptEntry {
@@ -219,17 +220,17 @@ class FasterStore : public StateObject {
                               LogAddress boundary);
 
   // --- delta-checkpoint machinery (DESIGN.md §4j) ---
-  // Encodes the kMetaFullIndex / kMetaDelta record for `req`, capturing
-  // the index image on the flush thread. `base` (kInvalidVersion for a
-  // full image) must be a durable image checkpoint and `base_boundary` its
-  // flush boundary (kNullAddress for a full image).
-  std::string EncodeIndexMetaRecord(const FlushRequest& req, Version base,
-                                    LogAddress base_boundary);
+  // Encodes the kMetaImageBody record for `req`, capturing the index image
+  // on the flush thread. `base_boundary` is the flush boundary of the
+  // delta's base, a durable image checkpoint (kNullAddress for a full
+  // image).
+  std::string EncodeImageBody(const FlushRequest& req,
+                              LogAddress base_boundary);
   // The delta base for a new image: the largest durable image whose chain
   // has room for one more link, else kInvalidVersion (write a full image).
   Version DeltaBaseLocked() const REQUIRES(checkpoints_mu_);
   // Resolves the delta chain ending at `token` into the meta-WAL offsets of
-  // its image records (ascending, base first). Fails (false) when any link
+  // its image bodies (ascending, base first). Fails (false) when any link
   // lacks an image or left the durable set.
   bool ResolveChainLocked(Version token, std::vector<uint64_t>* offsets) const
       REQUIRES(checkpoints_mu_);
@@ -240,8 +241,9 @@ class FasterStore : public StateObject {
   Version NewestImageLocked(Version token, Version anchor,
                             std::vector<uint64_t>* offsets) const
       REQUIRES(checkpoints_mu_);
-  // Reads the chain's image records at `offsets` and installs them
-  // ascending, so deltas overlay their base.
+  // Reads (CRC-checked) the chain's image bodies at `offsets` and installs
+  // them ascending, so deltas overlay their base. Touches only the index
+  // and the meta WAL, so ColdRecover runs it beside the log load.
   Status InstallChainImages(const std::vector<uint64_t>& offsets,
                             uint64_t* restored_record_count);
 
@@ -290,6 +292,9 @@ class FasterStore : public StateObject {
   // In-flight compactions: compaction checkpoint token -> new begin address.
   std::map<Version, LogAddress> pending_compactions_
       GUARDED_BY(checkpoints_mu_);
+  // How long the last SimulateCrash's meta-WAL replay took: the first stage
+  // of the cold restore that follows it (faster.restore.total_us).
+  uint64_t crash_replay_us_ GUARDED_BY(checkpoints_mu_) = 0;
 
   // Flush pipeline. flush_mu_ is held only for queue push/pop — never
   // across device I/O or the persistence callback.

@@ -1,5 +1,6 @@
 #include "faster/log_allocator.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -27,8 +28,7 @@ void LogAllocator::EnsurePage(uint64_t page_index) {
   }
   MutexLock guard(pages_mu_);
   if (pages_[page_index] == nullptr) {
-    pages_[page_index] = std::make_unique<char[]>(page_size());
-    memset(pages_[page_index].get(), 0, page_size());
+    pages_[page_index] = std::make_unique<char[]>(page_size());  // zeroed
   }
   uint64_t n = num_pages_.load(std::memory_order_relaxed);
   if (page_index + 1 > n) {
@@ -86,14 +86,20 @@ const char* LogAllocator::Resolve(LogAddress address) const {
   return const_cast<LogAllocator*>(this)->Resolve(address);
 }
 
-void LogAllocator::RestoreTo(uint64_t size) {
+void LogAllocator::RestoreTo(uint64_t from, uint64_t size) {
+  DPR_CHECK(from <= size);
   MutexLock guard(pages_mu_);
   const uint64_t needed = (size + page_size() - 1) >> page_bits_;
   for (uint64_t i = 0; i < needed; ++i) {
-    if (pages_[i] == nullptr) {
-      pages_[i] = std::make_unique<char[]>(page_size());
-      memset(pages_[i].get(), 0, page_size());
-    }
+    // The caller reads [from, size) over these pages: zero only the bytes
+    // outside it, so no byte is written twice.
+    const uint64_t lo = i << page_bits_;
+    const uint64_t hi = lo + page_size();
+    const uint64_t keep_lo = std::clamp(from, lo, hi) - lo;
+    const uint64_t keep_hi = std::clamp(size, lo, hi) - lo;
+    pages_[i] = std::make_unique_for_overwrite<char[]>(page_size());
+    memset(pages_[i].get(), 0, keep_lo);
+    memset(pages_[i].get() + keep_hi, 0, page_size() - keep_hi);
   }
   if (needed > num_pages_.load(std::memory_order_relaxed)) {
     num_pages_.store(needed, std::memory_order_release);

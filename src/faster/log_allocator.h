@@ -47,9 +47,11 @@ class LogAllocator {
   LogAddress tail() const { return tail_.load(std::memory_order_acquire); }
   uint64_t page_size() const { return uint64_t{1} << page_bits_; }
 
-  /// Ensures pages covering [0, size) exist (used by crash recovery before
-  /// bulk-loading a durable log prefix) and positions the tail at `size`.
-  void RestoreTo(uint64_t size);
+  /// Materializes the pages covering [0, size) after a Clear (crash
+  /// recovery, before it bulk-loads the durable log range [from, size)) and
+  /// positions the tail at `size`. Only the bytes outside [from, size) are
+  /// zeroed: the caller must overwrite the range itself.
+  void RestoreTo(uint64_t from, uint64_t size);
 
   /// Drops all pages and resets the tail to the initial address (simulated
   /// crash of the volatile cache).

@@ -4,6 +4,7 @@
 // LockRank::kStorageWal is documented as held across device writes, and
 // group commit (the part worth overlapping) lives in SyncIo::Fsync.
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -14,6 +15,9 @@ namespace dpr {
 
 namespace {
 constexpr size_t kHeaderSize = 8;  // u32 length + u32 crc
+// Replay reads this much at each record: the header, and all of a short
+// record, in one device read.
+constexpr size_t kReplayRead = 48;
 }  // namespace
 
 WriteAheadLog::WriteAheadLog(std::unique_ptr<Device> device)
@@ -38,27 +42,36 @@ Status WriteAheadLog::Append(Slice record, uint64_t* offset) {
 Status WriteAheadLog::Sync() { return SyncIo::Fsync(device_.get()); }
 
 Status WriteAheadLog::Replay(
-    const std::function<void(uint64_t, Slice)>& visitor) {
+    const std::function<void(uint64_t, Slice)>& visitor, uint32_t max_visit) {
   MutexLock guard(mu_);
   const uint64_t end = device_->Size();
   uint64_t pos = 0;
   std::vector<char> buf;
   while (pos + kHeaderSize <= end) {
-    char header[kHeaderSize];
-    DPR_RETURN_NOT_OK(SyncIo::Read(device_.get(), pos, header, kHeaderSize));
+    char head[kReplayRead];
+    const size_t got = std::min<uint64_t>(end - pos, kReplayRead);
+    DPR_RETURN_NOT_OK(SyncIo::Read(device_.get(), pos, head, got));
     uint32_t len;
     uint32_t crc;
-    memcpy(&len, header, 4);
-    memcpy(&crc, header + 4, 4);
+    memcpy(&len, head, 4);
+    memcpy(&crc, head + 4, 4);
     if (pos + kHeaderSize + len > end) break;  // torn tail record
-    buf.resize(len);
-    DPR_RETURN_NOT_OK(
-        SyncIo::Read(device_.get(), pos + kHeaderSize, buf.data(), len));
-    if (Crc32c(buf.data(), len) != crc) break;  // corrupt tail record
+    if (len > max_visit) {
+      pos += kHeaderSize + len;
+      continue;
+    }
+    const char* body = head + kHeaderSize;
+    if (kHeaderSize + len > got) {
+      buf.resize(len);
+      DPR_RETURN_NOT_OK(
+          SyncIo::Read(device_.get(), pos + kHeaderSize, buf.data(), len));
+      body = buf.data();
+    }
+    if (Crc32c(body, len) != crc) break;  // corrupt tail record
     // dprlint: allowed(callback-lock) the visitor runs under mu_ by
     // contract: replay is single-threaded recovery and the lock only
     // fences tail_ against a concurrent Append.
-    visitor(pos, Slice(buf.data(), len));
+    visitor(pos, Slice(body, len));
     pos += kHeaderSize + len;
   }
   tail_ = pos;

@@ -33,9 +33,14 @@ class WriteAheadLog {
 
   /// Invokes `visitor(offset, record)` for each intact record in order.
   /// Returns OK even if the log ends in a torn record (that suffix is
-  /// silently dropped, as crash recovery requires).
+  /// silently dropped, as crash recovery requires). A record longer than
+  /// `max_visit` bytes is skipped unvisited after one short read of its
+  /// header; its length is still checked against the end of the log, so a
+  /// torn one ends the replay. Its body is not CRC-checked here; ReadRecord
+  /// checks it when the caller needs it.
   Status Replay(
-      const std::function<void(uint64_t offset, Slice record)>& visitor);
+      const std::function<void(uint64_t offset, Slice record)>& visitor,
+      uint32_t max_visit = UINT32_MAX);
 
   /// Reads the one record starting at `offset` (as returned by Append or
   /// passed to a Replay visitor). Corruption when it is torn, runs past the

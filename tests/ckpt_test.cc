@@ -5,6 +5,7 @@
 // wedge the pipeline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "faster/faster_store.h"
 #include "fault/fault_plane.h"
 #include "obs/metrics.h"
+#include "storage/wal.h"
 
 namespace dpr {
 namespace {
@@ -503,6 +505,180 @@ TEST(DeltaCheckpointTest, StoreStartsAFreshFullImageEverySixteenLinks) {
         ASSERT_EQ(v, it->second) << i << " key " << k;
       }
     }
+  }
+}
+
+// Offset and length of every record in the meta WAL of `meta`, read from a
+// durable copy so the counts below see none of these reads.
+std::vector<std::pair<uint64_t, uint64_t>> WalRecords(Device* meta) {
+  WriteAheadLog wal(DurablePrefix(meta, meta->Size()));
+  std::vector<std::pair<uint64_t, uint64_t>> records;
+  EXPECT_TRUE(wal.Replay([&](uint64_t offset, Slice rec) {
+                   records.emplace_back(offset, rec.size());
+                 }).ok());
+  return records;
+}
+
+TEST(DeltaCheckpointTest, CorruptImageBodyFallsBackToAScanRestore) {
+  // An image body is CRC-checked when a restore installs it, not when the
+  // crash replays the meta WAL. A flipped byte in the chain's full image
+  // must send the restore down the log scan, which still restores the
+  // token exactly.
+  MemoryDevice meta;
+  FasterOptions options;
+  options.index_buckets = 1 << 10;
+  options.log_device = std::make_unique<MemoryDevice>();
+  options.meta_device = std::make_unique<DeviceSlice>(&meta, 0);
+  FasterStore store(std::move(options));
+  auto session = store.NewSession();
+  std::map<uint64_t, uint64_t> live;
+  for (uint64_t k = 0; k < 300; ++k) {
+    ASSERT_TRUE(session->Upsert(k, 100 + k).ok());
+    live[k] = 100 + k;
+  }
+  Checkpoint(&store, /*image=*/true);
+  for (uint64_t k = 0; k < 30; ++k) {
+    ASSERT_TRUE(session->Upsert(k, 200 + k).ok());
+    live[k] = 200 + k;
+  }
+  const Version t2 = Checkpoint(&store, true);
+  ASSERT_TRUE(session->Upsert(0, uint64_t{9999}).ok());  // never stamped
+  session.reset();
+
+  // The longest record is the full image's body.
+  const auto records = WalRecords(&meta);
+  ASSERT_FALSE(records.empty());
+  const auto body = *std::max_element(
+      records.begin(), records.end(),
+      [](const auto& x, const auto& y) { return x.second < y.second; });
+  char byte;
+  const uint64_t at = body.first + 8 + body.second / 2;
+  ASSERT_TRUE(SyncIo::Read(&meta, at, &byte, 1).ok());
+  byte ^= 0x5a;
+  ASSERT_TRUE(SyncIo::Write(&meta, at, &byte, 1).ok());
+  ASSERT_TRUE(SyncIo::Fsync(&meta).ok());
+
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  store.SimulateCrash();
+  ASSERT_EQ(store.LargestDurableToken(), t2)
+      << "the replay registers the descriptors without reading the bodies";
+  Version restored = kInvalidVersion;
+  ASSERT_TRUE(store.RestoreCheckpoint(t2, &restored).ok());
+  EXPECT_EQ(restored, t2);
+  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+  EXPECT_EQ(CounterDelta(before, after, "ckpt.scan_restores"), 1u);
+  EXPECT_EQ(CounterDelta(before, after, "ckpt.chain_restores"), 0u);
+  auto reader = store.NewSession();
+  for (uint64_t k = 0; k < 300; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(reader->Read(k, &v).ok()) << "key " << k;
+    EXPECT_EQ(v, live.at(k)) << "key " << k;
+  }
+}
+
+// A meta device that counts the bytes read through it.
+class ReadCountingDevice : public Device {
+ public:
+  explicit ReadCountingDevice(Device* base) : base_(base) {}
+  void SubmitWrite(uint64_t offset, const void* data, size_t n,
+                   IoCallback done) override {
+    base_->SubmitWrite(offset, data, n, std::move(done));
+  }
+  void SubmitRead(uint64_t offset, void* buf, size_t n,
+                  IoCallback done) override {
+    bytes_read_.fetch_add(n, std::memory_order_relaxed);
+    base_->SubmitRead(offset, buf, n, std::move(done));
+  }
+  // SyncIo::Fsync fsyncs the base's root directly.
+  void SubmitFsync(IoCallback done) override { done(SyncIo::Fsync(base_)); }
+  uint64_t Size() const override { return base_->Size(); }
+  void SimulateCrash() override { base_->SimulateCrash(); }
+  void Truncate(uint64_t new_size) override { base_->Truncate(new_size); }
+  Device* SyncRoot() override { return base_->SyncRoot(); }
+  uint64_t bytes_read() const {
+    return bytes_read_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  Device* base_;
+  std::atomic<uint64_t> bytes_read_{0};
+};
+
+TEST(DeltaCheckpointTest, CrashReplayReadsNoImageBodies) {
+  // The crash replay must cost a few dozen bytes a record, however large
+  // the images are: it registers descriptors and skips image bodies.
+  for (const uint64_t keys : {uint64_t{500}, uint64_t{5000}}) {
+    MemoryDevice meta;
+    FasterOptions options;
+    options.index_buckets = 1 << 12;
+    options.log_device = std::make_unique<MemoryDevice>();
+    auto counting = std::make_unique<ReadCountingDevice>(&meta);
+    ReadCountingDevice* counter = counting.get();
+    options.meta_device = std::move(counting);
+    FasterStore store(std::move(options));
+    auto session = store.NewSession();
+    Version last = kInvalidVersion;
+    for (uint64_t round = 0; round < 6; ++round) {
+      // Every round rewrites half the keys: one full image, then deltas,
+      // with an image-less checkpoint in between.
+      for (uint64_t k = round % 2; k < keys; k += round == 0 ? 1 : 2) {
+        ASSERT_TRUE(session->Upsert(k, round * 100000 + k).ok());
+      }
+      last = Checkpoint(&store, /*image=*/round != 3);
+    }
+    session.reset();
+    const uint64_t records = WalRecords(&meta).size();
+    ASSERT_GE(records, 6u);
+
+    const uint64_t read_before = counter->bytes_read();
+    store.SimulateCrash();
+    const uint64_t replay_bytes = counter->bytes_read() - read_before;
+    EXPECT_LT(replay_bytes, 64 * records)
+        << keys << " keys: the replay read " << replay_bytes << " of "
+        << meta.Size() << " meta-WAL bytes";
+    Version restored = kInvalidVersion;
+    ASSERT_TRUE(store.RestoreCheckpoint(last, &restored).ok());
+    EXPECT_EQ(restored, last);
+    auto reader = store.NewSession();
+    for (uint64_t k = 0; k < keys; ++k) {
+      uint64_t v = 0;
+      ASSERT_TRUE(reader->Read(k, &v).ok()) << "key " << k;
+      EXPECT_EQ(v, (k % 2 == 1 ? 500000 : 400000) + k) << "key " << k;
+    }
+  }
+}
+
+uint64_t HistogramCountDelta(const MetricsSnapshot& before,
+                             const MetricsSnapshot& after,
+                             const std::string& name) {
+  const auto bit = before.histograms.find(name);
+  const auto ait = after.histograms.find(name);
+  const uint64_t b = bit == before.histograms.end() ? 0 : bit->second.count();
+  const uint64_t a = ait == after.histograms.end() ? 0 : ait->second.count();
+  return a - b;
+}
+
+TEST(DeltaCheckpointTest, ColdRestoreRecordsEachStageOnce) {
+  auto store = NewStore();
+  auto session = store->NewSession();
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(session->Upsert(k, k).ok());
+  }
+  Checkpoint(store.get(), /*image=*/true);
+  for (uint64_t k = 0; k < 10; ++k) {
+    ASSERT_TRUE(session->Upsert(k, 2 * k).ok());
+  }
+  const Version t2 = Checkpoint(store.get(), true);
+  session.reset();
+
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  store->SimulateCrash();
+  ASSERT_TRUE(store->RestoreCheckpoint(t2, nullptr).ok());
+  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+  for (const char* stage :
+       {"faster.restore.meta_replay_us", "faster.restore.log_load_us",
+        "faster.restore.image_install_us", "faster.restore.total_us"}) {
+    EXPECT_EQ(HistogramCountDelta(before, after, stage), 1u) << stage;
   }
 }
 

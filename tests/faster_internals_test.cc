@@ -90,10 +90,18 @@ TEST(LogAllocatorTest, RestoreToPositionsTail) {
   log.Allocate(64);
   log.Clear();
   EXPECT_EQ(log.tail(), LogAllocator::kBeginAddress);
-  log.RestoreTo(10000);
+  log.RestoreTo(5000, 10000);
   EXPECT_EQ(log.tail(), 10000u);
   // Restored region is resolvable.
   EXPECT_NE(log.Resolve(9000), nullptr);
+  // The bytes the caller does not load are zeroed: the pages below `from`
+  // and the rest of the last page.
+  for (uint64_t a = 0; a < 5000; ++a) {
+    ASSERT_EQ(*log.Resolve(a), 0) << a;
+  }
+  for (uint64_t a = 10000; a < 3 * log.page_size(); ++a) {
+    ASSERT_EQ(*log.Resolve(a), 0) << a;
+  }
 }
 
 TEST(HashIndexTest, RoundsBucketsToPowerOfTwo) {

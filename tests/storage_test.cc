@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "storage/device.h"
@@ -219,6 +221,59 @@ TEST(WalTest, TornTailRecordIsDropped) {
             Status::Code::kCorruption);
   EXPECT_EQ(wal.ReadRecord(raw->Size(), &rec).code(),
             Status::Code::kCorruption);
+}
+
+TEST(WalTest, ReplayCapSkipsLongRecordsUnread) {
+  auto device = std::make_unique<MemoryDevice>();
+  MemoryDevice* raw = device.get();
+  WriteAheadLog wal(std::move(device));
+  uint64_t a = 0;
+  uint64_t big = 0;
+  uint64_t b = 0;
+  ASSERT_TRUE(wal.Append("short-a", &a).ok());
+  ASSERT_TRUE(wal.Append(std::string(100, 'x'), &big).ok());
+  ASSERT_TRUE(wal.Append("short-b", &b).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  // A flipped byte in the long record's body: the capped replay never reads
+  // it, but ReadRecord still checks it.
+  char byte = 'y';
+  ASSERT_TRUE(SyncIo::Write(raw, big + 8 + 50, &byte, 1).ok());
+  ASSERT_TRUE(SyncIo::Fsync(raw).ok());
+  std::vector<std::pair<uint64_t, std::string>> seen;
+  auto collect = [&](uint64_t offset, Slice rec) {
+    seen.emplace_back(offset, rec.ToString());
+  };
+  ASSERT_TRUE(wal.Replay(collect, /*max_visit=*/16).ok());
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], std::make_pair(a, std::string("short-a")));
+  EXPECT_EQ(seen[1], std::make_pair(b, std::string("short-b")));
+  std::string rec;
+  EXPECT_EQ(wal.ReadRecord(big, &rec).code(), Status::Code::kCorruption);
+  // Uncapped, the replay reads the long record and stops at its bad CRC.
+  seen.clear();
+  ASSERT_TRUE(wal.Replay(collect).ok());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].first, a);
+}
+
+TEST(WalTest, SkippedRecordTornAtTheTailEndsTheReplay) {
+  auto device = std::make_unique<MemoryDevice>();
+  MemoryDevice* raw = device.get();
+  WriteAheadLog wal(std::move(device));
+  ASSERT_TRUE(wal.Append("short").ok());
+  uint64_t torn = 0;
+  ASSERT_TRUE(wal.Append(std::string(100, 'z'), &torn).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  raw->Truncate(torn + 8 + 50);  // the crash kept half the body
+  int visited = 0;
+  ASSERT_TRUE(wal.Replay([&](uint64_t, Slice) { ++visited; },
+                         /*max_visit=*/16)
+                  .ok());
+  EXPECT_EQ(visited, 1);
+  // The replay ended at the torn record, so the next append replaces it.
+  uint64_t next = 0;
+  ASSERT_TRUE(wal.Append("after", &next).ok());
+  EXPECT_EQ(next, torn);
 }
 
 TEST(WalTest, AppendAfterReplayContinuesAtTail) {
