@@ -75,6 +75,37 @@ void BM_FasterRmw(benchmark::State& state) {
 }
 BENCHMARK(BM_FasterRmw);
 
+// The FASTER stage of a batch: 64 random reads over a 1M-key store, with
+// (arg 1) and without (arg 0) Session::Prefetch over the batch first, as
+// DFasterWorker::RunOps does. Time is per batch: ns per read is Time / 64,
+// or 1e9 / items_per_second.
+void BM_FasterReadBatch64(benchmark::State& state) {
+  constexpr uint64_t kKeys = 1 << 20;
+  constexpr size_t kBatch = 64;
+  FasterOptions options;
+  options.index_buckets = 1 << 18;  // ~1.8M entries: no overflow buckets
+  options.log_device = std::make_unique<NullDevice>();
+  options.meta_device = std::make_unique<NullDevice>();
+  FasterStore store(std::move(options));
+  auto session = store.NewSession();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    benchmark::DoNotOptimize(session->Upsert(k, k));
+  }
+  const bool prefetch = state.range(0) != 0;
+  Random rng(4);
+  uint64_t keys[kBatch];
+  uint64_t value;
+  for (auto _ : state) {
+    for (uint64_t& k : keys) k = rng.Uniform(kKeys);
+    if (prefetch) session->Prefetch(keys, kBatch);
+    for (const uint64_t k : keys) {
+      benchmark::DoNotOptimize(session->Read(k, &value));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_FasterReadBatch64)->Arg(0)->Arg(1);
+
 void BM_EpochProtectRefresh(benchmark::State& state) {
   LightEpoch epoch;
   epoch.Protect();

@@ -34,10 +34,11 @@ const ClientMetrics& Metrics() {
 }  // namespace
 
 DFasterClient::DFasterClient(DFasterClientConfig config)
-    : config_(std::move(config)),
-      routes_(YcsbWorkload::kNumPartitions) {
+    : config_(std::move(config)) {
   for (uint32_t vp = 0; vp < YcsbWorkload::kNumPartitions; ++vp) {
-    routes_[vp] = YcsbWorkload::DefaultOwner(vp, config_.num_workers);
+    // relaxed: pre-publication init; sessions start after the constructor.
+    routes_[vp].store(YcsbWorkload::DefaultOwner(vp, config_.num_workers),
+                      std::memory_order_relaxed);
   }
   RefreshOwnership();
 }
@@ -98,16 +99,18 @@ void DFasterClient::TimerLoop() {
 }
 
 WorkerId DFasterClient::RouteOf(uint64_t key) const {
-  MutexLock guard(routes_mu_);
-  return routes_[YcsbWorkload::PartitionOf(key)];
+  // relaxed: a route is a hint that reaches no other memory (see routes_).
+  return routes_[YcsbWorkload::PartitionOf(key)].load(
+      std::memory_order_relaxed);
 }
 
 void DFasterClient::RefreshOwnership() {
   if (config_.metadata == nullptr) return;
-  const auto ownership = config_.metadata->GetOwnership();
-  MutexLock guard(routes_mu_);
-  for (const auto& [vp, worker] : ownership) {
-    if (vp < routes_.size()) routes_[vp] = worker;
+  for (const auto& [vp, worker] : config_.metadata->GetOwnership()) {
+    if (vp < routes_.size()) {
+      // relaxed: per-entry atomicity is all an op routing alone can see.
+      routes_[vp].store(worker, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -151,9 +154,9 @@ std::vector<WorkerId> DFasterClient::KnownWorkers() const {
     for (const auto& [id, conn] : remote_) ids.push_back(id);
     for (const auto& [id, w] : local_) ids.push_back(id);
   }
-  {
-    MutexLock guard(routes_mu_);
-    ids.insert(ids.end(), routes_.begin(), routes_.end());
+  for (const std::atomic<WorkerId>& route : routes_) {
+    // relaxed: a routing hint, like RouteOf's load.
+    ids.push_back(route.load(std::memory_order_relaxed));
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -214,9 +217,13 @@ void DFasterClient::Session::Flush() {
 }
 
 void DFasterClient::Session::Dispatch(WorkerId worker) {
-  PendingBatch batch = std::move(building_[worker]);
-  building_[worker].ops.clear();
-  building_[worker].callbacks.clear();
+  // The batch takes the slot's buffers (a moved-from vector is empty); the
+  // slot gets fresh ones of full size, so the next batch fills without
+  // regrowing.
+  PendingBatch& slot = building_[worker];
+  PendingBatch batch = std::move(slot);
+  slot.ops.reserve(client_->config_.batch_size);
+  slot.callbacks.reserve(client_->config_.batch_size);
   const uint64_t n = batch.ops.size();
   Metrics().batches->Add();
   Metrics().batch_fill->Record(n);
@@ -242,7 +249,7 @@ void DFasterClient::Session::SendBatch(WorkerId worker, PendingBatch batch) {
 }
 
 void DFasterClient::Session::FinishBatch(WorkerId /*worker*/,
-                                         PendingBatch batch,
+                                         PendingBatch& batch,
                                          const KvBatchResponse& resp) {
   const bool ok =
       resp.header.status == DprResponseHeader::BatchStatus::kOk &&
@@ -314,7 +321,7 @@ void DFasterClient::Session::ExecuteLocal(WorkerId worker,
                                           PendingBatch batch) {
   DFasterWorker* target = client_->Local(worker);
   KvBatchRequest req;
-  req.ops = batch.ops;
+  req.ops = std::move(batch.ops);  // lent to the request, returned below
   KvBatchResponse resp;
   for (int attempt = 0;; ++attempt) {
     req.header = dpr_session_.MakeHeader();
@@ -325,6 +332,7 @@ void DFasterClient::Session::ExecuteLocal(WorkerId worker,
     }
     SleepMicros(kRetryDelayUs);
   }
+  batch.ops = std::move(req.ops);
   if (resp.header.status == DprResponseHeader::BatchStatus::kOk) {
     dpr_session_.RecordBatch(worker, batch.ops.size(), resp.header);
   } else {
@@ -350,11 +358,9 @@ void DFasterClient::Session::SendRemote(WorkerId worker,
     FinishBatch(worker, *batch, resp);
     return;
   }
-  KvBatchRequest req;
-  req.header = dpr_session_.MakeHeader();
-  req.ops = batch->ops;
   std::string encoded;
-  req.EncodeTo(&encoded);
+  KvBatchRequest::Encode(dpr_session_.MakeHeader(), /*install=*/false,
+                         batch->ops, &encoded);
   conn->CallAsync(
       std::move(encoded),
       [this, worker, batch, start_seqno, attempt](Status s, Slice payload) {

@@ -1,6 +1,7 @@
 #ifndef DPR_DFASTER_CLIENT_H_
 #define DPR_DFASTER_CLIENT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "dpr/session.h"
 #include "metadata/metadata_store.h"
 #include "net/rpc.h"
+#include "workload/ycsb.h"
 
 namespace dpr {
 
@@ -94,9 +96,11 @@ class DFasterClient {
   std::map<WorkerId, std::unique_ptr<RpcConnection>> remote_
       GUARDED_BY(endpoints_mu_);
   std::map<WorkerId, DFasterWorker*> local_ GUARDED_BY(endpoints_mu_);
-  // Leaf lock: guards only the cached routing table.
-  mutable Mutex routes_mu_{LockRank::kClientWindow, "dfaster.client.routes"};
-  std::vector<WorkerId> routes_ GUARDED_BY(routes_mu_);  // partition -> worker
+  // Cached routing table, partition -> worker, read on every issued op.
+  // relaxed: each entry is a routing hint that reaches no other memory; an
+  // op routes on one entry alone, and a stale one is corrected by the
+  // worker's kNotOwner answer and a refresh.
+  std::array<std::atomic<WorkerId>, YcsbWorkload::kNumPartitions> routes_;
 
   void TimerLoop();
 
@@ -178,7 +182,9 @@ class DFasterClient::Session {
   void OnRemoteResponse(WorkerId worker, std::shared_ptr<PendingBatch> batch,
                         uint64_t start_seqno, int attempt, Status transport,
                         Slice payload);
-  void FinishBatch(WorkerId worker, PendingBatch batch,
+  /// Completes `batch` (callbacks, window, kNotOwner re-routes). Takes it
+  /// by reference: re-routed ops' callbacks are moved out of it.
+  void FinishBatch(WorkerId worker, PendingBatch& batch,
                    const KvBatchResponse& resp);
   /// Empty batch whose response refreshes the session's cut; true when the
   /// worker answered with kOk.

@@ -1,17 +1,37 @@
 #include "dfaster/protocol.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 
 namespace dpr {
 
-void KvBatchRequest::EncodeTo(std::string* dst) const {
+namespace {
+// Wire bytes per op (type, key, value) and per result (code, value).
+constexpr size_t kOpBytes = 17;
+constexpr size_t kResultBytes = 9;
+
+// Writes a fixed64 at `p` (space already reserved); returns the next byte.
+char* PutFixed64At(char* p, uint64_t v) {
+  memcpy(p, &v, 8);
+  return p + 8;
+}
+}  // namespace
+
+void KvBatchRequest::Encode(const DprRequestHeader& header, bool install,
+                            std::span<const KvOp> ops, std::string* dst) {
+  dst->reserve(dst->size() + header.EncodedSize() + 5 +
+               kOpBytes * ops.size());
   header.EncodeTo(dst);
   dst->push_back(install ? 1 : 0);
   PutFixed32(dst, static_cast<uint32_t>(ops.size()));
+  const size_t at = dst->size();
+  dst->resize(at + kOpBytes * ops.size());
+  char* p = dst->data() + at;
   for (const KvOp& op : ops) {
-    dst->push_back(static_cast<char>(op.type));
-    PutFixed64(dst, op.key);
-    PutFixed64(dst, op.value);
+    *p++ = static_cast<char>(op.type);
+    p = PutFixed64At(p, op.key);
+    p = PutFixed64At(p, op.value);
   }
 }
 
@@ -24,9 +44,9 @@ bool KvBatchRequest::DecodeFrom(Slice input) {
   install = (flags & 1) != 0;
   uint32_t n;
   if (!dec.GetFixed32(&n)) return false;
-  // Each op costs 17 wire bytes; reject counts the payload cannot hold
+  // Each op costs kOpBytes wire bytes; reject counts the payload cannot hold
   // (otherwise a hostile count triggers a huge allocation).
-  if (n > dec.remaining() / 17) return false;
+  if (n > dec.remaining() / kOpBytes) return false;
   ops.clear();
   ops.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -43,11 +63,16 @@ bool KvBatchRequest::DecodeFrom(Slice input) {
 }
 
 void KvBatchResponse::EncodeTo(std::string* dst) const {
+  dst->reserve(dst->size() + header.EncodedSize() + 4 +
+               kResultBytes * results.size());
   header.EncodeTo(dst);
   PutFixed32(dst, static_cast<uint32_t>(results.size()));
+  const size_t at = dst->size();
+  dst->resize(at + kResultBytes * results.size());
+  char* p = dst->data() + at;
   for (const KvOpResult& r : results) {
-    dst->push_back(static_cast<char>(r.result));
-    PutFixed64(dst, r.value);
+    *p++ = static_cast<char>(r.result);
+    p = PutFixed64At(p, r.value);
   }
 }
 
@@ -57,7 +82,7 @@ bool KvBatchResponse::DecodeFrom(Slice input) {
   Decoder dec(Slice(input.data() + consumed, input.size() - consumed));
   uint32_t n;
   if (!dec.GetFixed32(&n)) return false;
-  if (n > dec.remaining() / 9) return false;  // 9 wire bytes per result
+  if (n > dec.remaining() / kResultBytes) return false;
   results.clear();
   results.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

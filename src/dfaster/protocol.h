@@ -2,6 +2,7 @@
 #define DPR_DFASTER_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,12 @@ struct KvBatchRequest {
   bool install = false;
   std::vector<KvOp> ops;
 
-  void EncodeTo(std::string* dst) const;
+  /// Appends the encoded request to `dst`, reserving its exact size first.
+  void EncodeTo(std::string* dst) const { Encode(header, install, ops, dst); }
+  /// The same encoding from parts, so a caller that keeps its ops elsewhere
+  /// need not copy them into a request first.
+  static void Encode(const DprRequestHeader& header, bool install,
+                     std::span<const KvOp> ops, std::string* dst);
   bool DecodeFrom(Slice input);
 };
 
@@ -53,6 +59,7 @@ struct KvBatchResponse {
   DprResponseHeader header;
   std::vector<KvOpResult> results;
 
+  /// Appends the encoded response to `dst`, reserving its exact size first.
   void EncodeTo(std::string* dst) const;
   bool DecodeFrom(Slice input);
 };

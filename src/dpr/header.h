@@ -1,6 +1,7 @@
 #ifndef DPR_DPR_HEADER_H_
 #define DPR_DPR_HEADER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -27,6 +28,8 @@ struct DprRequestHeader {
   DependencySet deps;                 // per-worker max uncommitted version
   uint64_t cut_epoch = 0;             // epoch of the session's cut
 
+  /// Bytes EncodeTo appends: four fixed64s, then the EncodeCut of deps.
+  size_t EncodedSize() const { return 36 + 12 * deps.size(); }
   void EncodeTo(std::string* dst) const;
   bool DecodeFrom(Slice input, size_t* consumed = nullptr);
 };
@@ -52,6 +55,9 @@ struct DprResponseHeader {
   uint64_t cut_epoch = 0;  // epoch of the worker's cut
   DprCut cut;              // its entries; empty when the epochs matched
 
+  /// Bytes EncodeTo appends: the status byte, three fixed64s, then the
+  /// EncodeCut of cut.
+  size_t EncodedSize() const { return 29 + 12 * cut.size(); }
   void EncodeTo(std::string* dst) const;
   bool DecodeFrom(Slice input, size_t* consumed = nullptr);
 };

@@ -161,6 +161,21 @@ std::unique_ptr<FasterStore::Session> FasterStore::NewSession() {
 
 void FasterStore::Session::Refresh() { store_->epoch_.Refresh(); }
 
+void FasterStore::Session::Prefetch(const uint64_t* keys, size_t n) {
+  const FasterStore* s = store_;
+  if (s->crashed_.load(std::memory_order_acquire)) return;
+  // Two passes: every bucket miss is in flight before the first Head waits
+  // on one, and every head record before the batch's first op reads it.
+  for (size_t i = 0; i < n; ++i) s->index_.Prefetch(keys[i]);
+  const LogAddress begin = s->begin_.load(std::memory_order_acquire);
+  for (size_t i = 0; i < n; ++i) {
+    const LogAddress head = s->index_.Head(keys[i]);
+    if (head != kNullAddress && head >= begin) {
+      __builtin_prefetch(s->log_.RecordAt(head));
+    }
+  }
+}
+
 Status FasterStore::Session::Read(uint64_t key, std::string* value) {
   if (++ops_since_refresh_ >= 256) {
     ops_since_refresh_ = 0;

@@ -75,6 +75,13 @@ class FasterStore : public StateObject {
     Status Rmw(uint64_t key, uint64_t delta, uint64_t* result = nullptr);
     Status Delete(uint64_t key);
 
+    /// Starts loading the index buckets of `keys[0..n)` and then the head
+    /// record of each key's chain, so a batch of ops that follows overlaps
+    /// its cache misses instead of taking them one op at a time. A pure
+    /// hint: it writes nothing, does nothing on a crashed store, and skips
+    /// heads below the log's begin address (their pages may be freed).
+    void Prefetch(const uint64_t* keys, size_t n);
+
     /// Re-publishes the epoch; call periodically from long-running loops.
     void Refresh();
 

@@ -15,20 +15,11 @@ namespace dpr {
 
 namespace {
 
-struct InMemNetMetrics {
-  Counter* requests;
-  Gauge* queue_depth;
-  Gauge* queue_peak;
-};
-
-const InMemNetMetrics& Metrics() {
-  static const InMemNetMetrics m = [] {
-    MetricsRegistry& r = MetricsRegistry::Default();
-    return InMemNetMetrics{r.counter("net.inmemory.requests"),
-                           r.gauge("net.inmemory.queue_depth"),
-                           r.gauge("net.inmemory.queue_peak")};
-  }();
-  return m;
+// Queue depth and peak are the executor's own net.executor.* gauges.
+Counter* RequestsCounter() {
+  static Counter* const c =
+      MetricsRegistry::Default().counter("net.inmemory.requests");
+  return c;
 }
 
 }  // namespace
@@ -91,7 +82,7 @@ class InMemoryNetwork::Server : public RpcServer {
 
   void Enqueue(std::string request, RpcConnection::ResponseCallback callback,
                uint64_t deliver_at_us) {
-    Metrics().requests->Add();
+    RequestsCounter()->Add();
     std::shared_ptr<Executor> executor;
     {
       MutexLock guard(mu_);
@@ -108,11 +99,7 @@ class InMemoryNetwork::Server : public RpcServer {
     const bool accepted = executor->Submit([this, call] { RunCall(*call); });
     if (!accepted) {
       call->callback(Status::Unavailable("server stopped"), Slice());
-      return;
     }
-    const auto depth = static_cast<int64_t>(executor->queue_depth());
-    Metrics().queue_depth->Set(depth);
-    Metrics().queue_peak->UpdateMax(depth);
   }
 
  private:
@@ -127,8 +114,6 @@ class InMemoryNetwork::Server : public RpcServer {
     bool dead;
     {
       MutexLock guard(mu_);
-      Metrics().queue_depth->Set(
-          executor_ ? static_cast<int64_t>(executor_->queue_depth()) : 0);
       dead = stopping_ || !running_;
     }
     if (dead) {

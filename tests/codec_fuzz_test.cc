@@ -141,6 +141,80 @@ TEST_P(CodecFuzz, ValidEncodingsRoundTrip) {
   }
 }
 
+// EncodeTo appends after whatever `dst` already holds (it reserves, never
+// overwrites), and the appended bytes decode to the same batch.
+TEST_P(CodecFuzz, EncodeAppendsToANonEmptyBuffer) {
+  Random rng(GetParam());
+  for (int i = 0; i < 500; ++i) {
+    KvBatchRequest req;
+    req.header.session_id = rng.Next();
+    req.header.version = rng.Uniform(1000);
+    const int deps = static_cast<int>(rng.Uniform(5));
+    for (int d = 0; d < deps; ++d) {
+      req.header.deps[static_cast<WorkerId>(rng.Uniform(16))] =
+          rng.Uniform(1000);
+    }
+    req.install = rng.Uniform(2) == 1;
+    const int n = static_cast<int>(rng.Uniform(80));
+    for (int o = 0; o < n; ++o) {
+      req.ops.push_back(KvOp{static_cast<KvOp::Type>(1 + rng.Uniform(4)),
+                             rng.Next(), rng.Next()});
+    }
+    KvBatchResponse resp;
+    resp.header.executed_version = rng.Uniform(1000);
+    const int entries = static_cast<int>(rng.Uniform(5));
+    for (int e = 0; e < entries; ++e) {
+      resp.header.cut[static_cast<WorkerId>(rng.Uniform(16))] =
+          rng.Uniform(1000);
+    }
+    for (int o = 0; o < n; ++o) {
+      resp.results.push_back(
+          KvOpResult{static_cast<KvResult>(rng.Uniform(4)), rng.Next()});
+    }
+
+    const std::string prefix = "p" + RandomBytes(rng, 40);
+    std::string req_buf = prefix;
+    req.EncodeTo(&req_buf);
+    ASSERT_EQ(req_buf.compare(0, prefix.size(), prefix), 0);
+    const Slice req_tail(req_buf.data() + prefix.size(),
+                         req_buf.size() - prefix.size());
+    ASSERT_EQ(req_tail.size(),
+              req.header.EncodedSize() + 5 + 17 * req.ops.size());
+    std::string parts = prefix;
+    KvBatchRequest::Encode(req.header, req.install, req.ops, &parts);
+    ASSERT_EQ(parts, req_buf);
+    KvBatchRequest req_round;
+    ASSERT_TRUE(req_round.DecodeFrom(req_tail));
+    ASSERT_EQ(req_round.header.session_id, req.header.session_id);
+    ASSERT_EQ(req_round.header.deps, req.header.deps);
+    ASSERT_EQ(req_round.install, req.install);
+    ASSERT_EQ(req_round.ops.size(), req.ops.size());
+    for (size_t o = 0; o < req.ops.size(); ++o) {
+      ASSERT_EQ(req_round.ops[o].type, req.ops[o].type);
+      ASSERT_EQ(req_round.ops[o].key, req.ops[o].key);
+      ASSERT_EQ(req_round.ops[o].value, req.ops[o].value);
+    }
+
+    std::string resp_buf = prefix;
+    resp.EncodeTo(&resp_buf);
+    ASSERT_EQ(resp_buf.compare(0, prefix.size(), prefix), 0);
+    const Slice resp_tail(resp_buf.data() + prefix.size(),
+                          resp_buf.size() - prefix.size());
+    ASSERT_EQ(resp_tail.size(),
+              resp.header.EncodedSize() + 4 + 9 * resp.results.size());
+    KvBatchResponse resp_round;
+    ASSERT_TRUE(resp_round.DecodeFrom(resp_tail));
+    ASSERT_EQ(resp_round.header.executed_version,
+              resp.header.executed_version);
+    ASSERT_EQ(resp_round.header.cut, resp.header.cut);
+    ASSERT_EQ(resp_round.results.size(), resp.results.size());
+    for (size_t o = 0; o < resp.results.size(); ++o) {
+      ASSERT_EQ(resp_round.results[o].result, resp.results[o].result);
+      ASSERT_EQ(resp_round.results[o].value, resp.results[o].value);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(101, 202, 303));
 
 TEST(CodecFuzzTest, TruncatedValidEncodingsRejected) {

@@ -500,5 +500,130 @@ TEST(FasterStoreTest, PageSpanningAllocations) {
   }
 }
 
+// Prefetches `keys`, then runs one op on each (read, upsert, RMW or delete,
+// rotating with `round`) and checks every result against `model`, which it
+// keeps up to date; then reads every key back.
+void PrefetchThenApply(FasterStore::Session* session,
+                       const std::vector<uint64_t>& keys, uint64_t round,
+                       std::map<uint64_t, uint64_t>* model) {
+  session->Prefetch(keys.data(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t k = keys[i];
+    const auto it = model->find(k);
+    const bool present = it != model->end();
+    uint64_t v = 0;
+    switch ((i + round) % 4) {
+      case 0: {
+        const Status s = session->Read(k, &v);
+        if (!present) {
+          ASSERT_TRUE(s.IsNotFound()) << "key " << k << ": " << s.ToString();
+        } else {
+          ASSERT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
+          ASSERT_EQ(v, it->second) << "key " << k;
+        }
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(session->Upsert(k, round * 1000 + k).ok());
+        (*model)[k] = round * 1000 + k;
+        break;
+      case 2: {
+        const uint64_t base = present ? it->second : 0;
+        ASSERT_TRUE(session->Rmw(k, 3, &v).ok());
+        ASSERT_EQ(v, base + 3) << "key " << k;
+        (*model)[k] = base + 3;
+        break;
+      }
+      case 3:
+        ASSERT_TRUE(session->Delete(k).ok());
+        model->erase(k);
+        break;
+    }
+  }
+  for (const uint64_t k : keys) {
+    uint64_t v = 0;
+    const Status s = session->Read(k, &v);
+    const auto it = model->find(k);
+    if (it == model->end()) {
+      ASSERT_TRUE(s.IsNotFound()) << "key " << k;
+    } else {
+      ASSERT_TRUE(s.ok()) << "key " << k;
+      ASSERT_EQ(v, it->second) << "key " << k;
+    }
+  }
+}
+
+TEST(FasterStoreTest, PrefetchIsOnlyAHint) {
+  FasterOptions options;
+  options.index_buckets = 1 << 8;
+  options.page_bits = 12;  // 4 KiB pages, so compaction frees some
+  options.log_device = std::make_unique<MemoryDevice>();
+  options.meta_device = std::make_unique<MemoryDevice>();
+  FasterStore store(std::move(options));
+  std::map<uint64_t, uint64_t> model;
+  {
+    auto session = store.NewSession();
+    for (uint64_t k = 0; k < 2000; ++k) {
+      ASSERT_TRUE(session->Upsert(k, k + 1).ok());
+      model[k] = k + 1;
+    }
+    // Deleted before the compaction: the tombstone is not copied forward,
+    // so these keys' chains start below the new begin address.
+    for (uint64_t k = 0; k < 100; ++k) {
+      ASSERT_TRUE(session->Delete(k).ok());
+      model.erase(k);
+    }
+  }
+  const Version safe = Checkpoint(&store);
+  Version compaction = kInvalidVersion;
+  ASSERT_TRUE(store.StartCompaction(safe, &compaction).ok());
+  ASSERT_TRUE(store.FinishCompaction(compaction, compaction).ok());
+  ASSERT_GE(store.begin_address(), LogAddress{4} << 12);  // pages freed
+
+  auto session = store.NewSession();
+  for (uint64_t k = 100; k < 150; ++k) {  // deleted above the begin address
+    ASSERT_TRUE(session->Delete(k).ok());
+    model.erase(k);
+  }
+  // One batch of each kind of key, and batches that mix them.
+  std::vector<uint64_t> absent = {5000, 5001, 5002, 5003, 5004, 5005};
+  std::vector<uint64_t> deleted = {100, 101, 102, 103, 104, 105};
+  std::vector<uint64_t> below_begin = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::vector<uint64_t> live = {1000, 1001, 1002, 1003, 1004, 1005};
+  std::vector<uint64_t> mixed;
+  for (const std::vector<uint64_t>* kind :
+       {&absent, &deleted, &below_begin, &live}) {
+    mixed.insert(mixed.end(), kind->begin(), kind->end());
+  }
+  uint64_t round = 0;
+  for (const std::vector<uint64_t>* keys :
+       {&absent, &deleted, &below_begin, &live, &mixed}) {
+    for (int i = 0; i < 4; ++i) {
+      PrefetchThenApply(session.get(), *keys, ++round, &model);
+    }
+  }
+
+  // On a crashed store Prefetch does nothing and every op still fails.
+  const Version token = Checkpoint(&store);
+  session.reset();
+  store.SimulateCrash();
+  {
+    auto crashed = store.NewSession();
+    crashed->Prefetch(mixed.data(), mixed.size());
+    uint64_t v = 0;
+    for (const uint64_t k : mixed) {
+      ASSERT_TRUE(crashed->Read(k, &v).IsUnavailable()) << "key " << k;
+      ASSERT_TRUE(crashed->Upsert(k, uint64_t{1}).IsUnavailable());
+    }
+  }
+  Version restored = kInvalidVersion;
+  ASSERT_TRUE(store.RestoreCheckpoint(token, &restored).ok());
+  ASSERT_EQ(restored, token);
+  auto fresh = store.NewSession();
+  for (int i = 0; i < 4; ++i) {
+    PrefetchThenApply(fresh.get(), mixed, ++round, &model);
+  }
+}
+
 }  // namespace
 }  // namespace dpr

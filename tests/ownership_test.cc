@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <map>
+#include <thread>
+#include <vector>
 #include "common/sync.h"
 
 #include "common/clock.h"
@@ -152,6 +154,88 @@ TEST(OwnershipTest, WritesDuringTransferAreNotLost) {
   // The final read must see a value at least as new as the last
   // acknowledged write that happened strictly after the transfer.
   EXPECT_GE(value.load(), last_written.load());
+}
+
+// Upserts every key of `keys` (one full batch) and checks that every
+// callback fired exactly once, with kOk.
+void UpsertMixedBatch(DFasterClient::Session* session,
+                      const std::vector<uint64_t>& keys, uint64_t round) {
+  std::vector<std::atomic<int>> fired(keys.size());
+  std::vector<std::atomic<int>> not_ok(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    session->Upsert(keys[i], round * 1000 + i,
+                    [&fired, &not_ok, i](KvResult r, uint64_t) {
+                      fired[i].fetch_add(1);
+                      if (r != KvResult::kOk) not_ok[i].fetch_add(1);
+                    });
+  }
+  ASSERT_TRUE(session->WaitForAll().ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(fired[i].load(), 1) << "round " << round << " op " << i;
+    EXPECT_EQ(not_ok[i].load(), 0) << "round " << round << " op " << i;
+  }
+}
+
+// A full batch mixes a partition that migrates with one that stays put. The
+// migrating half comes back kNotOwner and is re-routed out of the batch the
+// client completes in place; the stable half completes with it.
+void MixedBatchAcrossMigration(bool colocated) {
+  DFasterCluster cluster(Opts());
+  ASSERT_TRUE(cluster.Start().ok());
+  const uint32_t moving = PartitionOnWorker(0, 2);
+  uint32_t stable = moving + 1;
+  while (YcsbWorkload::DefaultOwner(stable, 2) != 0) ++stable;
+  std::vector<uint64_t> keys;
+  uint64_t next[2] = {0, 0};
+  for (size_t i = 0; i < 64; ++i) {
+    const uint32_t vp = i % 2 == 0 ? moving : stable;
+    uint64_t& k = next[i % 2];
+    while (YcsbWorkload::PartitionOf(k) != vp) ++k;
+    keys.push_back(k++);
+  }
+  auto client = colocated ? cluster.NewColocatedClient(0, 64, 256)
+                          : cluster.NewClient(64, 256);
+  auto session = client->NewSession(1);
+  uint64_t round = 0;
+  UpsertMixedBatch(session.get(), keys, ++round);
+
+  // The client's routing table is now stale: the whole batch goes to
+  // worker 0, which owns only the stable half.
+  ASSERT_TRUE(cluster.MigratePartition(moving, 1).ok());
+  UpsertMixedBatch(session.get(), keys, ++round);
+  EXPECT_EQ(client->RouteOf(keys[0]), 1u);
+
+  // Batches keep flowing while the partition moves back.
+  std::atomic<bool> moved{false};
+  std::thread mover([&] {
+    EXPECT_TRUE(cluster.MigratePartition(moving, 0).ok());
+    moved.store(true);
+  });
+  while (!moved.load()) UpsertMixedBatch(session.get(), keys, ++round);
+  mover.join();
+  UpsertMixedBatch(session.get(), keys, ++round);
+
+  // Every re-routed write landed: a fresh client reads the last round.
+  auto reader = cluster.NewClient(64, 256);
+  auto rsession = reader->NewSession(2);
+  std::vector<std::atomic<uint64_t>> seen(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    rsession->Read(keys[i], [&seen, i](KvResult r, uint64_t v) {
+      if (r == KvResult::kOk) seen[i].store(v);
+    });
+  }
+  ASSERT_TRUE(rsession->WaitForAll().ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(seen[i].load(), round * 1000 + i) << "key " << keys[i];
+  }
+}
+
+TEST(OwnershipTest, MixedBatchReroutesMigratingKeysExactlyOnce) {
+  MixedBatchAcrossMigration(/*colocated=*/false);
+}
+
+TEST(OwnershipTest, ColocatedMixedBatchReroutesMigratingKeysExactlyOnce) {
+  MixedBatchAcrossMigration(/*colocated=*/true);
 }
 
 TEST(OwnershipTest, CommitsContinueAfterTransfer) {
