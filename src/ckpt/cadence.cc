@@ -74,9 +74,9 @@ CkptDecision CkptCadenceController::Decide(const CkptSignals& signals,
   CkptDecision d;
   if (signals.dirty_bytes == 0 && issued_any_) {
     // Idle shard: nothing new to persist, so skip the checkpoint (no WAL
-    // append, no fsync). DPR-safe: the cut is a per-worker vector, and an
-    // idle worker's row already covers every version a peer can depend
-    // on, and its watermark moves with the finder's published cut.
+    // append, no fsync). Only kEventual shards read idle: a kDpr worker's
+    // signal never does (DFasterWorker::CollectCkptSignals), and a D-Redis
+    // proxy's is unset, which reads as always dirty.
     last_was_skip_ = true;
     d.action = CkptAction::kSkip;
     d.next_delay_us = ceiling_us_;

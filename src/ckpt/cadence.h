@@ -36,9 +36,11 @@ struct CkptDecision {
 /// more often (about 1 MiB of fresh log per checkpoint, down to a quarter of
 /// the interval), and idle shards skip the checkpoint entirely (no WAL
 /// append, no fsync) and keep ticking only to notice when they turn dirty
-/// again (their watermark moves with the finder's published cut, not with
-/// the tick). Whether a checkpoint persists a full or a delta index image
-/// is the store's choice (FasterStore::FlushLoop).
+/// again. Only a kEventual shard ever reads idle: a kDpr shard's signal
+/// never does (DFasterWorker::CollectCkptSignals), because the approximate
+/// cut is the minimum persisted version over all workers. Whether a
+/// checkpoint persists a full or a delta index image is the store's choice
+/// (FasterStore::FlushLoop).
 ///
 /// Not thread-safe: one controller per CkptLoop.
 class CkptCadenceController {

@@ -12,8 +12,10 @@ namespace dpr {
 namespace {
 constexpr int kMaxBatchRetries = 400;     // paired with 1 ms backoff: covers
 constexpr uint64_t kRetryDelayUs = 1000;  // several recovery windows
-// Re-route attempts per op before reporting kNotOwner to the caller.
+// Re-route attempts per op before reporting kNotOwner to the caller, and the
+// backoff before each re-route.
 constexpr int kMaxRerouteAttempts = 8;
+constexpr uint64_t kRerouteDelayUs = 500;
 
 struct ClientMetrics {
   ShardedHistogram* batch_fill;  // ops per dispatched batch (vs. batch_size)
@@ -239,176 +241,124 @@ void DFasterClient::Session::Dispatch(WorkerId worker) {
 }
 
 void DFasterClient::Session::SendBatch(WorkerId worker, PendingBatch batch) {
-  if (client_->Local(worker) != nullptr) {
-    ExecuteLocal(worker, std::move(batch));
+  batch.start_seqno = dpr_session_.IssuePending(worker, batch.ops.size());
+  Exchange(worker, std::make_shared<PendingBatch>(std::move(batch)));
+}
+
+void DFasterClient::Session::Exchange(WorkerId worker,
+                                      std::shared_ptr<PendingBatch> batch) {
+  KvBatchResponse resp;
+  if (DFasterWorker* local = client_->Local(worker)) {
+    // Co-located worker: shared-memory execution, nothing encoded (§5.2).
+    KvBatchRequest req;
+    req.header = dpr_session_.MakeHeader();
+    req.ops = std::move(batch->ops);  // lent to the request, returned below
+    local->ExecuteBatch(req, &resp);
+    batch->ops = std::move(req.ops);
+    OnResponse(worker, std::move(batch), /*delivered=*/true, resp);
     return;
   }
-  const uint64_t start = dpr_session_.IssuePending(worker, batch.ops.size());
-  SendRemote(worker, std::make_shared<PendingBatch>(std::move(batch)), start,
-             0);
-}
-
-void DFasterClient::Session::FinishBatch(WorkerId /*worker*/,
-                                         PendingBatch& batch,
-                                         const KvBatchResponse& resp) {
-  const bool ok =
-      resp.header.status == DprResponseHeader::BatchStatus::kOk &&
-      resp.results.size() == batch.ops.size();
-  // Ownership may have moved (paper 5.3): refresh the routing cache and
-  // transparently re-route rejected ops; the key is momentarily unowned
-  // during a transfer, so bounded retries are expected.
-  std::map<WorkerId, PendingBatch> reroutes;
-  uint64_t finished = 0;
-  if (ok && batch.reroute_attempts < kMaxRerouteAttempts) {
-    bool any_not_owner = false;
-    for (const KvOpResult& r : resp.results) {
-      if (r.result == KvResult::kNotOwner) {
-        any_not_owner = true;
-        break;
-      }
-    }
-    if (any_not_owner) {
-      client_->RefreshOwnership();
-      for (size_t i = 0; i < batch.ops.size(); ++i) {
-        if (resp.results[i].result == KvResult::kNotOwner) {
-          const WorkerId target = client_->RouteOf(batch.ops[i].key);
-          PendingBatch& rb = reroutes[target];
-          rb.reroute_attempts = batch.reroute_attempts + 1;
-          rb.ops.push_back(batch.ops[i]);
-          rb.callbacks.push_back(std::move(batch.callbacks[i]));
-        } else {
-          if (batch.callbacks[i]) {
-            batch.callbacks[i](resp.results[i].result, resp.results[i].value);
-          }
-          ++finished;
-        }
-      }
-      {
-        // Notify under mu_: ~Session's WaitForAll may destroy the cv the
-        // instant its predicate holds, so the broadcast must complete before
-        // the waiter can re-acquire the mutex and return.
-        MutexLock guard(mu_);
-        outstanding_ -= finished;
-        window_cv_.NotifyAll();
-      }
-      // Back off slightly: mid-transfer the partition has no owner yet.
-      if (!reroutes.empty()) SleepMicros(500);
-      for (auto& [target, rb] : reroutes) {
-        SendBatch(target, std::move(rb));
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < batch.callbacks.size(); ++i) {
-    if (!batch.callbacks[i]) continue;
-    if (ok) {
-      batch.callbacks[i](resp.results[i].result, resp.results[i].value);
-    } else {
-      batch.callbacks[i](KvResult::kError, 0);
-    }
-  }
-  if (!ok) ops_failed_.fetch_add(batch.ops.size(), std::memory_order_relaxed);
-  {
-    // Notify under mu_ (see above): keeps the cv alive across the broadcast
-    // when ~Session is waiting on it.
-    MutexLock guard(mu_);
-    outstanding_ -= batch.ops.size();
-    window_cv_.NotifyAll();
-  }
-}
-
-void DFasterClient::Session::ExecuteLocal(WorkerId worker,
-                                          PendingBatch batch) {
-  DFasterWorker* target = client_->Local(worker);
-  KvBatchRequest req;
-  req.ops = std::move(batch.ops);  // lent to the request, returned below
-  KvBatchResponse resp;
-  for (int attempt = 0;; ++attempt) {
-    req.header = dpr_session_.MakeHeader();
-    target->ExecuteBatch(req, &resp);
-    if (resp.header.status != DprResponseHeader::BatchStatus::kRetryLater ||
-        attempt >= kMaxBatchRetries) {
-      break;
-    }
-    SleepMicros(kRetryDelayUs);
-  }
-  batch.ops = std::move(req.ops);
-  if (resp.header.status == DprResponseHeader::BatchStatus::kOk) {
-    dpr_session_.RecordBatch(worker, batch.ops.size(), resp.header);
-  } else {
-    // Failed batch: ops had no effect; record them as vacuously-committed
-    // no-ops and remember the observed world-line.
-    DprResponseHeader vacuous;
-    vacuous.executed_version = kInvalidVersion;
-    dpr_session_.RecordBatch(worker, batch.ops.size(), vacuous);
-    dpr_session_.Observe(resp.header);
-  }
-  FinishBatch(worker, batch, resp);
-}
-
-void DFasterClient::Session::SendRemote(WorkerId worker,
-                                        std::shared_ptr<PendingBatch> batch,
-                                        uint64_t start_seqno, int attempt) {
   RpcConnection* conn = client_->Connection(worker);
   if (conn == nullptr) {
-    KvBatchResponse resp;
-    resp.header.status = DprResponseHeader::BatchStatus::kRetryLater;
-    DprResponseHeader vacuous;
-    dpr_session_.ResolvePending(start_seqno, vacuous);
-    FinishBatch(worker, *batch, resp);
+    OnResponse(worker, std::move(batch), /*delivered=*/false, resp);
     return;
   }
   std::string encoded;
   KvBatchRequest::Encode(dpr_session_.MakeHeader(), /*install=*/false,
                          batch->ops, &encoded);
-  conn->CallAsync(
-      std::move(encoded),
-      [this, worker, batch, start_seqno, attempt](Status s, Slice payload) {
-        OnRemoteResponse(worker, batch, start_seqno, attempt, std::move(s),
-                         payload);
-      });
+  conn->CallAsync(std::move(encoded),
+                  [this, worker, batch](Status s, Slice payload) mutable {
+                    KvBatchResponse decoded;
+                    const bool delivered =
+                        s.ok() && decoded.DecodeFrom(payload);
+                    OnResponse(worker, std::move(batch), delivered, decoded);
+                  });
 }
 
-void DFasterClient::Session::OnRemoteResponse(
-    WorkerId worker, std::shared_ptr<PendingBatch> batch, uint64_t start_seqno,
-    int attempt, Status transport, Slice payload) {
-  KvBatchResponse resp;
-  if (transport.ok() && resp.DecodeFrom(payload)) {
-    if (resp.header.status == DprResponseHeader::BatchStatus::kRetryLater &&
-        attempt < kMaxBatchRetries) {
-      // Worker mid-recovery (or behind our world-line): back off and resend
-      // with a refreshed header. The ops keep their seqnos. The backoff is
-      // scheduled, never slept inline: this callback runs on the transport's
-      // delivery thread, and with the io_uring client that one thread
-      // serves every connection in the process — sleeping here would stall
-      // all client traffic for the duration (~Session keeps `this` alive
-      // while the batch is outstanding).
-      client_->RunAfter(kRetryDelayUs,
-                        [this, worker, batch = std::move(batch), start_seqno,
-                         attempt]() mutable {
-                          SendRemote(worker, std::move(batch), start_seqno,
-                                     attempt + 1);
-                        });
-      return;
-    }
-    if (resp.header.status == DprResponseHeader::BatchStatus::kOk) {
-      dpr_session_.ResolvePending(start_seqno, resp.header);
-      FinishBatch(worker, *batch, resp);
-      return;
-    }
-    // World-line shift (or retries exhausted): the batch never executed.
-    DprResponseHeader vacuous;
-    dpr_session_.ResolvePending(start_seqno, vacuous);
-    dpr_session_.Observe(resp.header);
-    FinishBatch(worker, *batch, resp);
+void DFasterClient::Session::OnResponse(WorkerId worker,
+                                        std::shared_ptr<PendingBatch> batch,
+                                        bool delivered,
+                                        const KvBatchResponse& resp) {
+  using BatchStatus = DprResponseHeader::BatchStatus;
+  if (delivered && resp.header.status == BatchStatus::kRetryLater &&
+      batch->attempt < kMaxBatchRetries) {
+    // Worker mid-recovery (or behind our world-line): back off and resend
+    // with a refreshed header. The ops keep their seqnos. The backoff is
+    // scheduled, never slept inline: a remote response runs on the
+    // transport's delivery thread, and with the io_uring client that one
+    // thread serves every connection in the process (~Session keeps `this`
+    // alive while the batch is outstanding).
+    ++batch->attempt;
+    client_->RunAfter(kRetryDelayUs,
+                      [this, worker, batch = std::move(batch)]() mutable {
+                        Exchange(worker, std::move(batch));
+                      });
     return;
   }
-  // Transport failure.
-  DprResponseHeader vacuous;
-  dpr_session_.ResolvePending(start_seqno, vacuous);
-  KvBatchResponse failed;
-  failed.header.status = DprResponseHeader::BatchStatus::kRetryLater;
-  FinishBatch(worker, *batch, failed);
+  const bool executed = delivered && resp.header.status == BatchStatus::kOk;
+  if (executed) {
+    dpr_session_.ResolvePending(batch->start_seqno, resp.header);
+  } else {
+    // World-line shift, retries exhausted or no transport: the batch never
+    // executed, so its ops commit vacuously as no-ops.
+    dpr_session_.ResolvePending(batch->start_seqno, DprResponseHeader{});
+    if (delivered) dpr_session_.Observe(resp.header);
+  }
+  FinishBatch(*batch, executed && resp.results.size() == batch->ops.size()
+                          ? &resp
+                          : nullptr);
+}
+
+void DFasterClient::Session::FinishBatch(PendingBatch& batch,
+                                         const KvBatchResponse* resp) {
+  // Ownership may have moved (paper 5.3): refresh the routing cache and
+  // transparently re-route rejected ops; the key is momentarily unowned
+  // during a transfer, so bounded retries are expected.
+  const bool may_reroute =
+      resp != nullptr && batch.reroute_attempts < kMaxRerouteAttempts;
+  std::map<WorkerId, PendingBatch> reroutes;
+  uint64_t finished = 0;
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    const KvResult result =
+        resp != nullptr ? resp->results[i].result : KvResult::kError;
+    if (result == KvResult::kNotOwner && may_reroute) {
+      if (reroutes.empty()) client_->RefreshOwnership();
+      PendingBatch& rb = reroutes[client_->RouteOf(batch.ops[i].key)];
+      rb.reroute_attempts = batch.reroute_attempts + 1;
+      rb.ops.push_back(batch.ops[i]);
+      rb.callbacks.push_back(std::move(batch.callbacks[i]));
+      continue;
+    }
+    if (batch.callbacks[i]) {
+      batch.callbacks[i](result, resp != nullptr ? resp->results[i].value : 0);
+    }
+    ++finished;
+  }
+  if (resp == nullptr) {
+    ops_failed_.fetch_add(batch.ops.size(), std::memory_order_relaxed);
+  }
+  {
+    // Notify under mu_: ~Session's WaitForAll may destroy the cv the instant
+    // its predicate holds, so the broadcast must complete before the waiter
+    // can re-acquire the mutex and return.
+    MutexLock guard(mu_);
+    DPR_CHECK_MSG(outstanding_ >= finished,
+                  "session %llu completes %llu ops with %llu outstanding",
+                  static_cast<unsigned long long>(dpr_session_.session_id()),
+                  static_cast<unsigned long long>(finished),
+                  static_cast<unsigned long long>(outstanding_));
+    outstanding_ -= finished;
+    window_cv_.NotifyAll();
+  }
+  // Re-routed ops keep their window slots. They are resent after a short
+  // backoff (mid-transfer the partition has no owner yet), scheduled like a
+  // retry rather than slept on this thread.
+  for (auto& [target, rb] : reroutes) {
+    client_->RunAfter(kRerouteDelayUs,
+                      [this, target, rb = std::move(rb)]() mutable {
+                        SendBatch(target, std::move(rb));
+                      });
+  }
 }
 
 Status DFasterClient::Session::WaitForAll(uint64_t timeout_ms) {

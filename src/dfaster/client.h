@@ -84,7 +84,7 @@ class DFasterClient {
   /// thread — with the io_uring client every connection in the process
   /// shares one loop thread, so a SleepMicros inside a callback stalls all
   /// client traffic (including the finder reports recovery depends on).
-  /// Batch retries schedule themselves here instead.
+  /// Batch retries and re-routes schedule themselves here instead.
   void RunAfter(uint64_t delay_us, std::function<void()> fn);
 
   DFasterClientConfig config_;
@@ -116,8 +116,10 @@ class DFasterClient {
 };
 
 /// A client session: batched, windowed, asynchronous single-key operations
-/// with DPR tracking (libDPR client side). Local keys execute synchronously
-/// through shared memory; remote keys go PENDING and resolve via relaxed DPR.
+/// with DPR tracking (libDPR client side). Every batch is numbered when it
+/// is issued and resolved when its response arrives (relaxed DPR); a
+/// co-located worker answers in place through shared memory, a remote one
+/// over its connection.
 class DFasterClient::Session {
  public:
   using OpCallback = std::function<void(KvResult, uint64_t value)>;
@@ -170,22 +172,27 @@ class DFasterClient::Session {
     std::vector<KvOp> ops;
     std::vector<OpCallback> callbacks;
     int reroute_attempts = 0;
+    uint64_t start_seqno = 0;  // set by SendBatch (IssuePending)
+    int attempt = 0;           // kRetryLater resends so far
   };
 
   void Issue(KvOp op, OpCallback callback);
   void Dispatch(WorkerId worker);
-  // Sends a batch whose window slots are already reserved.
+  /// Issues a batch whose window slots are already reserved: numbers its
+  /// ops (IssuePending) and sends it.
   void SendBatch(WorkerId worker, PendingBatch batch);
-  void ExecuteLocal(WorkerId worker, PendingBatch batch);
-  void SendRemote(WorkerId worker, std::shared_ptr<PendingBatch> batch,
-                  uint64_t start_seqno, int attempt);
-  void OnRemoteResponse(WorkerId worker, std::shared_ptr<PendingBatch> batch,
-                        uint64_t start_seqno, int attempt, Status transport,
-                        Slice payload);
-  /// Completes `batch` (callbacks, window, kNotOwner re-routes). Takes it
-  /// by reference: re-routed ops' callbacks are moved out of it.
-  void FinishBatch(WorkerId worker, PendingBatch& batch,
-                   const KvBatchResponse& resp);
+  /// One attempt: a co-located worker executes the batch in place, a remote
+  /// one gets it encoded over its connection. Either way the outcome goes to
+  /// OnResponse.
+  void Exchange(WorkerId worker, std::shared_ptr<PendingBatch> batch);
+  /// Schedules a kRetryLater resend, or resolves the batch in the session
+  /// and finishes it. `delivered` is false when no response arrived.
+  void OnResponse(WorkerId worker, std::shared_ptr<PendingBatch> batch,
+                  bool delivered, const KvBatchResponse& resp);
+  /// Completes `batch`: calls back every finished op, releases its window
+  /// slots and schedules kNotOwner re-routes. `resp` is null when the batch
+  /// failed. Takes it by reference: re-routed ops' callbacks are moved out.
+  void FinishBatch(PendingBatch& batch, const KvBatchResponse* resp);
   /// Empty batch whose response refreshes the session's cut; true when the
   /// worker answered with kOk.
   bool SendPing(WorkerId worker);

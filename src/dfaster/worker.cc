@@ -68,14 +68,12 @@ CkptSignals DFasterWorker::CollectCkptSignals() const {
   const LogAddress tail = store_->tail_address();
   const LogAddress ro = store_->read_only_address();
   s.dirty_bytes = tail > ro ? tail - ro : 0;
-  if (s.dirty_bytes == 0 && dpr_worker_ != nullptr &&
-      store_->CurrentVersion() > dpr_worker_->last_reported()) {
-    // The store's version advanced outside the commit pipeline (a
-    // compaction stamp, a fast-forward) and the finder has not heard about
-    // it. The cut cannot cover that version until this shard checkpoints
-    // once more, so it must not read as idle — progress waits on it
-    // (FinishCompaction's commit barrier, cross-worker Vmax catch-up).
-    s.dirty_bytes = 1;
+  // A kDpr shard never reads idle. The approximate cut is the minimum
+  // persisted version over all workers, so a row that stopped advancing
+  // would pin every peer's commits; and reads executed in the open version
+  // commit only with the next checkpoint.
+  if (dpr_worker_ != nullptr) {
+    s.dirty_bytes = std::max<uint64_t>(s.dirty_bytes, 1);
   }
   return s;
 }

@@ -141,7 +141,8 @@ class DFasterWorker {
                              KvBatchResponse* response);
   void ExecuteBatchInternal(const KvBatchRequest& request,
                             KvBatchResponse* response, bool check_ownership);
-  /// Samples the cadence signal for this shard: its store's dirty bytes.
+  /// Samples the cadence signal for this shard: its store's dirty bytes, at
+  /// least 1 on a kDpr shard (it never reads idle).
   CkptSignals CollectCkptSignals() const;
   /// kEventual checkpoint: taken under the exclusive batch latch, without
   /// coordination or reporting.

@@ -76,24 +76,6 @@ void DprSession::AbsorbLocked(const DprResponseHeader& resp) {
   });
 }
 
-uint64_t DprSession::RecordBatch(WorkerId worker, uint64_t n,
-                                 const DprResponseHeader& resp) {
-  MutexLock guard(mu_);
-  const uint64_t start = next_seqno_;
-  next_seqno_ += n;
-  // A stale (pre-recovery) response records vacuously: the rollback erased
-  // any effect, so the segment carries no version and no dependency.
-  const Version version =
-      IsStaleResponseLocked(resp) ? kInvalidVersion : resp.executed_version;
-  segments_.push_back(Segment{start, n, worker, version, /*resolved=*/true,
-                              NowMicros()});
-  if (version != kInvalidVersion) {
-    MergeDependency(&deps_, WorkerVersion{worker, version});
-  }
-  AbsorbLocked(resp);
-  return start;
-}
-
 uint64_t DprSession::IssuePending(WorkerId worker, uint64_t n) {
   MutexLock guard(mu_);
   const uint64_t start = next_seqno_;
@@ -134,8 +116,25 @@ void DprSession::Observe(const DprResponseHeader& resp) {
   AbsorbLocked(resp);
 }
 
-DprSession::CommitPoint DprSession::ComputePointLocked(
-    const DprCut& committed, bool drop_committed) {
+bool DprSession::Committed(const Segment& seg, const DprCut& cut) {
+  return seg.resolved && CutVersion(cut, seg.worker) >= seg.version;
+}
+
+std::vector<uint64_t> DprSession::ExceptionsLocked(const DprCut& committed,
+                                                   uint64_t prefix_end) const {
+  std::vector<uint64_t> excluded;
+  for (const auto& seg : segments_) {
+    if (seg.start >= prefix_end) break;
+    if (!Committed(seg, committed)) {
+      const uint64_t end = std::min(seg.start + seg.count, prefix_end);
+      for (uint64_t s = seg.start; s < end; ++s) excluded.push_back(s);
+    }
+  }
+  return excluded;
+}
+
+DprSession::CommitPoint DprSession::GetCommitPoint() {
+  MutexLock guard(mu_);
   CommitPoint point;
   // Phase 1: extend the frontier. A resolved-but-uncommitted segment stops
   // it; an unresolved (PENDING) segment is skipped per relaxed DPR — ops
@@ -147,11 +146,8 @@ DprSession::CommitPoint DprSession::ComputePointLocked(
   uint64_t skipped = 0;
   for (const auto& seg : segments_) {
     if (seg.resolved) {
-      if (CutVersion(committed, seg.worker) >= seg.version) {
-        frontier = std::max(frontier, seg.start + seg.count);
-      } else {
-        break;
-      }
+      if (!Committed(seg, cut_)) break;
+      frontier = std::max(frontier, seg.start + seg.count);
     } else {
       // relaxed: unresolved segments are skipped (exception list), up to
       // the configured cap of skipped-over operations.
@@ -165,39 +161,22 @@ DprSession::CommitPoint DprSession::ComputePointLocked(
   reported_prefix_ = point.prefix_end;
   // Phase 2: the exception list — anything below the prefix that is not
   // (yet) committed.
-  for (const auto& seg : segments_) {
-    if (seg.start >= point.prefix_end) break;
-    const bool is_committed =
-        seg.resolved && CutVersion(committed, seg.worker) >= seg.version;
-    if (!is_committed) {
-      const uint64_t end = std::min(seg.start + seg.count, point.prefix_end);
-      for (uint64_t s = seg.start; s < end; ++s) point.excluded.push_back(s);
-    }
-  }
+  point.excluded = ExceptionsLocked(cut_, point.prefix_end);
   Metrics().exception_list->Set(static_cast<int64_t>(point.excluded.size()));
-  if (drop_committed) {
-    const uint64_t now_us = NowMicros();
-    while (!segments_.empty()) {
-      const Segment& seg = segments_.front();
-      const bool is_committed =
-          seg.resolved && CutVersion(committed, seg.worker) >= seg.version;
-      if (is_committed && seg.start + seg.count <= point.prefix_end) {
-        if (now_us > seg.issued_us) {
-          Metrics().op_commit_us->Record(now_us - seg.issued_us);
-        }
-        Metrics().ops_committed->Add(seg.count);
-        segments_.pop_front();
-      } else {
-        break;
-      }
+  // Phase 3: drop the committed segments at the front.
+  const uint64_t now_us = NowMicros();
+  while (!segments_.empty()) {
+    const Segment& seg = segments_.front();
+    if (!Committed(seg, cut_) || seg.start + seg.count > point.prefix_end) {
+      break;
     }
+    if (now_us > seg.issued_us) {
+      Metrics().op_commit_us->Record(now_us - seg.issued_us);
+    }
+    Metrics().ops_committed->Add(seg.count);
+    segments_.pop_front();
   }
   return point;
-}
-
-DprSession::CommitPoint DprSession::GetCommitPoint() {
-  MutexLock guard(mu_);
-  return ComputePointLocked(cut_, /*drop_committed=*/true);
 }
 
 uint64_t DprSession::next_seqno() const {
@@ -245,10 +224,21 @@ std::string DprSession::DebugString() const {
 DprSession::CommitPoint DprSession::HandleFailure(WorldLine new_world_line,
                                                   const DprCut& recovery_cut) {
   MutexLock guard(mu_);
-  // The surviving prefix is the commit point evaluated at the recovery cut:
-  // exactly the operations whose versions made it into the cut survive.
-  CommitPoint survivors = ComputePointLocked(recovery_cut,
-                                             /*drop_committed=*/false);
+  // Every resolved segment inside the recovery cut survived, wherever it
+  // sits; an earlier lost segment does not take later survivors with it. The
+  // committed set is closed under "resolved before issued" (a later segment
+  // carries that dependency in its header), so every lost segment below the
+  // last survivor was still outstanding when the later ones were issued:
+  // relaxed DPR's exception list (§5.4, Fig. 7).
+  CommitPoint survivors;
+  survivors.prefix_end = reported_prefix_;
+  for (const auto& seg : segments_) {
+    if (Committed(seg, recovery_cut)) {
+      survivors.prefix_end =
+          std::max(survivors.prefix_end, seg.start + seg.count);
+    }
+  }
+  survivors.excluded = ExceptionsLocked(recovery_cut, survivors.prefix_end);
   Metrics().failures->Add();
   Metrics().surviving_prefix->Record(survivors.prefix_end);
   // Everything in flight or above the prefix is gone; the session restarts
@@ -257,9 +247,8 @@ DprSession::CommitPoint DprSession::HandleFailure(WorldLine new_world_line,
   // is preserved across the world-line shift.
   segments_.clear();
   deps_.clear();
-  // ComputePointLocked above published the pre-rollback exception-list
-  // occupancy; with the segments discarded the list is empty — re-zero the
-  // gauge or it leaks the stale count until the next commit-point query.
+  // With the segments discarded the exception list is empty; zero the gauge
+  // or it keeps the pre-failure count until the next commit-point query.
   Metrics().exception_list->Set(0);
   // The observed cut can never exceed the recovery cut (the finder's cut is
   // monotone and the recovery freezes it); clamping keeps that true even

@@ -16,12 +16,13 @@ namespace dpr {
 struct SessionOptions {
   /// The largest number of unresolved operations the committed prefix may
   /// skip over. Once the scan has skipped this many, the prefix stops
-  /// advancing until they resolve — bounding the exception list the
-  /// application must reconcile after a failure. The default is unbounded
-  /// relaxed DPR, the FASTER default; 0 is strict CPR/DPR ordering (§5.4):
-  /// the commit point never passes over an unresolved PENDING operation, so
-  /// recovered prefixes have no exception list (at the cost of blocking
-  /// commits on stragglers).
+  /// advancing until they resolve — bounding the exception list of every
+  /// reported commit point. The default is unbounded relaxed DPR, the
+  /// FASTER default; 0 is strict CPR/DPR ordering (§5.4): the commit point
+  /// never passes over an unresolved PENDING operation (at the cost of
+  /// blocking commits on stragglers). A failure report is not bounded by
+  /// it: HandleFailure reports every operation that survived, so one lost
+  /// PENDING operation below later survivors is listed as lost.
   uint64_t exception_list_cap = ~0ull;
 
   /// What to do with a response carrying an OLDER world-line than the
@@ -48,11 +49,11 @@ struct SessionOptions {
 /// resolve a dependency on any other worker, including one no longer in
 /// the cluster.
 ///
-/// Operations are numbered by *start* order (relaxed DPR). A batch either
-/// completes synchronously (RecordBatch) or is issued as PENDING
-/// (IssuePending) and resolved later (ResolvePending); unresolved operations
-/// below the committed prefix are surfaced in the exception list, exactly as
-/// relaxed CPR/DPR prescribes.
+/// Operations are numbered by *start* order (relaxed DPR): every batch is
+/// issued as PENDING (IssuePending) and resolved once its response arrives
+/// (ResolvePending), whether it ran on a co-located or a remote worker.
+/// Unresolved operations below the committed prefix are surfaced in the
+/// exception list, exactly as relaxed CPR/DPR prescribes.
 ///
 /// Thread-safety: all methods are internally synchronized so a background
 /// completion thread may resolve pendings while the session issues new ops.
@@ -65,11 +66,6 @@ class DprSession {
 
   /// Header to attach to the next outgoing batch.
   DprRequestHeader MakeHeader() const;
-
-  /// Records `n` operations that completed synchronously at `worker`;
-  /// returns the first seqno. Absorbs the response's cut.
-  uint64_t RecordBatch(WorkerId worker, uint64_t n,
-                       const DprResponseHeader& resp);
 
   /// Assigns seqnos to `n` operations issued (start-time order) whose
   /// results are not yet known. Later ops do not depend on them until
@@ -100,8 +96,10 @@ class DprSession {
   WorldLine world_line() const;
 
   /// Computes the surviving prefix at the recovery cut, resets in-flight
-  /// state, and moves the session onto `new_world_line`. Returned
-  /// CommitPoint::excluded lists the *lost* operations below the prefix.
+  /// state, and moves the session onto `new_world_line`. Every resolved
+  /// operation the cut covers survived; the returned prefix ends one past
+  /// the last of them, and CommitPoint::excluded lists the *lost* operations
+  /// below it.
   CommitPoint HandleFailure(WorldLine new_world_line,
                             const DprCut& recovery_cut);
 
@@ -121,8 +119,12 @@ class DprSession {
     uint64_t issued_us = 0;
   };
 
-  CommitPoint ComputePointLocked(const DprCut& committed,
-                                 bool drop_committed) REQUIRES(mu_);
+  /// True when `seg` resolved into a version `cut` covers.
+  static bool Committed(const Segment& seg, const DprCut& cut);
+  /// Seqnos below `prefix_end` that `committed` does not cover.
+  std::vector<uint64_t> ExceptionsLocked(const DprCut& committed,
+                                         uint64_t prefix_end) const
+      REQUIRES(mu_);
   void AbsorbLocked(const DprResponseHeader& resp) REQUIRES(mu_);
   /// True when `resp` is a pre-recovery straggler the session must not
   /// absorb (world_line_policy == kReject).

@@ -196,20 +196,16 @@ Status DprWorker::TryCommit(Version target_version,
 
 void DprWorker::OnCheckpointPersistent(WorldLine world_line, Version token) {
   Metrics().checkpoints->Add();
-  // The report covers every version in (last_reported, token]; fold their
-  // dependency sets together (versions are cumulative prefixes).
+  // The report covers every version up to `token` not yet reported; fold
+  // their dependency sets together (versions are cumulative prefixes).
   DependencySet deps = deps_.DrainUpTo(token);
-  Version reported = last_reported_.load(std::memory_order_relaxed);
-  while (token > reported && !last_reported_.compare_exchange_weak(
-                                 reported, token, std::memory_order_release)) {
-  }
   Status s = options_.finder->ReportPersistedVersion(
       world_line, WorkerVersion{options_.worker_id, token}, deps);
   if (!s.ok() && !s.IsAborted()) {
     DPR_WARN("worker %u report v%llu: %s", options_.worker_id,
              static_cast<unsigned long long>(token), s.ToString().c_str());
     // The report never reached the tracking plane, and the drained set was
-    // the only record of what (last_reported, token] depends on. Re-stage it
+    // the only record of what those versions depend on. Re-stage it
     // at `token` so the next successful report folds it back in — dropping
     // it here lets a later report advance the cut past `token` without its
     // dependencies, breaking dependency closure (P2). Skipped when a
@@ -245,7 +241,6 @@ Status DprWorker::RollbackInternal(WorldLine new_world_line,
   if (s.ok()) {
     // Tracked dependencies belong to the rolled-back world-line.
     deps_.Clear();
-    last_reported_.store(restored, std::memory_order_release);
     world_line_.store(new_world_line, std::memory_order_release);
     kick_pending_.store(true, std::memory_order_relaxed);
     recovered_at_us_ = NowMicros();

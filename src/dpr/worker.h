@@ -106,11 +106,6 @@ class DprWorker {
     return options_.finder->PublishedVersion(options_.worker_id);
   }
 
-  /// Largest token reported to the finder on the current world-line.
-  Version last_reported() const {
-    return last_reported_.load(std::memory_order_acquire);
-  }
-
  private:
   Status RollbackInternal(WorldLine new_world_line, Version safe_version,
                           bool crash);
@@ -141,10 +136,6 @@ class DprWorker {
   /// Dependency sets accumulated per (uncommitted) version, striped by
   /// session; merged only at checkpoint-persist time.
   VersionDependencyTracker deps_;
-  /// Largest token already reported to the finder. Relaxed load + release
-  /// CAS max-merge: the value is advisory dedup state; the report payload
-  /// itself rides the RPC, not this cell.
-  std::atomic<uint64_t> last_reported_{kInvalidVersion};
 
   /// Periodic image checkpoints (started by Start(), stopped by Stop()).
   CkptLoop ckpt_loop_;

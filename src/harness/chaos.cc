@@ -579,7 +579,7 @@ class ChaosRunner {
                             : DprResponseHeader::BatchStatus::kRetryLater,
           &reject);
       DprResponseHeader vacuous;
-      session.RecordBatch(w, 1, vacuous);
+      session.ResolvePending(session.IssuePending(w, 1), vacuous);
       session.Observe(reject);
       return Status::OK();
     }
@@ -611,7 +611,7 @@ class ChaosRunner {
           PendingOp{si, start, w, resp, session.world_line()});
     } else {
       session_last_[si] = now;
-      session.RecordBatch(w, 1, resp);
+      session.ResolvePending(session.IssuePending(w, 1), resp);
     }
     ++report_->ops;
     return Status::OK();

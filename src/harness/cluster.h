@@ -29,8 +29,9 @@ struct ClusterOptions {
   RecoverabilityMode mode = RecoverabilityMode::kDpr;
   StorageBackend backend = StorageBackend::kNull;
   /// RPO ceiling of each shard's checkpoint tick loop (src/ckpt/): hot
-  /// shards checkpoint more often (down to a quarter of it) and idle shards
-  /// skip the I/O; each store picks a full or delta index image.
+  /// shards checkpoint more often (down to a quarter of it) and idle
+  /// kEventual shards skip the I/O (a kDpr shard never reads idle); each
+  /// store picks a full or delta index image.
   uint64_t checkpoint_interval_us = 100000;  // paper default: 100 ms
   FinderKind finder = FinderKind::kApprox;   // paper's eval default (§7.1)
   uint64_t finder_interval_us = 10000;

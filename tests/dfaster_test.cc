@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -7,8 +8,10 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/sync.h"
 #include "dfaster/protocol.h"
+#include "fault/fault_plane.h"
 #include "harness/cluster.h"
 #include "obs/metrics.h"
 
@@ -141,6 +144,30 @@ TEST(DFasterClusterTest, EventualAndNoneModesServeOps) {
     for (uint64_t k = 0; k < 64; ++k) session->Upsert(k, k);
     ASSERT_TRUE(session->WaitForAll().ok());
     EXPECT_EQ(session->ops_failed(), 0u);
+  }
+}
+
+TEST(DFasterClusterTest, IdleDprShardsKeepStampingIdleEventualShardsSkip) {
+  // An idle kDpr shard never skips a tick: the approximate cut is the
+  // minimum persisted version over all workers, so a row that stopped
+  // advancing would pin every peer's commits. An idle kEventual shard has
+  // nobody waiting on it, and skips after its first checkpoint.
+  for (RecoverabilityMode mode :
+       {RecoverabilityMode::kDpr, RecoverabilityMode::kEventual}) {
+    ClusterOptions options = SmallCluster(2);
+    options.mode = mode;
+    DFasterCluster cluster(options);
+    ASSERT_TRUE(cluster.Start().ok());
+    SleepMicros(100000);  // past the first tick, which always checkpoints
+    const Version before = cluster.worker(0)->store()->CurrentVersion();
+    SleepMicros(200000);  // ten 20 ms intervals
+    const Version after = cluster.worker(0)->store()->CurrentVersion();
+    if (mode == RecoverabilityMode::kDpr) {
+      EXPECT_GE(after, before + 3) << "an idle kDpr shard stopped stamping";
+    } else {
+      EXPECT_GE(before, 2u);
+      EXPECT_EQ(after, before) << "an idle kEventual shard checkpointed";
+    }
   }
 }
 
@@ -306,6 +333,97 @@ TEST(DFasterFailureTest, PrefixConsistencyAfterCrash) {
   EXPECT_GE(v1.load(), 30u);
   EXPECT_TRUE(v0.load() == v1.load() || v0.load() == v1.load() + 1)
       << "v0=" << v0.load() << " v1=" << v1.load();
+}
+
+TEST(DFasterFailureTest, FailureReportsSurvivorsIssuedPastAHeldBatch) {
+  // A batch to worker 1 is held in the transport while the session writes
+  // to worker 0, and both workers checkpoint in between. The held batch then
+  // runs in a version no checkpoint covers, and both workers crash: the
+  // later write to worker 0 survived behind the lost one, and the report
+  // must say so, or a client replaying its "lost" writes applies it twice.
+  // The 2 s interval keeps the tick loops out of the way; the test
+  // checkpoints by hand.
+  ClusterOptions options = SmallCluster(2);
+  options.checkpoint_interval_us = 2000000;
+  DFasterCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient(/*batch=*/1, /*window=*/4);
+  auto session = client->NewSession(12);
+  uint64_t key_on_0 = 0;
+  while (YcsbWorkload::ShardOf(key_on_0, 2) != 0) key_on_0++;
+  uint64_t key_on_1 = 0;
+  while (YcsbWorkload::ShardOf(key_on_1, 2) != 1) key_on_1++;
+
+  ScopedFaultPlane plane(/*seed=*/12);
+  const std::string held = "worker1";
+  FaultPlane::Instance().Arm({.point = faults::kNetDelay,
+                              .scope = HashBytes(held.data(), held.size()),
+                              .max_fires = 1,
+                              .param = 300000});
+  // Seqno 0: held for 300 ms. Seqno 1: runs at once.
+  struct Write {
+    uint64_t key;
+    uint64_t value;
+  };
+  const std::vector<Write> writes = {{key_on_1, 1}, {key_on_0, 2}};
+  std::atomic<bool> second_done{false};
+  session->Upsert(writes[0].key, writes[0].value);
+  session->Upsert(writes[1].key, writes[1].value,
+                  [&](KvResult, uint64_t) { second_done.store(true); });
+  const Stopwatch timer;
+  while (!second_done.load() && timer.ElapsedMillis() < 5000) SleepMicros(100);
+  ASSERT_TRUE(second_done.load());
+  // Checkpoint both workers and wait for the cut to cover the tokens.
+  for (WorkerId w = 0; w < 2; ++w) {
+    Status s;
+    do {
+      s = cluster.worker(w)->dpr_worker()->TryCommit();
+    } while (s.IsBusy());
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  while (cluster.finder()->PublishedVersion(0) == kInvalidVersion ||
+         cluster.finder()->PublishedVersion(1) == kInvalidVersion) {
+    ASSERT_LT(timer.ElapsedMillis(), 5000u);
+    SleepMicros(1000);
+  }
+  ASSERT_TRUE(session->WaitForAll().ok());  // the held batch ran too
+  ASSERT_EQ(FaultPlane::Instance().fires(faults::kNetDelay), 1u);
+
+  ASSERT_TRUE(cluster.InjectFailure({0, 1}).ok());
+  session->Read(key_on_0, nullptr);
+  (void)session->WaitForAll();
+  ASSERT_TRUE(session->needs_failure_handling());
+  DprSession::CommitPoint survivors;
+  ASSERT_TRUE(session->RecoverFromFailure(&survivors).ok());
+  const auto survived = [&](uint64_t seqno) {
+    return seqno < survivors.prefix_end &&
+           std::find(survivors.excluded.begin(), survivors.excluded.end(),
+                     seqno) == survivors.excluded.end();
+  };
+  EXPECT_FALSE(survived(0)) << "the held write ran after both checkpoints";
+  EXPECT_TRUE(survived(1)) << "prefix_end=" << survivors.prefix_end;
+
+  // Every key holds the last write among the reported survivors.
+  std::map<uint64_t, uint64_t> expected;
+  for (uint64_t seqno = 0; seqno < writes.size(); ++seqno) {
+    if (survived(seqno)) expected[writes[seqno].key] = writes[seqno].value;
+  }
+  for (uint64_t key : {key_on_0, key_on_1}) {
+    KvResult result = KvResult::kError;
+    uint64_t value = 0;
+    session->Read(key, [&](KvResult r, uint64_t v) {
+      result = r;
+      value = v;
+    });
+    ASSERT_TRUE(session->WaitForAll().ok());
+    auto it = expected.find(key);
+    if (it == expected.end()) {
+      EXPECT_EQ(result, KvResult::kNotFound) << "key " << key << " = " << value;
+    } else {
+      EXPECT_EQ(result, KvResult::kOk) << "key " << key;
+      EXPECT_EQ(value, it->second) << "key " << key;
+    }
+  }
 }
 
 TEST(DFasterFailureTest, CommitsResumeOneCheckpointAfterRecovery) {

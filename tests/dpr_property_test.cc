@@ -73,7 +73,7 @@ void DoOp(Rig& rig, DprSession& session, WorkerId w, uint64_t key) {
     DprResponseHeader resp;
     rig.workers[w]->FillResponse(header, version,
                                  DprResponseHeader::BatchStatus::kOk, &resp);
-    session.RecordBatch(w, 1, resp);
+    session.ResolvePending(session.IssuePending(w, 1), resp);
   } else {
     DprResponseHeader resp;
     rig.workers[w]->FillResponse(
@@ -81,8 +81,8 @@ void DoOp(Rig& rig, DprSession& session, WorkerId w, uint64_t key) {
         admit.IsAborted() ? DprResponseHeader::BatchStatus::kWorldLineShift
                           : DprResponseHeader::BatchStatus::kRetryLater,
         &resp);
-    DprResponseHeader vacuous;
-    session.RecordBatch(w, 1, vacuous);  // failed op commits vacuously
+    DprResponseHeader vacuous;  // failed op commits vacuously
+    session.ResolvePending(session.IssuePending(w, 1), vacuous);
     session.Observe(resp);
   }
 }

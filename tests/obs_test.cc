@@ -443,7 +443,7 @@ TEST(CkptGaugeTest, ExceptionListGaugeZeroAfterRollback) {
   DprResponseHeader ok;
   ok.executed_version = 1;
   ok.cut = {{0, 1}};
-  session.RecordBatch(/*worker=*/0, 1, ok);
+  session.ResolvePending(session.IssuePending(/*worker=*/0, 1), ok);
   const auto point = session.GetCommitPoint();
   ASSERT_EQ(point.excluded.size(), 1u);
   ASSERT_EQ(reg.Snapshot().gauges.at("dpr.session.exception_list"), 1);

@@ -18,12 +18,18 @@ DprResponseHeader Ok(Version executed, DprCut cut = {},
   return resp;
 }
 
+// Issues `n` ops at `worker` and resolves them at once with `resp`.
+void Record(DprSession& session, WorkerId worker, uint64_t n,
+            const DprResponseHeader& resp) {
+  session.ResolvePending(session.IssuePending(worker, n), resp);
+}
+
 TEST(DprSessionTest, HeaderCarriesVersionClockAndDeps) {
   DprSession session(7);
   EXPECT_EQ(session.MakeHeader().session_id, 7u);
   EXPECT_EQ(session.MakeHeader().version, kInvalidVersion);
-  session.RecordBatch(0, 4, Ok(/*executed=*/3));
-  session.RecordBatch(1, 2, Ok(/*executed=*/5));
+  Record(session, 0, 4, Ok(/*executed=*/3));
+  Record(session, 1, 2, Ok(/*executed=*/5));
   const DprRequestHeader header = session.MakeHeader();
   EXPECT_EQ(header.version, 5u);  // Vs = max version seen (Lamport clock)
   ASSERT_EQ(header.deps.size(), 2u);
@@ -33,14 +39,14 @@ TEST(DprSessionTest, HeaderCarriesVersionClockAndDeps) {
 
 TEST(DprSessionTest, CommittedDepsArePruned) {
   DprSession session(1);
-  session.RecordBatch(0, 1, Ok(3));
-  session.RecordBatch(0, 1, Ok(3, {{0, 3}}));  // the cut catches up to v3
+  Record(session, 0, 1, Ok(3));
+  Record(session, 0, 1, Ok(3, {{0, 3}}));  // the cut catches up to v3
   EXPECT_TRUE(session.MakeHeader().deps.empty());
 }
 
 TEST(DprSessionTest, CommitPointAdvancesWithTheCut) {
   DprSession session(1);
-  session.RecordBatch(0, 10, Ok(2));
+  Record(session, 0, 10, Ok(2));
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 0u);
   session.Observe(Ok(2, {{0, 2}}));
   const auto point = session.GetCommitPoint();
@@ -50,8 +56,8 @@ TEST(DprSessionTest, CommitPointAdvancesWithTheCut) {
 
 TEST(DprSessionTest, CrossWorkerPrefixBlocksOnEarliestUncommitted) {
   DprSession session(1);
-  session.RecordBatch(0, 5, Ok(2));  // ops 0-4 at worker 0 (v2)
-  session.RecordBatch(1, 5, Ok(2));  // ops 5-9 at worker 1 (v2)
+  Record(session, 0, 5, Ok(2));  // ops 0-4 at worker 0 (v2)
+  Record(session, 1, 5, Ok(2));  // ops 5-9 at worker 1 (v2)
   session.Observe(Ok(2, {{0, 1}, {1, 2}}));  // worker 1 committed, 0 not
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 0u);
   session.Observe(Ok(2, {{0, 2}, {1, 2}}, kInitialWorldLine, /*epoch=*/2));
@@ -60,8 +66,8 @@ TEST(DprSessionTest, CrossWorkerPrefixBlocksOnEarliestUncommitted) {
 
 TEST(DprSessionTest, CutsFromDifferentWorkersMergeByMax) {
   DprSession session(1);
-  session.RecordBatch(0, 5, Ok(2));  // ops 0-4 at worker 0 (v2)
-  session.RecordBatch(1, 5, Ok(3));  // ops 5-9 at worker 1 (v3)
+  Record(session, 0, 5, Ok(2));  // ops 0-4 at worker 0 (v2)
+  Record(session, 1, 5, Ok(3));  // ops 5-9 at worker 1 (v3)
   // Any worker's response resolves a dependency on any other: worker 1's
   // copy of epoch 5 covers worker 0's v2.
   session.Observe(Ok(0, {{0, 2}, {1, 1}}, kInitialWorldLine, /*epoch=*/5));
@@ -75,7 +81,7 @@ TEST(DprSessionTest, CutsFromDifferentWorkersMergeByMax) {
   // A lagging worker's older cut regresses neither entries nor the epoch.
   session.Observe(Ok(0, {{0, 1}, {1, 1}}, kInitialWorldLine, /*epoch=*/4));
   EXPECT_EQ(session.MakeHeader().cut_epoch, 6u);
-  session.RecordBatch(0, 1, Ok(2));  // op 10: worker 0's v2, still covered
+  Record(session, 0, 1, Ok(2));  // op 10: worker 0's v2, still covered
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 11u);
   // A response that matched the session's epoch carries no entries and
   // changes nothing.
@@ -85,9 +91,9 @@ TEST(DprSessionTest, CutsFromDifferentWorkersMergeByMax) {
 
 TEST(DprSessionTest, RelaxedPendingSkippedAndListed) {
   DprSession session(1);
-  session.RecordBatch(0, 2, Ok(1, {{0, 1}}));  // ops 0-1 committed
+  Record(session, 0, 2, Ok(1, {{0, 1}}));  // ops 0-1 committed
   const uint64_t p = session.IssuePending(1, 3);  // ops 2-4 in flight
-  session.RecordBatch(0, 2, Ok(1));            // ops 5-6 committed
+  Record(session, 0, 2, Ok(1));  // ops 5-6 committed
   const auto point = session.GetCommitPoint();
   // Relaxed DPR: the prefix may pass over unresolved PENDING ops, naming
   // them in the exception list (paper §5.4, Fig. 7).
@@ -103,7 +109,7 @@ TEST(DprSessionTest, RelaxedPendingSkippedAndListed) {
 TEST(DprSessionTest, ResolvedUncommittedPendingStaysExcludedAndGates) {
   DprSession session(1);
   const uint64_t p = session.IssuePending(1, 1);  // op 0
-  session.RecordBatch(0, 2, Ok(1, {{0, 1}, {1, 1}}));  // ops 1-2 committed
+  Record(session, 0, 2, Ok(1, {{0, 1}, {1, 1}}));  // ops 1-2 committed
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 3u);
   // The pending op resolves into a version that is NOT yet committed: it
   // must stay on the exception list and the prefix must not regress.
@@ -112,7 +118,7 @@ TEST(DprSessionTest, ResolvedUncommittedPendingStaysExcludedAndGates) {
   EXPECT_EQ(point.prefix_end, 3u);
   EXPECT_EQ(point.excluded, (std::vector<uint64_t>{0}));
   // New committed work cannot advance the prefix past the gate...
-  session.RecordBatch(0, 1, Ok(1));
+  Record(session, 0, 1, Ok(1));
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 3u);
   // ...until the pending op's version commits.
   session.Observe(Ok(5, {{0, 1}, {1, 5}}, kInitialWorldLine, 2));
@@ -145,9 +151,9 @@ TEST(DprSessionTest, WorldLineShiftDetected) {
 
 TEST(DprSessionTest, HandleFailureComputesSurvivingPrefix) {
   DprSession session(1);
-  session.RecordBatch(0, 3, Ok(1));  // ops 0-2 in v1 at worker 0
-  session.RecordBatch(1, 3, Ok(1));  // ops 3-5 in v1 at worker 1
-  session.RecordBatch(0, 3, Ok(2));  // ops 6-8 in v2 at worker 0
+  Record(session, 0, 3, Ok(1));  // ops 0-2 in v1 at worker 0
+  Record(session, 1, 3, Ok(1));  // ops 3-5 in v1 at worker 1
+  Record(session, 0, 3, Ok(2));  // ops 6-8 in v2 at worker 0
   // Failure: the recovery cut covers v1 everywhere but not worker 0's v2.
   const DprCut cut{{0, 1}, {1, 1}};
   const auto survivors = session.HandleFailure(2, cut);
@@ -162,11 +168,24 @@ TEST(DprSessionTest, HandleFailureComputesSurvivingPrefix) {
 
 TEST(DprSessionTest, HandleFailureListsLostPending) {
   DprSession session(1);
-  session.RecordBatch(0, 2, Ok(1, {{0, 1}}));  // ops 0-1 committed
-  session.IssuePending(1, 2);                  // ops 2-3 lost in flight
-  session.RecordBatch(0, 2, Ok(1));            // ops 4-5 committed
+  Record(session, 0, 2, Ok(1, {{0, 1}}));  // ops 0-1 committed
+  session.IssuePending(1, 2);  // ops 2-3 lost in flight
+  Record(session, 0, 2, Ok(1));  // ops 4-5 committed
   const DprCut cut{{0, 1}, {1, 1}};
   const auto survivors = session.HandleFailure(2, cut);
+  EXPECT_EQ(survivors.prefix_end, 6u);
+  EXPECT_EQ(survivors.excluded, (std::vector<uint64_t>{2, 3}));
+}
+
+TEST(DprSessionTest, HandleFailureReportsSurvivorsPastAnUncommittedSegment) {
+  DprSession session(1);
+  Record(session, 0, 2, Ok(1));                   // ops 0-1 in v1 at worker 0
+  const uint64_t p = session.IssuePending(1, 2);  // ops 2-3 at worker 1
+  Record(session, 0, 2, Ok(2));                   // ops 4-5 in v2 at worker 0
+  session.ResolvePending(p, Ok(3));               // ops 2-3 ran in v3
+  // The cut covers worker 0's v2 but not worker 1's v3: ops 4-5 survived
+  // behind the lost ops 2-3, which are the exceptions.
+  const auto survivors = session.HandleFailure(2, DprCut{{0, 2}, {1, 2}});
   EXPECT_EQ(survivors.prefix_end, 6u);
   EXPECT_EQ(survivors.excluded, (std::vector<uint64_t>{2, 3}));
 }
@@ -176,9 +195,8 @@ TEST(DprSessionTest, CommitPointIsMonotone) {
   uint64_t last = 0;
   for (int round = 0; round < 50; ++round) {
     const WorkerId w = round % 3;
-    session.RecordBatch(w, 2,
-                        Ok(1 + round / 3,
-                           round > 25 ? DprCut{{w, 100}} : DprCut{}));
+    Record(session, w, 2,
+           Ok(1 + round / 3, round > 25 ? DprCut{{w, 100}} : DprCut{}));
     const uint64_t point = session.GetCommitPoint().prefix_end;
     EXPECT_GE(point, last);
     last = point;
@@ -187,7 +205,7 @@ TEST(DprSessionTest, CommitPointIsMonotone) {
 
 TEST(DprSessionTest, VersionClockRetainedAcrossFailure) {
   DprSession session(1);
-  session.RecordBatch(0, 1, Ok(9));
+  Record(session, 0, 1, Ok(9));
   session.HandleFailure(2, DprCut{{0, 0}});
   // Vs survives: post-recovery versions continue above pre-failure ones.
   EXPECT_EQ(session.MakeHeader().version, 9u);
@@ -198,11 +216,11 @@ TEST(DprSessionTest, HandleFailureClampsTheObservedCut) {
   // cut; the clamp keeps it from committing post-recovery work on it.
   DprSession session(
       1, {.world_line_policy = SessionOptions::WorldLinePolicy::kTrusting});
-  session.RecordBatch(0, 2, Ok(1, {{0, 5}, {1, 5}}));  // ops 0-1 committed
+  Record(session, 0, 2, Ok(1, {{0, 5}, {1, 5}}));  // ops 0-1 committed
   const auto survivors = session.HandleFailure(2, DprCut{{0, 3}, {1, 5}});
   EXPECT_EQ(survivors.prefix_end, 2u);
-  session.RecordBatch(0, 1, Ok(4, {}, /*wl=*/2));  // op 2: worker 0's v4
-  session.RecordBatch(1, 1, Ok(4, {}, /*wl=*/2));  // op 3: worker 1's v4
+  Record(session, 0, 1, Ok(4, {}, /*wl=*/2));  // op 2: worker 0's v4
+  Record(session, 1, 1, Ok(4, {}, /*wl=*/2));  // op 3: worker 1's v4
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 2u);
   session.Observe(Ok(4, {{0, 4}, {1, 4}}, /*wl=*/2, /*epoch=*/2));
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 4u);
@@ -227,9 +245,9 @@ DprResponseHeader Committed(Version v) {
 
 TEST(StrictDprSessionTest, PendingGatesThePrefix) {
   DprSession session(1, {.exception_list_cap = 0});
-  session.RecordBatch(0, 2, Committed(1));  // ops 0-1 committed
+  Record(session, 0, 2, Committed(1));  // ops 0-1 committed
   const uint64_t p = session.IssuePending(1, 1);  // op 2 in flight
-  session.RecordBatch(0, 2, Committed(1));  // ops 3-4 committed
+  Record(session, 0, 2, Committed(1));  // ops 3-4 committed
   // Strict mode: no skipping, no exception list.
   auto point = session.GetCommitPoint();
   EXPECT_EQ(point.prefix_end, 2u);
@@ -244,8 +262,8 @@ TEST(StrictDprSessionTest, RelaxedAndStrictAgreeWithoutPendings) {
   DprSession strict(1, {.exception_list_cap = 0});
   DprSession relaxed(2);
   for (int i = 0; i < 10; ++i) {
-    strict.RecordBatch(i % 2, 3, Committed(1 + i / 4));
-    relaxed.RecordBatch(i % 2, 3, Committed(1 + i / 4));
+    Record(strict, i % 2, 3, Committed(1 + i / 4));
+    Record(relaxed, i % 2, 3, Committed(1 + i / 4));
   }
   // Equivalence (§5.4): with every op resolved, relaxed DPR is just a
   // renaming of strict DPR.
@@ -253,23 +271,27 @@ TEST(StrictDprSessionTest, RelaxedAndStrictAgreeWithoutPendings) {
             relaxed.GetCommitPoint().prefix_end);
 }
 
-TEST(StrictDprSessionTest, FailureHandlingRespectsStrictOrder) {
+TEST(StrictDprSessionTest, FailureReportListsSurvivorsPastALostOp) {
   DprSession session(1, {.exception_list_cap = 0});
-  session.RecordBatch(0, 2, Committed(1));
-  session.IssuePending(1, 1);               // lost in flight
-  session.RecordBatch(0, 2, Committed(1));  // after the pending op
+  Record(session, 0, 2, Committed(1));
+  session.IssuePending(1, 1);  // lost in flight
+  Record(session, 0, 2, Committed(1));  // after the pending op
+  // The strict prefix never passed the pending op...
+  EXPECT_EQ(session.GetCommitPoint().prefix_end, 2u);
+  // ...but ops 3-4 are in the recovery cut, so they survived: reporting them
+  // lost would have the application apply them twice.
   const auto survivors = session.HandleFailure(2, DprCut{{0, 1}, {1, 1}});
-  // Strictly, nothing after the lost op survives.
-  EXPECT_EQ(survivors.prefix_end, 2u);
+  EXPECT_EQ(survivors.prefix_end, 5u);
+  EXPECT_EQ(survivors.excluded, (std::vector<uint64_t>{2}));
 }
 
 TEST(SessionOptionsTest, ExceptionListCapBoundsSkippedOps) {
   DprSession session(1, {.exception_list_cap = 1});
-  session.RecordBatch(0, 1, Committed(1));        // op 0 committed
+  Record(session, 0, 1, Committed(1));  // op 0 committed
   const uint64_t p1 = session.IssuePending(0, 1);  // op 1 pending
-  session.RecordBatch(0, 1, Committed(1));        // op 2 committed
+  Record(session, 0, 1, Committed(1));  // op 2 committed
   const uint64_t p3 = session.IssuePending(0, 1);  // op 3 pending
-  session.RecordBatch(0, 1, Committed(1));        // op 4 committed
+  Record(session, 0, 1, Committed(1));  // op 4 committed
   // The prefix may skip one unresolved op (op 1) but stops before skipping
   // a second (op 3): the exception list is bounded at the cap.
   auto point = session.GetCommitPoint();
@@ -288,9 +310,9 @@ TEST(SessionOptionsTest, ExceptionListCapBoundsSkippedOps) {
 
 TEST(SessionOptionsTest, ZeroCapEquivalentToStrict) {
   DprSession session(1, {.exception_list_cap = 0});
-  session.RecordBatch(0, 2, Committed(1));        // ops 0-1 committed
+  Record(session, 0, 2, Committed(1));  // ops 0-1 committed
   const uint64_t p = session.IssuePending(0, 1);  // op 2 pending
-  session.RecordBatch(0, 2, Committed(1));        // ops 3-4 committed
+  Record(session, 0, 2, Committed(1));  // ops 3-4 committed
   auto point = session.GetCommitPoint();
   EXPECT_EQ(point.prefix_end, 2u);
   EXPECT_TRUE(point.excluded.empty());
@@ -301,7 +323,7 @@ TEST(SessionOptionsTest, ZeroCapEquivalentToStrict) {
 TEST(SessionOptionsTest, RejectPolicyIgnoresPreRecoveryStragglers) {
   DprSession session(1);  // default: WorldLinePolicy::kReject
   session.HandleFailure(2, DprCut{{0, 0}});
-  session.RecordBatch(0, 1, Ok(/*executed=*/2, {}, /*wl=*/2));
+  Record(session, 0, 1, Ok(/*executed=*/2, {}, /*wl=*/2));
   // A pre-recovery straggler claims v7 committed — on the OLD world-line,
   // which the rollback already erased. It must not advance anything.
   session.Observe(Ok(7, {{0, 7}}, kInitialWorldLine));
@@ -316,7 +338,7 @@ TEST(SessionOptionsTest, TrustingPolicyExhibitsPrefixMixingAnomaly) {
   DprSession session(
       1, {.world_line_policy = SessionOptions::WorldLinePolicy::kTrusting});
   session.HandleFailure(2, DprCut{{0, 0}});
-  session.RecordBatch(0, 1, Ok(/*executed=*/2, {}, /*wl=*/2));
+  Record(session, 0, 1, Ok(/*executed=*/2, {}, /*wl=*/2));
   session.Observe(Ok(7, {{0, 7}}, kInitialWorldLine));
   EXPECT_EQ(session.GetCommitPoint().prefix_end, 1u);
 }
